@@ -1,19 +1,15 @@
-"""E-A15 — compiled arbitration kernels for the serial hot paths.
+"""E-A15 — the serial hot paths batching cannot reach, on their one step.
 
-Workload: the three serial hot paths batching cannot reach — the
-reference engine's per-cycle channel arbitration, the fast engine's
-budget/observe/advance stepping, and the leap engine's steady-state
-verification — run with ``kernel="python"`` (the per-stage protocol
-steps) versus ``kernel="auto"`` (the fused kernels from
-``repro.simulator.kernels``; numba-jitted when the ``compiled`` extra is
-installed, fused NumPy otherwise).  Pass criteria: bit-identical
-:class:`CycleStats` on every pair, >= 10x on reference-engine q=7
-stepping, and >= 3x on the leap engine's verification windows.
+Workload: the fast engine's fused per-cycle step (land, budgets,
+unwrapped-key row-minima arbitration) across a q=7/q=11 clean/faulted
+grid, the leap engine's ring confirmation under a transient-fault storm
+(every fault window is a leap barrier followed by re-detection, so
+confirmation cost dominates), and the fused step's cold-vs-warm start.
+Pass criteria: bit-identical :class:`CycleStats` against the reference
+engine on the smoke grid, and exact leap runs under the storm.
 
 Each case's reproduced numbers land in ``benchmark.extra_info`` *and*
-are persisted to ``BENCH_kernels.json`` at the repo root (with the
-resolved ``impl`` — ``numba`` or ``numpy`` — so trajectories from the
-two lanes are never conflated).
+are persisted to ``BENCH_kernels.json`` at the repo root.
 """
 
 import json
@@ -24,17 +20,14 @@ from conftest import record
 
 from repro.core import build_plan
 from repro.simulator import (
-    KERNEL_IMPL,
     FaultSchedule,
     LeapCycleSimulator,
     make_engine,
     simulate_allreduce,
 )
-from repro.simulator import kernels as _kernels
+from repro.simulator.leap import SteadyRings
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
-REF_SPEEDUP_TARGET = 10.0     # reference engine, whole-run, q=7
-VERIFY_WINDOW_TARGET = 3.0    # leap verification windows, per steady state
 
 
 def _persist(case_id, payload):
@@ -46,7 +39,6 @@ def _persist(case_id, payload):
             data = {}
         if not isinstance(data, dict):
             data = {}
-    payload = {"impl": KERNEL_IMPL, **payload}
     data[case_id] = payload
     BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
@@ -69,7 +61,7 @@ def _used_links(plan):
 
 def _transient_storm(plan, windows=40):
     """Periodic transient fault windows: every window is a leap barrier
-    followed by re-detection, so verification cost dominates the run."""
+    followed by re-detection, so confirmation cost dominates the run."""
     links = _used_links(plan)
     events = []
     for i in range(windows):
@@ -78,9 +70,10 @@ def _transient_storm(plan, windows=40):
     return FaultSchedule(events)
 
 
-def test_kernels_agree_smoke():
+def test_engines_agree_smoke():
     """Disagreement anywhere on the smoke grid fails the whole job —
-    bit-identity is the precondition for any speedup claim below."""
+    bit-identity with the per-flit reference is the precondition for
+    every number below."""
     for q, scheme in ((5, "low-depth"), (5, "edge-disjoint")):
         plan = build_plan(q, scheme)
         faults = FaultSchedule([(_used_links(plan)[0], 8, 30)])
@@ -92,74 +85,32 @@ def test_kernels_agree_smoke():
             parts = plan.partition(m)
             base = simulate_allreduce(
                 plan.topology, plan.trees, parts, cap, buffer_size=buf,
-                faults=fs, engine="fast", kernel="python",
+                faults=fs, engine="reference",
             )
-            for engine in ("reference", "fast", "leap"):
+            for engine in ("fast", "leap"):
                 got = simulate_allreduce(
                     plan.topology, plan.trees, parts, cap, buffer_size=buf,
-                    faults=fs, engine=engine, kernel="auto",
+                    faults=fs, engine=engine,
                 )
                 assert got == base, (q, scheme, engine, m, cap, buf)
 
 
-def test_reference_kernel_speedup(benchmark):
-    """The reference engine's per-cycle Python arbitration (dict-of-lists
-    channel queues, per-flow credit checks) against whole-run delegation
-    to the fused kernel — same observables, one fused step per cycle."""
-    plan = build_plan(7, "low-depth")
-    parts = plan.partition(2_000)
-
-    def run(kernel):
-        return make_engine(
-            "reference", plan.topology, plan.trees, parts, kernel=kernel
-        ).run()
-
-    py_stats, py_s = _time(lambda: run("python"))
-    auto_stats = benchmark.pedantic(
-        lambda: run("auto"), rounds=3, iterations=1, warmup_rounds=1
-    )
-    auto_s = benchmark.stats.stats.min
-    assert auto_stats == py_stats
-    speedup = py_s / auto_s
-    payload = {
-        "q": 7,
-        "scheme": "low-depth",
-        "m": 2_000,
-        "cycles": py_stats.cycles,
-        "python_seconds": round(py_s, 4),
-        "auto_seconds": round(auto_s, 4),
-        "python_us_per_cycle": round(1e6 * py_s / py_stats.cycles, 1),
-        "auto_us_per_cycle": round(1e6 * auto_s / py_stats.cycles, 1),
-        "speedup": round(speedup, 1),
-        "target": REF_SPEEDUP_TARGET,
-    }
-    record(benchmark, **payload)
-    _persist("reference-q7", payload)
-    assert speedup >= REF_SPEEDUP_TARGET, (
-        f"reference kernel only {speedup:.1f}x faster (target "
-        f"{REF_SPEEDUP_TARGET}x)"
-    )
-
-
 def test_leap_verification_windows(benchmark):
-    """The cost of confirming one steady state.  The Python protocol
-    single-steps a 2P verification window (plus cooldown re-detection)
-    per steady state; the ring detector confirms retrospectively from
-    snapshots it already took, with zero extra stepped cycles — its
-    whole verification cost is the in-ring confirm attempts.  A
-    transient-fault storm makes re-detection the dominant cost, which is
-    exactly where batching can't help: each window is serial.
+    """The cost of confirming one steady state.  The ring detector
+    confirms retrospectively from snapshots it already took, with zero
+    extra stepped cycles — its whole confirmation cost is the in-ring
+    confirm attempts.  A transient-fault storm makes re-detection the
+    dominant cost, which is exactly where batching can't help: each
+    window is serial.
 
-    Both detectors end a successful confirmation with the *same*
-    jump-bound computation on identical inputs (``_completion_bound`` +
-    ``_license_bounds``), so that shared stage is timed separately and
-    excluded from both sides of the window metric — the window is the
-    cost of gathering the evidence, not of licensing the jump."""
+    A successful confirmation ends with the jump-bound computation
+    (``_completion_bound`` + ``_license_bounds``); that stage is timed
+    separately and excluded — the window is the cost of gathering the
+    evidence, not of licensing the jump."""
     plan = build_plan(7, "low-depth")
     parts = plan.partition(20_000)
     faults = _transient_storm(plan)
 
-    # the shared licensing stage: timed on both paths, excluded from both
     license_t = {"seconds": 0.0}
     orig_license = LeapCycleSimulator._license_bounds
     orig_completion = LeapCycleSimulator._completion_bound
@@ -176,95 +127,66 @@ def test_leap_verification_windows(benchmark):
         license_t["seconds"] += time.perf_counter() - t0
         return out
 
-    def run(kernel):
+    # time every in-ring confirm attempt: that IS the detector's
+    # confirmation cost (observe() snapshots are taken on every stepped
+    # cycle regardless of whether a candidate is in flight)
+    confirm = {"seconds": 0.0, "attempts": 0}
+    orig_confirm = SteadyRings._confirm
+
+    def timed_confirm(self, sim, period):
+        t0 = time.perf_counter()
+        out = orig_confirm(self, sim, period)
+        confirm["seconds"] += time.perf_counter() - t0
+        confirm["attempts"] += 1
+        return out
+
+    def run():
         sim = make_engine(
             "leap", plan.topology, plan.trees, parts, faults=faults,
-            kernel=kernel,
         )
         return sim, sim.run()
 
     LeapCycleSimulator._license_bounds = timed_license
     LeapCycleSimulator._completion_bound = timed_completion
+    SteadyRings._confirm = timed_confirm
     try:
-        (py_sim, py_stats), py_s = _time(lambda: run("python"))
-        py_license_s = license_t["seconds"]
-
-        # time every in-ring confirm attempt: that IS the ring detector's
-        # verification cost (observe() snapshots are taken on every
-        # stepped cycle regardless of whether a candidate is in flight)
-        confirm = {"seconds": 0.0, "attempts": 0}
-        orig_confirm = _kernels.SteadyRings._confirm
-
-        def timed_confirm(self, sim, period):
-            t0 = time.perf_counter()
-            out = orig_confirm(self, sim, period)
-            confirm["seconds"] += time.perf_counter() - t0
-            confirm["attempts"] += 1
-            return out
-
-        license_t["seconds"] = 0.0
-        _kernels.SteadyRings._confirm = timed_confirm
-        try:
-            (ring_sim, ring_stats) = benchmark.pedantic(
-                lambda: run("auto"), rounds=3, iterations=1, warmup_rounds=1
-            )
-        finally:
-            _kernels.SteadyRings._confirm = orig_confirm
-        ring_license_s = license_t["seconds"]
+        ring_sim, ring_stats = benchmark.pedantic(
+            run, rounds=3, iterations=1, warmup_rounds=1
+        )
     finally:
         LeapCycleSimulator._license_bounds = orig_license
         LeapCycleSimulator._completion_bound = orig_completion
+        SteadyRings._confirm = orig_confirm
     ring_s = benchmark.stats.stats.min
     rounds_timed = 4  # pedantic rounds + warmup all hit the wrapper
 
-    assert ring_stats == py_stats
-    leaps = len(py_sim.leap_log)
-    assert leaps == len(ring_sim.leap_log) and leaps > 0
-    # the structural claim: retrospective confirmation needs no extra
-    # stepped cycles, so the ring mode steps strictly less
-    assert ring_sim.stepped_cycles < py_sim.stepped_cycles
-
-    # per-steady-state verification window cost: python pays the extra
-    # stepped cycles (priced at its own per-step rate, licensing taken
-    # out); the ring pays only its confirm attempts, licensing taken out
-    window_cycles = py_sim.stepped_cycles - ring_sim.stepped_cycles
-    py_window_s = window_cycles * (
-        (py_s - py_license_s) / py_sim.stepped_cycles
+    fast_stats = simulate_allreduce(
+        plan.topology, plan.trees, parts, faults=faults, engine="fast"
     )
-    ring_window_s = (confirm["seconds"] - ring_license_s) / rounds_timed
-    window_speedup = py_window_s / ring_window_s
+    assert ring_stats == fast_stats
+    leaps = len(ring_sim.leap_log)
+    assert leaps > 0
+    ring_window_s = (confirm["seconds"] - license_t["seconds"]) / rounds_timed
     payload = {
         "q": 7,
         "scheme": "low-depth",
         "m": 20_000,
         "fault_windows": 40,
-        "cycles": py_stats.cycles,
+        "cycles": ring_stats.cycles,
         "steady_states_confirmed": leaps,
-        "python_stepped_cycles": py_sim.stepped_cycles,
         "ring_stepped_cycles": ring_sim.stepped_cycles,
-        "python_window_us_per_leap": round(1e6 * py_window_s / leaps, 1),
         "ring_window_us_per_leap": round(1e6 * ring_window_s / leaps, 1),
         "ring_confirm_attempts": confirm["attempts"] // rounds_timed,
-        "window_speedup": round(window_speedup, 1),
-        "python_run_seconds": round(py_s, 4),
         "ring_run_seconds": round(ring_s, 4),
-        "run_speedup": round(py_s / ring_s, 2),
-        "target": VERIFY_WINDOW_TARGET,
     }
     record(benchmark, **payload)
     _persist("leap-verification-q7", payload)
-    assert window_speedup >= VERIFY_WINDOW_TARGET, (
-        f"verification windows only {window_speedup:.1f}x cheaper "
-        f"(target {VERIFY_WINDOW_TARGET}x)"
-    )
 
 
 def test_fast_kernel_step_grid(benchmark):
-    """Per-cycle stepping cost of the fast engine across the E-A15 grid
-    (q=7 and q=11, clean and faulted): the fused kernel replaces the
-    five-stage Python step.  Informational rows for EXPERIMENTS.md —
-    the guard only catches the fused path regressing below the
-    per-stage one."""
+    """Per-cycle stepping cost of the fast engine's fused step across the
+    E-A15 grid (q=7 and q=11, clean and faulted).  Informational rows for
+    EXPERIMENTS.md (``auto_us_per_cycle`` keeps its historical key)."""
     grid = []
     for q in (7, 11):
         plan = build_plan(q, "low-depth")
@@ -275,50 +197,37 @@ def test_fast_kernel_step_grid(benchmark):
             ("faulted", [(links[0], 50, 80), (links[1], 200, 260)]),
         ):
             fs = FaultSchedule(events) if events else None
-            row = {"q": q, "workload": label}
-            for kernel in ("python", "auto"):
-                stats, secs = _time(
-                    lambda k=kernel: make_engine(
-                        "fast", plan.topology, plan.trees, parts,
-                        faults=fs, kernel=k,
-                    ).run(),
-                    rounds=3,
-                )
-                row[f"{kernel}_us_per_cycle"] = round(
-                    1e6 * secs / stats.cycles, 1
-                )
-                row["cycles"] = stats.cycles
-            row["speedup"] = round(
-                row["python_us_per_cycle"] / row["auto_us_per_cycle"], 2
+            stats, secs = _time(
+                lambda: make_engine(
+                    "fast", plan.topology, plan.trees, parts, faults=fs,
+                ).run(),
+                rounds=3,
             )
-            grid.append(row)
+            grid.append({
+                "q": q,
+                "workload": label,
+                "cycles": stats.cycles,
+                "auto_us_per_cycle": round(1e6 * secs / stats.cycles, 1),
+            })
 
     plan = build_plan(7, "low-depth")
     parts = plan.partition(2_000)
     benchmark.pedantic(
-        lambda: make_engine(
-            "fast", plan.topology, plan.trees, parts, kernel="auto"
-        ).run(),
+        lambda: make_engine("fast", plan.topology, plan.trees, parts).run(),
         rounds=3, iterations=1, warmup_rounds=1,
     )
     record(benchmark, grid=json.dumps(grid))
     _persist("fast-step-grid", {"grid": grid})
-    for row in grid:
-        assert row["speedup"] >= 0.9, row
 
 
 def test_kernel_cold_vs_warm(benchmark):
-    """First-use cost of the fused path (index-map construction; plus
-    jit compilation when numba is present) against the warm steady
-    state.  Keeps the cold-start honest in BENCH_kernels.json — a jit
-    lane pays seconds up front, the numpy lane must not."""
+    """First-use cost of the fused path (per-engine index-map
+    construction) against the warm steady state."""
     plan = build_plan(7, "low-depth")
     parts = plan.partition(200)
 
     def run():
-        return make_engine(
-            "fast", plan.topology, plan.trees, parts, kernel="auto"
-        ).run()
+        return make_engine("fast", plan.topology, plan.trees, parts).run()
 
     _, cold_s = _time(run)               # includes per-engine prep
     benchmark.pedantic(run, rounds=5, iterations=1, warmup_rounds=1)

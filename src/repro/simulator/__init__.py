@@ -11,10 +11,9 @@ Three fidelities, all exercising the Section 4.3/4.4 dataflow:
   ``simulate_allreduce(..., engine="fast")``, and
   :mod:`repro.simulator.leap` the cycle-leaping engine
   (``engine="leap"``) whose ``run()`` is O(depth + #events) in wall
-  clock, independent of message size, while staying cycle-exact
-  (:mod:`repro.simulator.kernels` supplies optional fused/compiled
-  per-cycle stepping for the serial engines, selected by the engines'
-  ``kernel=`` knob; bit-identical on every observable);
+  clock, independent of message size, while staying cycle-exact (it
+  steps with the fast engine's fused per-cycle step; the reference
+  engine never delegates, so it stays an independent oracle);
 - :mod:`repro.simulator.fluid` — closed-form max-min rate model for large
   configurations.
 
@@ -47,12 +46,6 @@ from repro.simulator.fastcycle import FastCycleSimulator
 from repro.simulator.faultsched import FaultEvent, FaultSchedule
 from repro.simulator.fluid import FluidResult, fluid_simulate
 from repro.simulator.functional import REDUCE_OPS, execute_plan, reduce_on_tree, verify_plan
-from repro.simulator.kernels import (
-    HAVE_NUMBA,
-    KERNEL_CHOICES,
-    KERNEL_IMPL,
-    resolve_kernel,
-)
 from repro.simulator.leap import LeapCycleSimulator
 from repro.simulator.network import Network
 from repro.simulator.packet import PacketLevelSimulator, PacketStats, packet_allreduce
@@ -88,6 +81,11 @@ from repro.simulator.router import (
     embedding_resources,
 )
 
+#: the serial step is one fused NumPy path; no compiled kernel exists
+#: (kept as constants for host fingerprints that record them)
+HAVE_NUMBA = False
+KERNEL_IMPL = "numpy"
+
 __all__ = [
     "FabricConfig",
     "VCAssignment",
@@ -117,9 +115,7 @@ __all__ = [
     "ENGINES",
     "make_engine",
     "HAVE_NUMBA",
-    "KERNEL_CHOICES",
     "KERNEL_IMPL",
-    "resolve_kernel",
     "FastCycleSimulator",
     "LeapCycleSimulator",
     "BatchedCycleSimulator",

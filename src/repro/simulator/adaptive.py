@@ -312,7 +312,6 @@ def run_adaptive(
     max_cycles: Optional[int] = None,
     faults: Optional[FaultSchedule] = None,
     telemetry=None,
-    kernel: str = "auto",
     controller: Optional[CongestionController] = None,
 ) -> AdaptiveResult:
     """Run an Allreduce with the congestion controller in the loop.
@@ -425,7 +424,6 @@ def run_adaptive(
             max_cycles=max_cycles,
             max_episodes=policy.max_episodes,
             telemetry=col,
-            kernel=kernel,
             faults=faults,
         )
     finally:

@@ -62,7 +62,6 @@ import numpy as np
 from repro.simulator.cycle import CycleStats, SimulationStalled, default_max_cycles
 from repro.simulator.fastcycle import _AGG, _BCD, _INF, FastCycleSimulator
 from repro.simulator.faultsched import FaultSchedule
-from repro.simulator.kernels import resolve_kernel
 from repro.topology.graph import Graph
 from repro.trees.tree import SpanningTree
 
@@ -158,7 +157,6 @@ class BatchedCycleSimulator:
         faults: Optional[FaultSchedule] = None,
         telemetry=None,
         lanes: Optional[Sequence[LaneSpec]] = None,
-        kernel: str = "auto",
     ):
         if telemetry is not None:
             raise ValueError(
@@ -167,11 +165,6 @@ class BatchedCycleSimulator:
                 "no batch equivalent; use engine='fast' (or 'reference'/"
                 "'leap') for telemetry runs"
             )
-        # the batch tensor step amortizes dispatch across lanes already;
-        # accept (and validate) the kernel knob for engine-zoo uniformity,
-        # but stepping stays on the batched tensor path
-        self.kernel = kernel
-        self.kernel_impl = resolve_kernel(kernel, telemetry)
         if lanes is not None and flits_per_tree is not None:
             raise ValueError("pass flits_per_tree (one lane) or lanes, not both")
         if lanes is None:
@@ -192,8 +185,7 @@ class BatchedCycleSimulator:
         # the zero-flit template builds (and validates) every
         # lane-independent index array exactly as the fast engine would:
         # flow order, flat state indices, reduceat groups, channel slots
-        # (kernel="python": the template never steps, skip the prep)
-        tmpl = FastCycleSimulator(g, trees, [0] * len(trees), kernel="python")
+        tmpl = FastCycleSimulator(g, trees, [0] * len(trees))
         self._tmpl = tmpl
         self.g = g
         self.n = g.n

@@ -38,7 +38,10 @@ The simulator is deliberately mechanism-faithful rather than fast; it is
 used at small radix to *validate* the analytic model (Algorithm 1): the
 measured steady-state aggregate bandwidth of each embedding must match the
 predicted ``sum B_i``, and measured completion must track
-``2 * depth + m_i / B_i``.
+``2 * depth + m_i / B_i``.  It is also the differential oracle of the
+vectorized engines (:mod:`repro.simulator.fastcycle` and the engines built
+on it), so it never delegates: every cycle walks its own per-flow
+counters and per-channel round-robin pointers.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.simulator.faultsched import FaultSchedule
-from repro.simulator.kernels import resolve_kernel as _resolve_kernel
 from repro.topology.graph import Graph, canonical_edge
 from repro.trees.tree import SpanningTree
 
@@ -190,7 +192,6 @@ class CycleSimulator:
         buffer_size: Optional[int] = None,
         faults: Optional[FaultSchedule] = None,
         telemetry=None,
-        kernel: str = "auto",
     ):
         if len(trees) != len(flits_per_tree):
             raise ValueError("flits_per_tree must align with trees")
@@ -276,30 +277,6 @@ class CycleSimulator:
             ch: 0 for ch in self.channel_flows
         }
 
-        # per-cycle kernel (repro.simulator.kernels): anything but the
-        # Python path delegates stepping to an internal fast engine built
-        # from the same plan — bit-identical observables (differential-
-        # tested), so the reference engine's protocol surface gains the
-        # kernel speedup while this class keeps the mechanism-faithful
-        # loop as the kernel="python" path
-        self.kernel = kernel
-        self.kernel_impl = _resolve_kernel(kernel, telemetry)
-        if self.kernel_impl == "python":
-            self._kern = None
-        else:
-            from repro.simulator.fastcycle import FastCycleSimulator
-
-            self._kern = FastCycleSimulator(
-                g,
-                trees,
-                flits_per_tree,
-                link_capacity,
-                buffer_size,
-                faults,
-                telemetry=None,
-                kernel=kernel,
-            )
-
     # ------------------------------------------------------------ dynamics
 
     def _aggregated(self, ti: int, v: int) -> int:
@@ -379,13 +356,9 @@ class CycleSimulator:
 
     def tree_done(self, i: int) -> bool:
         """Tree ``i`` completed, counting only flits that have landed."""
-        if self._kern is not None:
-            return self._kern.tree_done(i)
         return self._tree_done(i)
 
     def done(self) -> bool:
-        if self._kern is not None:
-            return self._kern.done()
         return all(self._tree_done(i) for i in range(len(self.trees)))
 
     def channels(self) -> List[Tuple[int, int]]:
@@ -394,22 +367,16 @@ class CycleSimulator:
 
     def channel_flit_counts(self) -> List[int]:
         """Cumulative flits moved per channel, aligned with :meth:`channels`."""
-        if self._kern is not None:
-            return self._kern.channel_flit_counts()
         return [self.channel_flits[ch] for ch in self.channel_flows]
 
     def has_in_flight(self) -> bool:
         """Any flits granted last cycle but not yet landed?"""
-        if self._kern is not None:
-            return self._kern.has_in_flight()
         return bool(self._landing)
 
     def delivered_floor(self) -> List[int]:
         """Per-tree count of flits fully delivered to *every* node (landed
         broadcast floor) — the prefix of each sub-vector that is complete
         and need not be redone after a failure."""
-        if self._kern is not None:
-            return self._kern.delivered_floor()
         out = []
         for ti, t in enumerate(self.trees):
             if not t.parent:
@@ -422,8 +389,6 @@ class CycleSimulator:
     def reduced_at_root(self) -> List[int]:
         """Per-tree count of flits fully aggregated at the root; the gap to
         :meth:`delivered_floor` is pipeline work a recovery discards."""
-        if self._kern is not None:
-            return self._kern.reduced_at_root()
         return [
             min(self._aggregated(ti, t.root), self.m[ti])
             for ti, t in enumerate(self.trees)
@@ -434,8 +399,6 @@ class CycleSimulator:
         router (landed or in flight) minus flits its consumer stage has
         drained — the occupancy a credit buffer would hold. Identical
         across engines at every cycle (telemetry-differential-tested)."""
-        if self._kern is not None:
-            return self._kern.queue_occupancy()
         out = [0] * self.n
         for fl in self.flows:
             out[fl.dst] += fl.sent - self._consumed_now(fl)
@@ -443,8 +406,6 @@ class CycleSimulator:
 
     def phase_flit_totals(self) -> Tuple[List[int], List[int]]:
         """Cumulative (reduce, broadcast) flit-hops per tree."""
-        if self._kern is not None:
-            return self._kern.phase_flit_totals()
         red = [0] * len(self.trees)
         bc = [0] * len(self.trees)
         for fl in self.flows:
@@ -456,11 +417,6 @@ class CycleSimulator:
 
     def step(self) -> int:
         """Advance one cycle; returns the number of flits transferred."""
-        if self._kern is not None:
-            moved = self._kern.step()
-            self.cycle = self._kern.cycle
-            self.flits_moved = self._kern.flits_moved
-            return moved
         return self.finish_cycle(self.begin_cycle())
 
     # ------------------------------------------------- two-phase stepping
@@ -476,13 +432,8 @@ class CycleSimulator:
         This is the reference half of the two-phase stepping API the
         multi-tenant fabric (:mod:`repro.tenancy.fabric`) drives; see
         :meth:`FastCycleSimulator.begin_cycle`.  ``step()`` is exactly
-        ``finish_cycle(begin_cycle())``.  Requires ``kernel="python"``.
+        ``finish_cycle(begin_cycle())``.
         """
-        if self._kern is not None:
-            raise RuntimeError(
-                "two-phase stepping requires kernel='python' "
-                "(delegated kernels cannot pause mid-cycle)"
-            )
         self.cycle += 1
         dead = (
             self.faults.down_edges_at(self.cycle)
@@ -577,14 +528,6 @@ class CycleSimulator:
     def run(self, max_cycles: Optional[int] = None) -> CycleStats:
         """Run to completion of all trees; raises :class:`SimulationStalled`
         on stall and ``RuntimeError`` when ``max_cycles`` is exceeded."""
-        if self._kern is not None:
-            try:
-                return self._kern.run(max_cycles)
-            finally:
-                # keep this facade's public counters observable after the
-                # delegated run, including on stall/guard exits
-                self.cycle = self._kern.cycle
-                self.flits_moved = self._kern.flits_moved
         if max_cycles is None:
             max_cycles = default_max_cycles(
                 self.trees, self.m, self.capacity, self.buffer_size, self.faults
@@ -647,7 +590,6 @@ def simulate_allreduce(
     engine: str = "reference",
     faults: Optional[FaultSchedule] = None,
     telemetry=None,
-    kernel: str = "auto",
 ) -> CycleStats:
     """One-shot cycle simulation with a selectable engine.
 
@@ -668,14 +610,6 @@ def simulate_allreduce(
     across engines) and finalizes the stream — including on a stall, so
     a severed run still yields a complete JSONL log before the exception
     propagates.
-
-    ``kernel`` selects the per-cycle stepping implementation
-    (:mod:`repro.simulator.kernels`): ``"auto"`` (default) takes the best
-    available fused kernel — numba when installed, the NumPy fallback
-    otherwise — except for telemetry runs, which always take the Python
-    path; ``"compiled"`` demands numba; ``"python"`` forces the original
-    per-stage step.  All paths are bit-identical (differential-tested),
-    so the choice only affects wall-clock time.
     """
     from repro.simulator.engine import make_engine
 
@@ -688,7 +622,6 @@ def simulate_allreduce(
         buffer_size,
         faults,
         telemetry=telemetry,
-        kernel=kernel,
     )
     try:
         stats = sim.run(max_cycles)

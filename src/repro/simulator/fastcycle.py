@@ -16,18 +16,24 @@ cycle with array operations and produces bit-identical results:
 - round-robin arbitration is replaced by its closed form.  For
   ``link_capacity == 1`` (the common case) the winner of each channel is
   the backlogged flow with the smallest cyclic offset from the rotating
-  pointer — one segmented min over packed ``(offset, flow)`` keys decides
-  every channel at once.  For larger capacities, ``T`` complete
-  round-robin passes hand flow ``i`` exactly ``min(b_i, T)`` flits and the
-  remaining ``R`` flits go to the first ``R`` flows with ``b_i > T`` in
-  cyclic order (water-filling), computed with vectorized offsets.  In both
-  paths the pointer advances to one past the last grant, exactly like the
-  reference loop.
+  pointer.  Keys are *unwrapped* — ``(slot + k*(slot < rr))*F + fid`` is
+  strictly increasing in that offset, so no per-cycle modulo is needed —
+  scattered into a transposed ``(K, C)`` padded matrix whose ``K``
+  contiguous row-minima decide every channel at once.  For larger
+  capacities, ``T`` complete round-robin passes hand flow ``i`` exactly
+  ``min(b_i, T)`` flits and the remaining ``R`` flits go to the first
+  ``R`` flows with ``b_i > T`` in cyclic order (water-filling), computed
+  with vectorized offsets.  In both paths the pointer advances to one
+  past the last grant, exactly like the reference loop.
 
 Cycle-exactness (same per-channel per-cycle flit counts, same completion
 cycles, same round-robin pointer trajectory, same :class:`CycleStats`) is
 enforced by ``tests/test_fastcycle_equivalence.py``; the speedup is
 recorded by ``benchmarks/test_bench_fastcycle.py``.
+
+Every cycle is the same two phases — :meth:`begin_cycle` (land, budgets)
+and :meth:`finish_cycle` (arbitrate, send) — whether the engine runs
+solo, under telemetry, or gated by the multi-tenant fabric.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.simulator import kernels as _kernels
 from repro.simulator.cycle import CycleStats, SimulationStalled, default_max_cycles
 from repro.simulator.faultsched import FaultSchedule
 from repro.topology.graph import Graph, canonical_edge
@@ -45,7 +50,8 @@ from repro.trees.tree import SpanningTree
 __all__ = ["FastCycleSimulator"]
 
 _INF = 1 << 30
-_BIG = 1 << 62
+_BIG = 1 << 62  # padded-slot sentinel (empty arbitration slots)
+_DEAD = 1 << 40  # ineligible-flow key offset (still < _BIG, > any real key)
 
 # planes of the flat state tensor (each of shape (num_trees, n))
 _AGG = 0  # flits fully aggregated at a node (leaves pinned at m_i)
@@ -66,6 +72,8 @@ class FastCycleSimulator:
     """
 
     engine_name = "fast"
+    #: the per-cycle step implementation (one fused NumPy path)
+    kernel_impl = "numpy"
 
     def __init__(
         self,
@@ -76,14 +84,9 @@ class FastCycleSimulator:
         buffer_size: Optional[int] = None,
         faults: Optional[FaultSchedule] = None,
         telemetry=None,
-        kernel: str = "auto",
     ):
         if len(trees) != len(flits_per_tree):
             raise ValueError("flits_per_tree must align with trees")
-        # resolve the per-cycle kernel up front so bad combinations fail
-        # before any heavy construction (see repro.simulator.kernels)
-        self.kernel = kernel
-        self.kernel_impl = _kernels.resolve_kernel(kernel, telemetry)
         if link_capacity < 1:
             raise ValueError("link capacity must be >= 1 flit/cycle")
         if buffer_size is not None and buffer_size < 1:
@@ -156,7 +159,7 @@ class FastCycleSimulator:
             # leaves of the aggregation frontier pin at m_i forever
             self._state[_AGG] = self._m_arr[:, None]
             # roots never receive broadcast traffic; pinning them at _INF
-            # turns the completion check into one row-min
+            # keeps them out of the delivered-floor row-min
             self._state[_BCD][np.arange(T), roots] = _INF
 
         # availability of the flow's next flit at its source:
@@ -240,15 +243,13 @@ class FastCycleSimulator:
         C = len(self._chs)
         self._C = C
         self._ch_k = np.ones(C, dtype=np.int64)
-        # flows grouped by channel (for the capacity-1 segmented-min path)
+        # flows grouped by channel (for the capacity-1 row-minima path)
         gr_fid: List[int] = []
         gr_slot: List[int] = []
         gr_ch: List[int] = []
-        ch_off: List[int] = []
         for ci, ch in enumerate(self._chs):
             fids = channel_flows[ch]
             self._ch_k[ci] = len(fids)
-            ch_off.append(len(gr_fid))
             for slot, fid in enumerate(fids):
                 gr_fid.append(fid)
                 gr_slot.append(slot)
@@ -256,14 +257,20 @@ class FastCycleSimulator:
         self._gr_fid = np.asarray(gr_fid, dtype=np.int64)
         self._gr_slot = np.asarray(gr_slot, dtype=np.int64)
         self._gr_ch = np.asarray(gr_ch, dtype=np.int64)
-        self._ch_off = np.asarray(ch_off, dtype=np.int64)
         # flow -> channel index (each flow lives on exactly one channel);
         # the two-phase stepping API gates whole channels through this map
         self._flow_ch = np.zeros(F, dtype=np.int64)
         if F:
             self._flow_ch[self._gr_fid] = self._gr_ch
-        # padded (channel x slot) matrix for the general-capacity path
         K = int(self._ch_k.max()) if C else 1
+        # capacity-1 arbitration: unwrapped round-robin keys
+        # key = (slot + k*(slot < rr))*F + fid, scattered into a transposed
+        # padded (K, C) matrix (row j holds every channel's slot-j key)
+        self._key0 = self._gr_slot * F + self._gr_fid
+        self._key_wrap = self._ch_k[self._gr_ch] * F
+        self._padT = np.full((K, C), _BIG, dtype=np.int64)
+        self._pad_idx = self._gr_slot * C + self._gr_ch
+        # padded (channel x slot) matrix for the general-capacity path
         self._ch_fid = np.zeros((C, K), dtype=np.int64)
         self._ch_valid = np.zeros((C, K), dtype=bool)
         for ci, ch in enumerate(self._chs):
@@ -290,15 +297,13 @@ class FastCycleSimulator:
         self.flits_moved = 0
         self._refresh_agg()
 
-        # fused-step kernel (numpy fallback or numba) — None on the
-        # Python path; the prep holds derived index arrays + scratch only,
-        # all dynamic state stays on the engine
-        if self.kernel_impl == "python":
-            self._kprep = None
-            self._kstep = None
-        else:
-            self._kprep = _kernels.KernelPrep(self)
-            self._kstep = _kernels.select_step(self.kernel_impl)
+        # per-tree landed-flit totals: a tree is done exactly when every
+        # one of its flows has delivered m_i flits (each is bounded by
+        # m_i, so the landed total hits m_i * #flows iff all are
+        # complete) — the done check is one O(T) compare
+        flow_counts = np.bincount(tree_arr, minlength=T).astype(np.int64)
+        self._done_target = self._m_arr * flow_counts
+        self._done_cnt = np.zeros(T, dtype=np.int64)
 
     # ------------------------------------------------------------ frontiers
 
@@ -309,16 +314,14 @@ class FastCycleSimulator:
             )
 
     def _done_mask(self) -> np.ndarray:
-        if not self._T:
-            return np.ones(0, dtype=bool)
-        if self._kprep is not None:
-            # kernel mode keeps per-tree landed totals; a tree is done
-            # exactly when every flow delivered its m_i (each is bounded
-            # by m_i, so the sum reaches the target iff all complete)
-            return self._kprep.done_cnt >= self._kprep.done_target
-        agg_root = self._flat[self._agg_root_idx]
-        bc_floor = self._state[_BCD].min(axis=1)
-        return (agg_root >= self._m_arr) & (bc_floor >= self._m_arr)
+        return self._done_cnt >= self._done_target
+
+    def _sync_done(self) -> None:
+        """Rebuild the per-tree landed totals from the state tensor (after
+        a leap moved the state without landing events).  Every flow has a
+        unique landing cell, so this is one weighted bincount."""
+        self._done_cnt = np.zeros(self._T, dtype=np.int64)
+        np.add.at(self._done_cnt, self._flow_tree, self._flat[self._land_idx])
 
     # ------------------------------------------------------------- dynamics
 
@@ -336,8 +339,6 @@ class FastCycleSimulator:
 
     def step(self) -> int:
         """Advance one cycle; returns the number of flits transferred."""
-        if self._kstep is not None:
-            return self._kstep(self)
         return self.finish_cycle(self.begin_cycle())
 
     # ------------------------------------------------- two-phase stepping
@@ -355,29 +356,25 @@ class FastCycleSimulator:
         is exactly ``finish_cycle(begin_cycle())``, so ungated two-phase
         stepping is bit-identical to the plain path by construction.
         Returns ``None`` when the engine has no flows (the fabric treats
-        that as an all-zero budget).  Requires the Python kernel path —
-        fused kernels step whole cycles and cannot pause mid-cycle.
+        that as an all-zero budget).
         """
-        if self._kstep is not None:
-            raise RuntimeError(
-                "two-phase stepping requires kernel='python' "
-                "(fused kernels cannot pause mid-cycle)"
-            )
         self.cycle += 1
         if self.faults is not None:
             self._refresh_fault_mask()
         # 1. land last cycle's in-flight flits (one-cycle hop latency)
-        if len(self._pending_fids):
-            self._flat[self._land_idx[self._pending_fids]] += self._pending_cnt
+        pend = self._pending_fids
+        if len(pend):
+            self._flat[self._land_idx[pend]] += self._pending_cnt
+            np.add.at(self._done_cnt, self._flow_tree[pend], self._pending_cnt)
             self._pending_fids = np.zeros(0, dtype=np.int64)
         if self._F == 0:
             return None
         self._refresh_agg()
 
         # 2. per-flow budgets from the start-of-cycle snapshot
-        avail = self._flat[self._avail_idx] - self.sent
+        budget = self._flat[self._avail_idx] - self.sent
         if self.buffer_size is not None:
-            snap = self.sent.copy()
+            snap = self.sent
             self._flat[self._grp_bcm_idx] = np.minimum.reduceat(
                 snap[self._child_bcfid], self._grp_off
             )
@@ -386,17 +383,11 @@ class FastCycleSimulator:
                 snap[self._cons_sent_fid],
                 self._flat[self._cons_state_idx],
             )
-            credit = self.buffer_size - (snap - cons)
-            budget = np.minimum(avail, credit)
-        else:
-            snap = credit = None
-            budget = avail
-        self._observe_budgets(avail, credit, snap)
+            np.minimum(budget, self.buffer_size - (snap - cons), out=budget)
         if self._dead_mask is not None:
             # flows on down links arbitrate with zero budget; availability
-            # and credit state keep evolving underneath (the leap engine
-            # observes the raw components, so its bounds stay conservative)
-            budget = np.where(self._dead_mask, 0, budget)
+            # and credit state keep evolving underneath
+            budget[self._dead_mask] = 0
         return budget
 
     def finish_cycle(
@@ -416,11 +407,38 @@ class FastCycleSimulator:
             mask_ch = np.zeros(self._C, dtype=bool)
             mask_ch[np.asarray(blocked, dtype=np.int64)] = True
             budget = np.where(mask_ch[self._flow_ch], 0, budget)
+        if self.capacity != 1:
+            return self._arbitrate_general(budget)
 
-        # 3. arbitration
-        if self.capacity == 1:
-            return self._arbitrate_single(budget)
-        return self._arbitrate_general(budget)
+        # 3. capacity-1 round robin: unwrapped key per backlogged flow,
+        # transposed padded scatter, K row-minima, arithmetic rr update
+        F = self._F
+        key = self._key0 + self._key_wrap * (self._gr_slot < self._rr[self._gr_ch])
+        key += _DEAD * (budget[self._gr_fid] <= 0)
+        padT = self._padT
+        padT.fill(_BIG)
+        padT.reshape(-1)[self._pad_idx] = key
+        best = padT[0]
+        if len(padT) > 1:
+            best = np.minimum(padT[0], padT[1])
+            for j in range(2, len(padT)):
+                np.minimum(best, padT[j], out=best)
+        active = best < _DEAD
+        moved = int(active.sum())
+        if not moved:
+            return 0
+        bw = best[active]
+        win = bw % F
+        newrr = bw // F + 1
+        k_act = self._ch_k[active]
+        newrr -= k_act * (newrr >= k_act)
+        self._rr[active] = newrr
+        self.sent[win] += 1
+        self._ch_cum += active
+        self._pending_fids = win
+        self._pending_cnt = np.ones(moved, dtype=np.int64)
+        self.flits_moved += moved
+        return moved
 
     def channel_demand(self, budget: Optional[np.ndarray]) -> np.ndarray:
         """Per-channel count of flows with a positive budget (aligned with
@@ -430,40 +448,6 @@ class FastCycleSimulator:
         if budget is not None and self._F:
             np.add.at(out, self._gr_ch, (budget[self._gr_fid] > 0).astype(np.int64))
         return out
-
-    def _observe_budgets(
-        self,
-        avail: np.ndarray,
-        credit: Optional[np.ndarray],
-        snap: Optional[np.ndarray],
-    ) -> None:
-        """Per-cycle hook with the start-of-cycle budget components.
-
-        A no-op here; the leap engine overrides it to collect the
-        steady-state evidence its closed-form jumps are licensed by."""
-
-    def _arbitrate_single(self, budget: np.ndarray) -> int:
-        """Capacity-1 round robin: each channel grants one flit to the
-        backlogged flow with the smallest cyclic offset from the pointer."""
-        key = (self._gr_slot - self._rr[self._gr_ch]) % self._ch_k[self._gr_ch]
-        packed = np.where(
-            budget[self._gr_fid] > 0, key * self._F + self._gr_fid, _BIG
-        )
-        best = np.minimum.reduceat(packed, self._ch_off)
-        active = best < _BIG
-        moved = int(active.sum())
-        if not moved:
-            return 0
-        best = best[active]
-        win = best % self._F
-        j_sel = best // self._F
-        self._rr[active] = (self._rr[active] + j_sel + 1) % self._ch_k[active]
-        self.sent[win] += 1
-        self._ch_cum[active] += 1
-        self._pending_fids = win
-        self._pending_cnt = np.ones(moved, dtype=np.int64)
-        self.flits_moved += moved
-        return moved
 
     def _arbitrate_general(self, budget: np.ndarray) -> int:
         """Water-filling closed form of the one-flit-per-visit round robin
@@ -551,36 +535,34 @@ class FastCycleSimulator:
         agg = self._flat[self._agg_root_idx]
         return [int(min(a, mi)) for a, mi in zip(agg, self._m_arr)]
 
-    def _consumed_now(self) -> np.ndarray:
-        """Per-flow consumed counters against the *current* state (the
-        post-step receiver-side view; reference `_consumed_now` semantics,
-        vectorized). Computes broadcast-min groups into a local — never
-        into the BCM plane, whose step-time update pattern the leap
-        verifier depends on."""
-        sent = self.sent
+    def _queues(self, flat: np.ndarray, sent: np.ndarray) -> np.ndarray:
+        """Per-router receiver-side queue occupancy of the state
+        ``(flat, sent)``: flits sent toward each router minus the
+        consumed counters of the post-step receiver-side view (reference
+        ``_consumed_now`` semantics, vectorized).  Broadcast-min groups
+        are computed into a local — never into the BCM plane, whose
+        step-time update pattern the leap licensing depends on."""
         if len(self._grp_off):
             bcm = np.minimum.reduceat(sent[self._child_bcfid], self._grp_off)
         else:
             bcm = np.zeros(0, dtype=np.int64)
-        return np.where(
+        consumed = np.where(
             self._cons_from_sent,
             sent[self._cons_sent_fid],
             np.where(
                 self._cons_grp >= 0,
                 bcm[np.maximum(self._cons_grp, 0)] if bcm.size else np.int64(0),
-                self._flat[self._cons_state_idx],
+                flat[self._cons_state_idx],
             ),
         )
+        out = np.zeros(self.n, dtype=np.int64)
+        np.add.at(out, self._flow_dst, sent - consumed)
+        return out
 
     def queue_occupancy(self) -> List[int]:
         """Per-router receiver-side queue occupancy (reference semantics,
         one bincount)."""
-        if self._F == 0:
-            return [0] * self.n
-        outstanding = self.sent - self._consumed_now()
-        out = np.zeros(self.n, dtype=np.int64)
-        np.add.at(out, self._flow_dst, outstanding)
-        return [int(x) for x in out]
+        return [int(x) for x in self._queues(self._flat, self.sent)]
 
     def phase_flit_totals(self) -> Tuple[List[int], List[int]]:
         """Cumulative (reduce, broadcast) flit-hops per tree."""

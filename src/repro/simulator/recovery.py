@@ -180,7 +180,6 @@ def run_replan_loop(
     max_cycles: Optional[int] = None,
     max_episodes: int = 8,
     telemetry=None,
-    kernel: str = "auto",
     faults: Optional[FaultSchedule] = None,
 ) -> RecoveryResult:
     """The generic re-plan episode loop shared by fault recovery and the
@@ -228,7 +227,6 @@ def run_replan_loop(
             buffer_size,
             faults=cur_faults,
             telemetry=telemetry,
-            kernel=kernel,
         )
         leg_budget = None if max_cycles is None else max_cycles - offset
         if leg_budget is not None and leg_budget <= 0:
@@ -375,7 +373,6 @@ def run_with_recovery(
     max_cycles: Optional[int] = None,
     max_episodes: int = 8,
     telemetry=None,
-    kernel: str = "auto",
 ) -> RecoveryResult:
     """Run an ``m``-element Allreduce under ``faults``, re-planning
     mid-flight whenever a failure permanently severs progress.
@@ -413,6 +410,5 @@ def run_with_recovery(
         max_cycles=max_cycles,
         max_episodes=max_episodes,
         telemetry=telemetry,
-        kernel=kernel,
         faults=faults,
     )

@@ -117,14 +117,11 @@ def trace_allreduce(
     engine: str = "reference",
     compress: bool = False,
     faults=None,
-    kernel: str = "auto",
 ):
     """Step the selected cycle engine, recording channel activity.
 
     ``engine`` selects ``"reference"``, ``"fast"`` or ``"leap"`` — all
     produce the same :class:`ChannelTrace` (cycle-exact equivalence).
-    ``kernel`` selects the per-cycle stepping implementation
-    (:mod:`repro.simulator.kernels`; bit-identical traces either way).
 
     With ``compress=True`` the result is a :class:`CompressedTrace` of
     run-length ``(repeat, block)`` runs instead of a dense per-cycle
@@ -142,7 +139,6 @@ def trace_allreduce(
 
     sim = make_engine(
         engine, g, trees, flits_per_tree, link_capacity, buffer_size, faults,
-        kernel=kernel,
     )
     if compress and hasattr(sim, "trace_compressed"):
         return sim.trace_compressed(max_cycles=max_cycles)

@@ -197,9 +197,8 @@ class FabricSimulator:
     policy:
         One of :data:`POLICIES`.
     engine:
-        ``"fast"`` (default) or ``"reference"`` — per-tenant engines are
-        constructed with ``kernel="python"`` (fused kernels cannot pause
-        mid-cycle, which two-phase stepping requires).
+        ``"fast"`` (default) or ``"reference"`` — the engines that expose
+        two-phase stepping (``begin_cycle`` / ``finish_cycle``).
     faults:
         Optional mapping ``tenant id -> FaultSchedule``, in each
         tenant's *local* clock (cycles since its arrival).
@@ -251,7 +250,6 @@ class FabricSimulator:
                 link_capacity,
                 buffer_size,
                 faults=fs,
-                kernel="python",
             )
             self._tenants[p.job.tenant] = _Tenant(p, eng, fs)
 

@@ -26,6 +26,7 @@ from repro.core import build_plan
 from repro.simulator import (
     CycleSimulator,
     FastCycleSimulator,
+    FaultSchedule,
     LeapCycleSimulator,
     make_engine,
     simulate_allreduce,
@@ -40,6 +41,7 @@ from tests.strategies import (
     link_capacities,
     message_sizes,
     plan_keys,
+    plan_used_links,
     random_embedding,
     seeds,
     topology_names,
@@ -221,3 +223,81 @@ class TestEngineParity:
                 s.step()
         else:
             pytest.fail("simulation did not complete")
+
+
+def _observables(sim):
+    return (
+        sim.cycle,
+        sim.flits_moved,
+        tuple(sim.channel_flit_counts()),
+        tuple(sim.delivered_floor()),
+        tuple(sim.reduced_at_root()),
+        tuple(sim.queue_occupancy()),
+        tuple(map(tuple, sim.phase_flit_totals())),
+        sim.done(),
+        sim.has_in_flight(),
+    )
+
+
+class TestFusedStep:
+    """The fast engine's one fused step (unwrapped round-robin keys,
+    row-minima arbitration, per-tree landed-count done check) against the
+    per-flit reference, observable by observable, cycle by cycle."""
+
+    CASES = [
+        # (q, scheme, m, capacity, buffer, faulted)
+        (3, "low-depth", 25, 1, None, False),
+        (5, "edge-disjoint", 18, 1, 2, False),
+        (5, "low-depth", 16, 3, None, False),
+        (5, "low-depth", 21, 2, 2, True),
+    ]
+
+    @pytest.mark.parametrize("q,scheme,m,cap,buf,faulted", CASES)
+    def test_stepwise_parity(self, q, scheme, m, cap, buf, faulted):
+        plan = get_plan(q, scheme)
+        parts = plan.partition(m)
+
+        def build(cls):
+            faults = (
+                FaultSchedule([(plan_used_links(plan)[0], 6, 20)])
+                if faulted else None
+            )
+            return cls(plan.topology, plan.trees, parts, cap, buf,
+                       faults=faults)
+
+        ref, fast = build(CycleSimulator), build(FastCycleSimulator)
+        assert fast.channels() == ref.channels()
+        while not ref.done():
+            assert ref.step() == fast.step()
+            assert _observables(ref) == _observables(fast)
+        assert fast.done()
+
+    def test_done_counts_track_reference_done(self):
+        plan = get_plan(5, "low-depth")
+        parts = plan.partition(14)
+        fast = FastCycleSimulator(plan.topology, plan.trees, parts)
+        ref = CycleSimulator(plan.topology, plan.trees, parts)
+        while not ref.done():
+            fast.step(), ref.step()
+            for i in range(len(plan.trees)):
+                assert fast.tree_done(i) == ref.tree_done(i)
+        assert fast.done()
+
+    def test_zero_flit_trees_complete_immediately(self):
+        plan = get_plan(3, "low-depth")
+        parts = [0] * plan.num_trees
+        for engine in ("reference", "fast", "leap", "batched"):
+            stats = simulate_allreduce(plan.topology, plan.trees, parts,
+                                       engine=engine)
+            assert stats.cycles == 0, engine
+
+    def test_heterogeneous_parts_exact(self):
+        plan = get_plan(5, "edge-disjoint")
+        rng = np.random.default_rng(3)
+        parts = [int(x) for x in rng.integers(0, 9, plan.num_trees)]
+        base = simulate_allreduce(plan.topology, plan.trees, parts,
+                                  engine="reference")
+        for engine in ("fast", "leap", "batched"):
+            got = simulate_allreduce(plan.topology, plan.trees, parts,
+                                     engine=engine)
+            assert got == base, engine

@@ -82,13 +82,11 @@ class TestCreditSemantics:
 
 class TestCreditAccounting:
     def test_occupancy_never_exceeds_buffer(self):
-        # step manually and check the invariant each cycle; pin the python
-        # kernel — this test pokes reference internals (flows, _consumed)
-        # that go stale when the reference engine delegates stepping
+        # step manually and check the invariant each cycle against the
+        # reference engine's own per-flow counters
         plan = build_plan(3, "low-depth")
         parts = plan.partition(30)
-        sim = CycleSimulator(plan.topology, plan.trees, parts, buffer_size=2,
-                             kernel="python")
+        sim = CycleSimulator(plan.topology, plan.trees, parts, buffer_size=2)
         for _ in range(300):
             sim.step()
             for fid, flow in enumerate(sim.flows):

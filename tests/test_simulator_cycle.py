@@ -18,6 +18,17 @@ class TestMechanics:
         assert stats.cycles == 5 + 2 * t.depth
         assert stats.flits_moved == 10  # 5 up + 5 down
 
+    def test_default_run_walks_its_own_counters(self):
+        # the reference engine is the oracle: a default-argument run must
+        # step its own per-flow and per-channel counters, never hand the
+        # run to another engine
+        plan = build_plan(5, "low-depth")
+        sim = CycleSimulator(plan.topology, plan.trees, plan.partition(40))
+        stats = sim.run()
+        assert stats.flits_moved > 0
+        assert sum(fl.sent for fl in sim.flows) == stats.flits_moved
+        assert sum(sim.channel_flits.values()) == stats.flits_moved
+
     def test_star_tree_parallel_links(self):
         g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
         t = SpanningTree(0, {1: 0, 2: 0, 3: 0})
