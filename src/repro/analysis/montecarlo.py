@@ -170,7 +170,7 @@ def fault_monte_carlo(
             sim = BatchedCycleSimulator(plan.topology, plan.trees, lanes=specs)
             for out, sched in zip(sim.run_batch(), schedules[lo:lo + chunk]):
                 if out.status == "exceeded":
-                    out.result()  # propagate the serial RuntimeError
+                    out.result()  # propagate the serial CycleLimitExceeded
                 if out.status == "done":
                     _record(sched, "done", out.stats.cycles, None, ())
                 else:

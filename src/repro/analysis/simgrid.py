@@ -19,8 +19,8 @@ bit-identical to calling :func:`sim_point` per cell (the engine's
 differential guarantee), so the sweep cache cannot tell the routes apart.
 
 A stalled run is *data*, not an error (``{"stalled": True, ...}``) — fault
-grids stall by design; the cycle-guard ``RuntimeError`` still propagates
-on both routes.
+grids stall by design; the cycle guard (``CycleLimitExceeded``) still
+propagates on both routes.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def _stalled_dict(cycle: int, pending: Sequence[int]) -> Dict[str, Any]:
 
 def _outcome_dict(out: LaneOutcome) -> Dict[str, Any]:
     if out.status == "exceeded":
-        out.result()  # raises the serial RuntimeError
+        out.result()  # raises the serial CycleLimitExceeded
     if out.status == "stalled":
         return _stalled_dict(out.stall_cycle, out.stall_pending)
     return _done_dict(out.stats)
@@ -102,7 +102,7 @@ def sim_point(
     ``m`` is the per-tree flit count (a scalar applies to every tree);
     ``faults`` is a list of ``[[u, v], down, up]`` failure windows
     (``up=None`` for permanent).  A stall comes back as data; the
-    cycle-guard ``RuntimeError`` propagates.
+    cycle guard (``CycleLimitExceeded``) propagates.
     """
     plan = get_plan(q, scheme)
     lane = _lane(plan, m, link_capacity, buffer_size, faults)
@@ -139,8 +139,8 @@ def sim_point_batch(cells_kwargs: Sequence[Dict[str, Any]]) -> List[Dict[str, An
     """Evaluate compatible ``sim_point`` cells as one batched run.
 
     Per-lane results are bit-identical to :func:`sim_point` per cell; a
-    lane whose serial run would raise the cycle-guard ``RuntimeError``
-    raises it here too.
+    lane whose serial run would raise the cycle guard
+    (``CycleLimitExceeded``) raises it here too.
     """
     first = cells_kwargs[0]
     plan = get_plan(first["q"], first.get("scheme", "low-depth"))

@@ -35,8 +35,10 @@ from repro.simulator.config_gen import (
     generate_fabric_config,
 )
 from repro.simulator.cycle import (
+    CycleLimitExceeded,
     CycleSimulator,
     CycleStats,
+    EngineRun,
     SimulationStalled,
     simulate_allreduce,
 )
@@ -93,6 +95,8 @@ __all__ = [
     "generate_fabric_config",
     "CycleSimulator",
     "CycleStats",
+    "CycleLimitExceeded",
+    "EngineRun",
     "SimulationStalled",
     "simulate_allreduce",
     "FaultEvent",

@@ -44,8 +44,9 @@ halving the memory traffic changes nothing observable.
 Every lane is **bit-identical** to a serial ``engine="fast"`` run with
 the same knobs — same :class:`~repro.simulator.cycle.CycleStats` (down to
 float utilization), same :class:`~repro.simulator.cycle.SimulationStalled`
-cycle and pending set, same ``RuntimeError`` guard cycle — enforced by
-``tests/test_batched_equivalence.py`` and the differential suite.
+cycle and pending set, same
+:class:`~repro.simulator.cycle.CycleLimitExceeded` guard cycle — enforced
+by ``tests/test_batched_equivalence.py`` and the differential suite.
 
 Telemetry is **not supported** in v1: collectors observe one engine's
 per-cycle state and the batch axis has no serial equivalent to hook;
@@ -59,7 +60,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.simulator.cycle import CycleStats, SimulationStalled, default_max_cycles
+from repro.simulator.cycle import (
+    CycleLimitExceeded,
+    CycleStats,
+    SimulationStalled,
+    default_max_cycles,
+)
 from repro.simulator.fastcycle import _AGG, _BCD, _INF, FastCycleSimulator
 from repro.simulator.faultsched import FaultSchedule
 from repro.topology.graph import Graph
@@ -102,7 +108,7 @@ class LaneOutcome:
     (``stats`` holds the :class:`CycleStats` the fast engine would have
     returned), it stalled (``stall_cycle``/``stall_pending`` hold what
     :class:`SimulationStalled` would have carried), or it exceeded the
-    cycle guard (``error`` holds the ``RuntimeError`` message).
+    cycle guard (``error`` holds the :class:`CycleLimitExceeded` message).
     :meth:`result` replays the serial contract: return the stats or
     raise the identical exception.
     """
@@ -127,7 +133,7 @@ class LaneOutcome:
         if self.stats is not None:
             return self.stats
         if self.error is not None:
-            raise RuntimeError(self.error)
+            raise CycleLimitExceeded(self.error)
         raise SimulationStalled(self.stall_cycle, self.stall_pending)
 
 
@@ -526,23 +532,15 @@ class BatchedCycleSimulator:
 
     def _finish_lane(self, b: int, completion_col: np.ndarray) -> LaneOutcome:
         """Fold lane ``b`` into the CycleStats the fast engine would have
-        returned — pure-python ints/floats so pickles are byte-identical."""
+        returned."""
         lane = self.lanes[int(self._orig[b])]
-        completion = [int(c) for c in completion_col]
-        total = max(completion) if completion else 0
-        loads = [int(c) for c in self._ch_cum[:, b] if c > 0]
-        denom = total * lane.link_capacity
-        stats = CycleStats(
-            cycles=total,
-            tree_completion=tuple(completion),
-            flits_per_tree=tuple(lane.flits_per_tree),
-            link_capacity=lane.link_capacity,
-            flits_moved=int(self._flits_moved[b]),
-            buffer_size=lane.buffer_size,
-            max_channel_utilization=(max(loads) / denom) if loads and denom else 0.0,
-            mean_channel_utilization=(
-                sum(loads) / (len(loads) * denom) if loads and denom else 0.0
-            ),
+        stats = CycleStats.fold(
+            completion_col,
+            lane.flits_per_tree,
+            lane.link_capacity,
+            self._flits_moved[b],
+            lane.buffer_size,
+            self._ch_cum[:, b],
         )
         return LaneOutcome(index=int(self._orig[b]), stats=stats)
 
@@ -625,8 +623,8 @@ class BatchedCycleSimulator:
 
     def run(self, max_cycles: Optional[int] = None) -> CycleStats:
         """Serial-contract run of a single-lane batch: returns the lane's
-        :class:`CycleStats`, raising :class:`SimulationStalled` or the
-        cycle-guard ``RuntimeError`` exactly as the fast engine would.
+        :class:`CycleStats`, raising :class:`SimulationStalled` or
+        :class:`CycleLimitExceeded` exactly as the fast engine would.
         Multi-lane batches must use :meth:`run_batch`."""
         if len(self.lanes) != 1:
             raise ValueError(
@@ -643,12 +641,13 @@ class BatchedCycleSimulator:
         return int(self._flits_moved[0])
 
     def tree_done(self, i: int) -> bool:
-        if self.lanes[int(self._orig[0])].flits_per_tree[i] == 0:
-            return True
-        return bool(self._done_mask_batch()[i, 0])
+        return bool(self._done_mask()[i])
+
+    def _done_mask(self) -> np.ndarray:
+        return self._done_mask_batch()[:, 0]
 
     def done(self) -> bool:
-        return bool(self._done_mask_batch()[:, 0].all())
+        return bool(self._done_mask().all())
 
     def channels(self) -> List[Tuple[int, int]]:
         return list(self._tmpl._chs)

@@ -47,7 +47,9 @@ counters and per-channel round-robin pointers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.simulator.faultsched import FaultSchedule
 from repro.topology.graph import Graph, canonical_edge
@@ -57,6 +59,8 @@ __all__ = [
     "FlowKind",
     "CycleStats",
     "CycleSimulator",
+    "CycleLimitExceeded",
+    "EngineRun",
     "SimulationStalled",
     "simulate_allreduce",
     "default_max_cycles",
@@ -93,6 +97,17 @@ class SimulationStalled(RuntimeError):
         )
 
 
+class CycleLimitExceeded(RuntimeError):
+    """A run outlived its ``max_cycles`` guard.
+
+    Raised by every cycle engine (through :class:`EngineRun`), by a
+    batched lane's :meth:`~repro.simulator.batched.LaneOutcome.result`,
+    by the multi-tenant fabric's global clock and by the re-plan loop's
+    total budget — at the same cycle and, for the engines, with the same
+    ``simulation exceeded N cycles`` message.
+    """
+
+
 def default_max_cycles(
     trees: Sequence[SpanningTree],
     flits_per_tree: Sequence[int],
@@ -105,9 +120,9 @@ def default_max_cycles(
     Generous: pipeline fill plus fully serialized worst case (plus the
     credit-loop slowdown when buffers are tiny, plus the fault schedule's
     horizon — a run may legitimately idle until the last scheduled
-    revival). All engines use this one formula so their guard semantics
-    are identical — same stop cycle, same error — which the three-way
-    differential suite asserts.
+    revival). Every engine's :class:`EngineRun` uses this one formula, so
+    their guard semantics are identical — same stop cycle, same error —
+    which the cross-engine differential suite asserts.
     """
     depth = max((t.depth for t in trees), default=0)
     stall_factor = 1 if buffer_size is None else (
@@ -142,6 +157,119 @@ class CycleStats:
 
     def tree_bandwidth(self, i: int) -> float:
         return self.flits_per_tree[i] / self.tree_completion[i] if self.tree_completion[i] else 0.0
+
+    @classmethod
+    def fold(
+        cls,
+        completion: Iterable[int],
+        flits_per_tree: Iterable[int],
+        link_capacity: int,
+        flits_moved: int,
+        buffer_size: Optional[int],
+        channel_flits: Iterable[int],
+    ) -> "CycleStats":
+        """Fold a finished run — per-tree completion cycles and cumulative
+        per-channel flit counts — into its stats.  Every field is a plain
+        ``int``/``float`` whatever the engine's array types, so the
+        pickles of equal runs are byte-identical across engines."""
+        completion = tuple(int(c) for c in completion)
+        total = max(completion, default=0)
+        loads = [int(c) for c in channel_flits if c > 0]
+        denom = total * link_capacity
+        return cls(
+            cycles=total,
+            tree_completion=completion,
+            flits_per_tree=tuple(int(x) for x in flits_per_tree),
+            link_capacity=link_capacity,
+            flits_moved=int(flits_moved),
+            buffer_size=buffer_size,
+            max_channel_utilization=(max(loads) / denom) if loads and denom else 0.0,
+            mean_channel_utilization=(
+                sum(loads) / (len(loads) * denom) if loads and denom else 0.0
+            ),
+        )
+
+
+class EngineRun:
+    """One run of a cycle engine: the contract every engine, the tracer
+    and the multi-tenant fabric share.
+
+    Engines only step; :meth:`tick` books each stepped cycle in one fixed
+    order — the ``max_cycles`` guard (:class:`CycleLimitExceeded`), the
+    telemetry ``on_cycle`` hook, per-tree completion cycles, and a
+    :class:`SimulationStalled` when the cycle moved nothing, nothing is
+    in flight, trees are pending and no link revival is scheduled.
+    :meth:`stats` closes the telemetry leg and folds the
+    :class:`CycleStats`.  Every engine therefore stops, stalls and
+    reports at the same cycle because one object decides it.
+
+    ``cycle`` counts cycles since the run started.  A leap or an idle
+    fast-forward advances it directly: no completion, stall or guard
+    event can fall inside either.  ``max_cycles=None`` takes
+    :func:`default_max_cycles`; the fabric passes ``math.inf`` because it
+    guards its global clock instead.
+
+    The engine provides ``_done_mask()`` (per-tree completion as a bool
+    array, landed flits only), ``has_in_flight()``, ``telemetry``,
+    ``faults`` and the fields :meth:`stats` folds.
+    """
+
+    def __init__(self, sim, max_cycles: Optional[float] = None):
+        if max_cycles is None:
+            max_cycles = default_max_cycles(
+                sim.trees, sim.m, sim.capacity, sim.buffer_size, sim.faults
+            )
+        self.sim = sim
+        self.max_cycles = max_cycles
+        self.cycle = 0
+        self.done = sim._done_mask()
+        self.completion = [0] * len(self.done)
+        self.finished = bool(self.done.all())
+        self._tel = sim.telemetry
+        if self._tel is not None:
+            self._tel.on_run_start(sim)
+
+    def tick(self, moved: int) -> bool:
+        """Book one stepped cycle that moved ``moved`` flits (an engine
+        gated from outside passes its pre-gate demand instead: a gated
+        cycle is not an idle one).  Returns ``True`` for a dead wait —
+        zero progress with a revival still scheduled, so the state is a
+        fixpoint until that revival."""
+        self.cycle += 1
+        cycle = self.cycle
+        if cycle > self.max_cycles:
+            raise CycleLimitExceeded(f"simulation exceeded {self.max_cycles} cycles")
+        sim = self.sim
+        if self._tel is not None:
+            self._tel.on_cycle(sim, cycle, moved)
+        now = sim._done_mask()
+        newly = now & ~self.done
+        if newly.any():
+            for i in np.flatnonzero(newly):
+                self.completion[i] = cycle
+            self.done = self.done | now
+            self.finished = bool(self.done.all())
+        if moved or self.finished or sim.has_in_flight():
+            return False
+        if sim.faults is not None and sim.faults.next_revival_after(cycle) is not None:
+            return True
+        if self._tel is not None:
+            self._tel.on_run_end(sim, cycle, False)
+        raise SimulationStalled(cycle, np.flatnonzero(~self.done))
+
+    def stats(self) -> CycleStats:
+        """Close the telemetry leg and fold the finished run."""
+        sim = self.sim
+        if self._tel is not None:
+            self._tel.on_run_end(sim, max(self.completion, default=0), True)
+        return CycleStats.fold(
+            self.completion,
+            sim.m,
+            sim.capacity,
+            sim.flits_moved,
+            sim.buffer_size,
+            sim.channel_flit_counts(),
+        )
 
 
 class _Flow:
@@ -361,6 +489,13 @@ class CycleSimulator:
     def done(self) -> bool:
         return all(self._tree_done(i) for i in range(len(self.trees)))
 
+    def _done_mask(self) -> np.ndarray:
+        return np.fromiter(
+            (self._tree_done(i) for i in range(len(self.trees))),
+            dtype=bool,
+            count=len(self.trees),
+        )
+
     def channels(self) -> List[Tuple[int, int]]:
         """Directed channels carrying at least one flow, in creation order."""
         return list(self.channel_flows)
@@ -526,58 +661,13 @@ class CycleSimulator:
         return out
 
     def run(self, max_cycles: Optional[int] = None) -> CycleStats:
-        """Run to completion of all trees; raises :class:`SimulationStalled`
-        on stall and ``RuntimeError`` when ``max_cycles`` is exceeded."""
-        if max_cycles is None:
-            max_cycles = default_max_cycles(
-                self.trees, self.m, self.capacity, self.buffer_size, self.faults
-            )
-        completion = [0] * len(self.trees)
-        done = [self._tree_done(i) for i in range(len(self.trees))]
-        cycle = 0
-        tel = self.telemetry
-        if tel is not None:
-            tel.on_run_start(self)
-        while not all(done):
-            moved = self.step()
-            cycle += 1
-            if cycle > max_cycles:
-                raise RuntimeError(f"simulation exceeded {max_cycles} cycles")
-            if tel is not None:
-                tel.on_cycle(self, cycle, moved)
-            if moved == 0 and not self._landing:
-                # no progress and nothing in flight => deadlock, unless a
-                # scheduled link revival can still unblock the pipeline
-                if not all(self._tree_done(i) or done[i] for i in range(len(done))):
-                    pending = [i for i in range(len(done)) if not self._tree_done(i)]
-                    if pending and not (
-                        self.faults is not None
-                        and self.faults.next_revival_after(cycle) is not None
-                    ):
-                        if tel is not None:
-                            tel.on_run_end(self, cycle, False)
-                        raise SimulationStalled(cycle, pending)
-            for i in range(len(done)):
-                if not done[i] and self._tree_done(i):
-                    done[i] = True
-                    completion[i] = cycle
-        total_cycles = max(completion) if completion else 0
-        if tel is not None:
-            tel.on_run_end(self, total_cycles, True)
-        loads = [c for c in self.channel_flits.values() if c > 0]
-        denom = total_cycles * self.capacity
-        return CycleStats(
-            cycles=total_cycles,
-            tree_completion=tuple(completion),
-            flits_per_tree=tuple(self.m),
-            link_capacity=self.capacity,
-            flits_moved=self.flits_moved,
-            buffer_size=self.buffer_size,
-            max_channel_utilization=(max(loads) / denom) if loads and denom else 0.0,
-            mean_channel_utilization=(
-                sum(loads) / (len(loads) * denom) if loads and denom else 0.0
-            ),
-        )
+        """Run to completion of all trees under the :class:`EngineRun`
+        contract (stall, guard and stats semantics shared by every
+        engine)."""
+        run = EngineRun(self, max_cycles)
+        while not run.finished:
+            run.tick(self.step())
+        return run.stats()
 
 
 def simulate_allreduce(
@@ -598,8 +688,10 @@ def simulate_allreduce(
     :class:`~repro.simulator.fastcycle.FastCycleSimulator`;
     ``engine="leap"`` runs the cycle-leaping
     :class:`~repro.simulator.leap.LeapCycleSimulator` (O(depth + #events)
-    wall clock, message-size independent).  All three are cycle-exact
-    equivalents, so the choice only affects wall-clock time.
+    wall clock, message-size independent); ``engine="batched"`` runs a
+    single-lane :class:`~repro.simulator.batched.BatchedCycleSimulator`.
+    All four are cycle-exact equivalents, so the choice only affects
+    wall-clock time.
 
     ``faults`` injects a dynamic link-failure schedule, honored
     identically by every engine; a run severed for good raises

@@ -1,6 +1,6 @@
 """Shared cycle-engine protocol and engine selection.
 
-Three interchangeable implementations of the flit-level pipelined
+Four interchangeable implementations of the flit-level pipelined
 Allreduce simulation exist:
 
 - ``"reference"`` — :class:`repro.simulator.cycle.CycleSimulator`, the
@@ -29,6 +29,13 @@ and :class:`~repro.simulator.cycle.CycleStats` on every workload
 ``tests/test_leap.py``).  Tracing and the waterfall renderer
 (:mod:`repro.simulator.trace`) work against this protocol, so they are
 engine-agnostic.
+
+Engines only step.  Every ``run`` — and the tracer, and each tenant of
+the multi-tenant fabric — books its cycles through one
+:class:`~repro.simulator.cycle.EngineRun`: the ``max_cycles`` guard
+(:class:`~repro.simulator.cycle.CycleLimitExceeded`), telemetry hooks,
+completion cycles, the stall rule and the
+:meth:`~repro.simulator.cycle.CycleStats.fold` live there once.
 """
 
 from __future__ import annotations

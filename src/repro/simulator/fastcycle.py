@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.simulator.cycle import CycleStats, SimulationStalled, default_max_cycles
+from repro.simulator.cycle import CycleStats, EngineRun
 from repro.simulator.faultsched import FaultSchedule
 from repro.topology.graph import Graph, canonical_edge
 from repro.trees.tree import SpanningTree
@@ -503,8 +503,6 @@ class FastCycleSimulator:
     # ----------------------------------------------------- engine protocol
 
     def tree_done(self, i: int) -> bool:
-        if self.m[i] == 0:
-            return True
         return bool(self._done_mask()[i])
 
     def done(self) -> bool:
@@ -575,57 +573,9 @@ class FastCycleSimulator:
         return [int(x) for x in red], [int(x) for x in bc]
 
     def run(self, max_cycles: Optional[int] = None) -> CycleStats:
-        """Run to completion of all trees; raises :class:`SimulationStalled`
-        on stall and ``RuntimeError`` when ``max_cycles`` is exceeded
-        (reference semantics)."""
-        if max_cycles is None:
-            max_cycles = default_max_cycles(
-                self.trees, self.m, self.capacity, self.buffer_size, self.faults
-            )
-        T = self._T
-        completion = [0] * T
-        done = self._done_mask()
-        cycle = 0
-        tel = self.telemetry
-        if tel is not None:
-            tel.on_run_start(self)
-        while not done.all():
-            moved = self.step()
-            cycle += 1
-            if cycle > max_cycles:
-                raise RuntimeError(f"simulation exceeded {max_cycles} cycles")
-            if tel is not None:
-                tel.on_cycle(self, cycle, moved)
-            now = self._done_mask()
-            if moved == 0 and not len(self._pending_fids):
-                if not now.all():
-                    pending = [i for i in range(T) if not now[i]]
-                    if pending and not (
-                        self.faults is not None
-                        and self.faults.next_revival_after(cycle) is not None
-                    ):
-                        if tel is not None:
-                            tel.on_run_end(self, cycle, False)
-                        raise SimulationStalled(cycle, pending)
-            newly = now & ~done
-            if newly.any():
-                for i in np.nonzero(newly)[0]:
-                    completion[i] = cycle
-                done = done | now
-        total_cycles = max(completion) if completion else 0
-        if tel is not None:
-            tel.on_run_end(self, total_cycles, True)
-        loads = [int(c) for c in self._ch_cum if c > 0]
-        denom = total_cycles * self.capacity
-        return CycleStats(
-            cycles=total_cycles,
-            tree_completion=tuple(completion),
-            flits_per_tree=tuple(self.m),
-            link_capacity=self.capacity,
-            flits_moved=self.flits_moved,
-            buffer_size=self.buffer_size,
-            max_channel_utilization=(max(loads) / denom) if loads and denom else 0.0,
-            mean_channel_utilization=(
-                sum(loads) / (len(loads) * denom) if loads and denom else 0.0
-            ),
-        )
+        """Run to completion of all trees under the :class:`EngineRun`
+        contract (reference stall, guard and stats semantics)."""
+        run = EngineRun(self, max_cycles)
+        while not run.finished:
+            run.tick(self.step())
+        return run.stats()

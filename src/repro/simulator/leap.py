@@ -52,7 +52,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.simulator.cycle import CycleStats, SimulationStalled, default_max_cycles
+from repro.simulator.cycle import CycleStats, EngineRun
 from repro.simulator.fastcycle import FastCycleSimulator
 from repro.simulator.faultsched import FaultSchedule
 from repro.topology.graph import Graph
@@ -341,14 +341,16 @@ class LeapCycleSimulator(FastCycleSimulator):
 
     # -------------------------------------------------------------- leaping
 
-    def _take_leap(self, cycle: int, max_cycles: int) -> Tuple[int, Optional[_Steady]]:
-        """Consume a verified steady state: returns (cycles leapt, the
-        steady record used) — (0, None) when no leap is possible now."""
+    def _take_leap(self, run: EngineRun) -> Tuple[int, Optional[_Steady]]:
+        """Consume a verified steady state and advance ``run`` past it:
+        returns (cycles leapt, the steady record used) — (0, None) when
+        no leap is possible now."""
         st = self._steady
         if st is None:
             return 0, None
         self._steady = None
-        k = min(st.k_bound, (max_cycles - cycle) // st.period)
+        cycle = run.cycle
+        k = min(st.k_bound, (run.max_cycles - cycle) // st.period)
         if self.faults is not None:
             # fault cycles are leap barriers: the dynamics change there,
             # so every scheduled event is stepped, never jumped over
@@ -374,103 +376,49 @@ class LeapCycleSimulator(FastCycleSimulator):
         self._sync_done()
         # keep the engine's internal cycle counter (the fault clock that
         # step() consults via down_edges_at) in lockstep with the leap
-        self.cycle += k * st.period
+        leapt = k * st.period
+        self.cycle += leapt
+        run.cycle += leapt
         self.leap_log.append((cycle, st.period, k))
         self._reset_detector()
-        return k * st.period, st
+        return leapt, st
 
     # ----------------------------------------------------- engine protocol
 
-    def _stall_or_skip(self, cycle: int, max_cycles: int, pending) -> int:
-        """Zero progress with nothing in flight: the state is a fixpoint
-        until the next scheduled link event, so either fast-forward the
-        idle wait (returning the target cycle) or raise
-        :class:`SimulationStalled` exactly like the per-cycle engines.
+    def _skip_idle(self, run: EngineRun) -> int:
+        """A dead wait (:meth:`EngineRun.tick` returned ``True``): the
+        state is a fixpoint until the next scheduled revival, so
+        fast-forward the idle cycles in closed form and return how many
+        were skipped.
 
         Only a *revival* can restore progress (a later down event merely
         removes budget, which at a fixpoint is already zero), so the wait
         targets the next revival; intermediate down events need no state —
         ``down_edges_at`` is absolute, so the post-skip steps see them."""
-        nxt = (
-            self.faults.next_revival_after(cycle) if self.faults is not None else None
-        )
-        if nxt is None:
-            raise SimulationStalled(cycle, pending)
-        skip_to = max(min(nxt - 1, max_cycles), cycle)
-        if skip_to > cycle:
-            self.idle_skipped += skip_to - cycle
-            self.cycle = skip_to  # advance the fault clock with the skip
-        return skip_to
+        start = run.cycle
+        skip = min(self.faults.next_revival_after(start) - 1, run.max_cycles) - start
+        if skip <= 0:
+            return 0
+        self.idle_skipped += skip
+        self.cycle += skip  # advance the fault clock with the skip
+        if self.telemetry is not None:
+            self.telemetry.on_idle(self, start, start + skip)
+        run.cycle += skip
+        return skip
 
     def run(self, max_cycles: Optional[int] = None) -> CycleStats:
-        """Run to completion, leaping over steady-state stretches; raises
-        :class:`SimulationStalled` on stall and ``RuntimeError`` on
-        ``max_cycles`` exactly like the per-cycle engines (same stop
-        cycle, same partial state)."""
-        if max_cycles is None:
-            max_cycles = default_max_cycles(
-                self.trees, self.m, self.capacity, self.buffer_size, self.faults
-            )
-        T = self._T
-        completion = [0] * T
-        done = self._done_mask()
-        cycle = 0
-        tel = self.telemetry
-        if tel is not None:
-            tel.on_run_start(self)
+        """Run to completion under the :class:`EngineRun` contract,
+        leaping over steady-state stretches and fast-forwarding dead
+        waits — same stop cycle, stall and partial state as the
+        per-cycle engines."""
+        run = EngineRun(self, max_cycles)
         self._reset_detector()
-        while not done.all():
-            leapt, _ = self._take_leap(cycle, max_cycles)
-            if leapt:
-                cycle += leapt  # no completion/stall/guard events inside
+        while not run.finished:
+            if self._take_leap(run)[0]:
                 continue
-            moved = self.step()
-            cycle += 1
-            if cycle > max_cycles:
-                raise RuntimeError(f"simulation exceeded {max_cycles} cycles")
-            if tel is not None:
-                tel.on_cycle(self, cycle, moved)
-            now = self._done_mask()
-            # record completions before any idle fast-forward: a tree whose
-            # last flit lands on the very cycle the pipeline goes idle must
-            # keep that cycle, not the skip target
-            newly = now & ~done
-            if newly.any():
-                for i in np.nonzero(newly)[0]:
-                    completion[i] = cycle
-                done = done | now
-            if moved == 0 and not len(self._pending_fids):
-                if not now.all():
-                    pending = [i for i in range(T) if not now[i]]
-                    if pending:
-                        try:
-                            skip_to = self._stall_or_skip(
-                                cycle, max_cycles, pending
-                            )
-                        except SimulationStalled:
-                            if tel is not None:
-                                tel.on_run_end(self, cycle, False)
-                            raise
-                        if tel is not None and skip_to > cycle:
-                            tel.on_idle(self, cycle, skip_to)
-                        cycle = skip_to
-        total_cycles = max(completion) if completion else 0
-        if tel is not None:
-            tel.on_run_end(self, total_cycles, True)
-        loads = [int(c) for c in self._ch_cum if c > 0]
-        denom = total_cycles * self.capacity
-        return CycleStats(
-            cycles=total_cycles,
-            tree_completion=tuple(completion),
-            flits_per_tree=tuple(self.m),
-            link_capacity=self.capacity,
-            flits_moved=self.flits_moved,
-            buffer_size=self.buffer_size,
-            max_channel_utilization=(max(loads) / denom) if loads and denom else 0.0,
-            mean_channel_utilization=(
-                sum(loads) / (len(loads) * denom) if loads and denom else 0.0
-            ),
-        )
+            if run.tick(self.step()):
+                self._skip_idle(run)
+        return run.stats()
 
     # -------------------------------------------------------------- tracing
 
@@ -481,9 +429,7 @@ class LeapCycleSimulator(FastCycleSimulator):
         block repeated k times, so memory stays O(events), not O(cycles)."""
         from repro.simulator.trace import CompressedTrace
 
-        if max_cycles is None:
-            max_cycles = 1 << 22
-        channels = self.channels()
+        run = EngineRun(self, max_cycles)
         blocks: List[Tuple[int, np.ndarray]] = []
         dense: List[np.ndarray] = []
 
@@ -492,38 +438,26 @@ class LeapCycleSimulator(FastCycleSimulator):
                 blocks.append((1, np.stack(dense, axis=1)))
                 dense.clear()
 
-        cycle = 0
         self._reset_detector()
-        while not self.done():
-            leapt, st = self._take_leap(cycle, max_cycles)
+        while not run.finished:
+            leapt, st = self._take_leap(run)
             if leapt:
                 flush()
                 blocks.append((leapt // st.period, st.phase_chd))
-                cycle += leapt
                 continue
             prev = self._ch_cum.copy()
-            moved = self.step()
-            cycle += 1
-            if cycle > max_cycles:
-                raise RuntimeError("trace exceeded max cycles")
+            idle = run.tick(self.step())
             dense.append(self._ch_cum - prev)
-            if moved == 0 and not len(self._pending_fids) and not self.done():
-                pending = [
-                    i for i, d in enumerate(self._done_mask()) if not d
-                ]
-                skip_to = self._stall_or_skip(cycle, max_cycles, pending)
-                if skip_to > cycle:
-                    # idle dead-wait: one all-zero column repeated
-                    flush()
-                    blocks.append(
-                        (skip_to - cycle, np.zeros((self._C, 1), dtype=np.int64))
-                    )
-                    cycle = skip_to
+            skip = self._skip_idle(run) if idle else 0
+            if skip:
+                # idle dead-wait: one all-zero column repeated
+                flush()
+                blocks.append((skip, np.zeros((self._C, 1), dtype=np.int64)))
         flush()
         return CompressedTrace(
-            cycles=cycle,
+            cycles=run.cycle,
             capacity=self.capacity,
-            channels=channels,
+            channels=self.channels(),
             blocks=blocks,
         )
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.simulator.cycle import CycleStats, SimulationStalled
+from repro.simulator.cycle import CycleLimitExceeded, CycleStats, SimulationStalled
 from repro.simulator.faultsched import FaultSchedule
 from repro.topology.graph import Edge
 
@@ -198,7 +198,8 @@ def run_replan_loop(
     - raise :class:`RecoveryError` for an unanswerable interrupt (the
       stream is still finalized first).
 
-    ``max_cycles`` bounds the *total* cycle count across all legs;
+    ``max_cycles`` bounds the *total* cycle count across all legs
+    (:class:`~repro.simulator.cycle.CycleLimitExceeded` past it);
     ``max_episodes`` bounds cascading re-plans. ``telemetry`` attaches a
     :class:`~repro.telemetry.Collector`: every leg emits its own
     ``leg``/``sample``/``counters`` records (sample ``abs`` cycles stay
@@ -230,7 +231,7 @@ def run_replan_loop(
         )
         leg_budget = None if max_cycles is None else max_cycles - offset
         if leg_budget is not None and leg_budget <= 0:
-            raise RuntimeError(f"simulation exceeded {max_cycles} cycles")
+            raise CycleLimitExceeded(f"simulation exceeded {max_cycles} cycles")
         try:
             stats = sim.run(leg_budget)
         except (SimulationStalled, EpisodeInterrupt) as trigger:

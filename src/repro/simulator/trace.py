@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.simulator.cycle import EngineRun
 from repro.topology.graph import Graph
 from repro.trees.tree import SpanningTree
 
@@ -120,8 +121,9 @@ def trace_allreduce(
 ):
     """Step the selected cycle engine, recording channel activity.
 
-    ``engine`` selects ``"reference"``, ``"fast"`` or ``"leap"`` — all
-    produce the same :class:`ChannelTrace` (cycle-exact equivalence).
+    ``engine`` selects any registered engine (``"reference"``, ``"fast"``,
+    ``"leap"`` or ``"batched"``) — all produce the same
+    :class:`ChannelTrace` (cycle-exact equivalence).
 
     With ``compress=True`` the result is a :class:`CompressedTrace` of
     run-length ``(repeat, block)`` runs instead of a dense per-cycle
@@ -132,9 +134,12 @@ def trace_allreduce(
     ``faults`` (a :class:`~repro.simulator.faultsched.FaultSchedule`)
     injects dynamic link failures; a permanently severed run raises
     :class:`~repro.simulator.cycle.SimulationStalled` at the exact cycle
-    progress stopped, identically on every engine.
+    progress stopped, identically on every engine.  The loop is the
+    engines' own :class:`~repro.simulator.cycle.EngineRun` contract, so
+    ``max_cycles`` (default :func:`~repro.simulator.cycle.default_max_cycles`)
+    raises :class:`~repro.simulator.cycle.CycleLimitExceeded` exactly as
+    ``run()`` does.
     """
-    from repro.simulator.cycle import SimulationStalled
     from repro.simulator.engine import make_engine
 
     sim = make_engine(
@@ -145,36 +150,23 @@ def trace_allreduce(
     channels = sim.channels()
     series: List[List[int]] = [[] for _ in channels]
     prev = sim.channel_flit_counts()
-    if max_cycles is None:
-        max_cycles = 1 << 22
-    cycle = 0
-    while not sim.done():
-        moved = sim.step()
-        cycle += 1
-        if cycle > max_cycles:
-            raise RuntimeError("trace exceeded max cycles")
+    run = EngineRun(sim, max_cycles)
+    while not run.finished:
+        run.tick(sim.step())
         now = sim.channel_flit_counts()
         for i, (a, b) in enumerate(zip(now, prev)):
             series[i].append(a - b)
         prev = now
-        if moved == 0 and not sim.has_in_flight() and not sim.done():
-            pending = [i for i in range(len(sim.trees)) if not sim.tree_done(i)]
-            if pending and not (
-                sim.faults is not None
-                and sim.faults.next_revival_after(cycle) is not None
-            ):
-                raise SimulationStalled(cycle, pending)
     activity: Dict[Tuple[int, int], List[int]] = dict(zip(channels, series))
-    dense = ChannelTrace(cycles=cycle, capacity=link_capacity, activity=activity)
     if compress:
         block = np.asarray([activity[ch] for ch in channels], dtype=np.int64)
         return CompressedTrace(
-            cycles=cycle,
+            cycles=run.cycle,
             capacity=link_capacity,
             channels=list(channels),
-            blocks=[(1, block)] if cycle else [],
+            blocks=[(1, block)] if run.cycle else [],
         )
-    return dense
+    return ChannelTrace(cycles=run.cycle, capacity=link_capacity, activity=activity)
 
 
 def render_waterfall(

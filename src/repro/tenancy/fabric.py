@@ -33,20 +33,33 @@ Arbitration policies (:data:`POLICIES`):
     behavior (including a fault storm) can never perturb another's
     slots.
 
-Per-tenant stalls are *recorded*, not raised: a tenant whose pre-gate
-budgets are all zero with nothing in flight and no revival pending has
-reached a true fixpoint (the solo ``SimulationStalled`` condition, at
-the same local cycle) — the fabric marks it stalled, keeps its recovery
-frontiers (``delivered_floor`` / ``reduced_at_root``), and keeps the
-other tenants running.
+Each tenant's completions and stall are booked by the solo engines' own
+run contract, :class:`~repro.simulator.cycle.EngineRun`, in the tenant's
+local clock — so the fabric has no stall rule of its own.  The one
+fabric-specific input is the idle test: it reads the tenant's pre-gate
+demand, because a tenant the arbiter gated moved nothing but was not
+idle.  Per-tenant stalls are *recorded*, not raised: the fabric keeps the
+stalled tenant's ``SimulationStalled`` cycle and pending set (the solo
+run's, at the same local cycle) and its recovery frontiers
+(``delivered_floor`` / ``reduced_at_root``), and keeps the other tenants
+running.  Per-tenant runs carry no solo ``max_cycles`` guard; the fabric
+guards its global clock and raises
+:class:`~repro.simulator.cycle.CycleLimitExceeded` past it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.simulator.cycle import CycleStats, default_max_cycles
+from repro.simulator.cycle import (
+    CycleLimitExceeded,
+    CycleStats,
+    EngineRun,
+    SimulationStalled,
+    default_max_cycles,
+)
 from repro.simulator.engine import make_engine
 from repro.simulator.faultsched import FaultSchedule
 from repro.tenancy.placement import FabricPlan
@@ -112,70 +125,40 @@ class FabricStats:
 
 
 class _Tenant:
-    """Fabric-side bookkeeping around one tenant's engine."""
+    """Fabric-side bookkeeping around one tenant's engine and its run."""
 
-    def __init__(self, placement, engine, faults: Optional[FaultSchedule]):
+    def __init__(self, placement, engine):
         self.placement = placement
         self.job = placement.job
         self.engine = engine
-        self.faults = faults
+        # local cycles and no solo guard: the fabric guards the global
+        # clock, and a contended tenant may outlive its solo budget
+        self.run = EngineRun(engine, math.inf)
+        self.stall: Optional[SimulationStalled] = None
         self.chs: List[Tuple[int, int]] = engine.channels()
         self.ch_index = {ch: i for i, ch in enumerate(self.chs)}
-        T = len(placement.tree_ids)
-        self.completion = [0] * T
-        self.done = [engine.tree_done(i) for i in range(T)]
         self.blocked_cycles = 0
-        self.outcome: Optional[TenantOutcome] = None
         self.prev_flits: List[int] = [0] * len(self.chs)
         self._blocked_this_cycle = False
 
     @property
     def running(self) -> bool:
-        return self.outcome is None
+        return not self.run.finished and self.stall is None
 
-    def finished(self, global_cycle: int) -> TenantOutcome:
+    def outcome(self) -> TenantOutcome:
         eng = self.engine
-        total = max(self.completion) if self.completion else 0
-        loads = [c for c in eng.channel_flit_counts() if c > 0]
-        denom = total * eng.capacity
-        stats = CycleStats(
-            cycles=total,
-            tree_completion=tuple(self.completion),
-            flits_per_tree=tuple(eng.m),
-            link_capacity=eng.capacity,
-            flits_moved=eng.flits_moved,
-            buffer_size=eng.buffer_size,
-            max_channel_utilization=(max(loads) / denom) if loads and denom else 0.0,
-            mean_channel_utilization=(
-                sum(loads) / (len(loads) * denom) if loads and denom else 0.0
-            ),
-        )
+        if self.stall is None:
+            stats: Optional[CycleStats] = self.run.stats()
+            local, pending = stats.cycles, ()
+        else:
+            stats, local, pending = None, self.stall.cycle, self.stall.pending
         return TenantOutcome(
             tenant=self.job.tenant,
             arrival=self.job.arrival,
-            status="completed",
-            local_cycles=total,
-            global_cycle=self.job.arrival + total,
+            status="completed" if stats is not None else "stalled",
+            local_cycles=local,
+            global_cycle=self.job.arrival + local,
             stats=stats,
-            stall_pending=(),
-            delivered_floor=tuple(eng.delivered_floor()),
-            reduced_at_root=tuple(eng.reduced_at_root()),
-            blocked_cycles=self.blocked_cycles,
-            flits_moved=eng.flits_moved,
-        )
-
-    def stalled(self, global_cycle: int) -> TenantOutcome:
-        eng = self.engine
-        pending = tuple(
-            i for i in range(len(self.done)) if not eng.tree_done(i)
-        )
-        return TenantOutcome(
-            tenant=self.job.tenant,
-            arrival=self.job.arrival,
-            status="stalled",
-            local_cycles=eng.cycle,
-            global_cycle=global_cycle,
-            stats=None,
             stall_pending=pending,
             delivered_floor=tuple(eng.delivered_floor()),
             reduced_at_root=tuple(eng.reduced_at_root()),
@@ -251,7 +234,7 @@ class FabricSimulator:
                 buffer_size,
                 faults=fs,
             )
-            self._tenants[p.job.tenant] = _Tenant(p, eng, fs)
+            self._tenants[p.job.tenant] = _Tenant(p, eng)
 
         # static sharer lists: directed channel -> tenant ids (ascending)
         users: Dict[Tuple[int, int], List[int]] = {}
@@ -300,12 +283,6 @@ class FabricSimulator:
         tenants."""
         self.cycle += 1
         active = self._active()
-        for t in self._tenants.values():
-            if t.running and self.cycle == t.job.arrival + 1 and t.engine.done():
-                # zero-work job (all trees trivially complete): finishes
-                # the moment it arrives, before ever contending
-                t.outcome = t.finished(self.cycle)
-        active = [t for t in active if t.running]
         if not active:
             return 0
 
@@ -315,32 +292,6 @@ class FabricSimulator:
             b = t.engine.begin_cycle()
             budgets[t.job.tenant] = b
             demands[t.job.tenant] = t.engine.channel_demand(b)
-
-        # pre-gate stall detection: all-zero budgets with nothing in
-        # flight and no revival pending is the solo SimulationStalled
-        # fixpoint — gating cannot have caused it
-        still: List[_Tenant] = []
-        for t in active:
-            d = demands[t.job.tenant]
-            if (
-                not any(d)
-                and not t.engine.has_in_flight()
-                # live check: this cycle's landing may have just completed
-                # the last tree with zero budgets left — that is a finish,
-                # not a stall
-                and not all(
-                    done or t.engine.tree_done(i)
-                    for i, done in enumerate(t.done)
-                )
-                and not (
-                    t.faults is not None
-                    and t.faults.next_revival_after(t.engine.cycle) is not None
-                )
-            ):
-                t.outcome = t.stalled(self.cycle)
-            else:
-                still.append(t)
-        active = still
 
         blocked: Dict[int, List[int]] = {t.job.tenant: [] for t in active}
         trace_row: Optional[dict] = None
@@ -376,7 +327,8 @@ class FabricSimulator:
         moved_total = 0
         for t in active:
             tid = t.job.tenant
-            moved_total += t.engine.finish_cycle(budgets[tid], blocked[tid])
+            moved = t.engine.finish_cycle(budgets[tid], blocked[tid])
+            moved_total += moved
             if t._blocked_this_cycle:
                 t.blocked_cycles += 1
                 t._blocked_this_cycle = False
@@ -389,16 +341,13 @@ class FabricSimulator:
                 }
                 t.prev_flits = flits
                 trace_row.setdefault("moved", {})[tid] = deltas
-            # completion bookkeeping in local cycles; in-flight flits past
-            # the last completion never matter, matching the solo run()
-            # which stops at the final completion cycle
-            local = t.engine.cycle
-            for i, d in enumerate(t.done):
-                if not d and t.engine.tree_done(i):
-                    t.done[i] = True
-                    t.completion[i] = local
-            if all(t.done):
-                t.outcome = t.finished(self.cycle)
+            # the solo run contract in local cycles; its idle test reads
+            # pre-gate demand, since a tenant the arbiter gated moved
+            # nothing but was not idle.  A stall is recorded, not raised.
+            try:
+                t.run.tick(moved or int(any(demands[tid])))
+            except SimulationStalled as stall:
+                t.stall = stall
         if trace_row is not None:
             self.trace.append(trace_row)
         return moved_total
@@ -411,22 +360,18 @@ class FabricSimulator:
             K = max(1, len(self._tenants))
             per = sum(
                 default_max_cycles(
-                    [self.plan.trees[i] for i in t.placement.tree_ids],
-                    list(t.placement.flits),
-                    self.capacity,
-                    self.buffer_size,
-                    t.faults,
+                    e.trees, e.m, e.capacity, e.buffer_size, e.faults
                 )
-                for t in self._tenants.values()
+                for e in (t.engine for t in self._tenants.values())
             )
             latest = max(t.job.arrival for t in self._tenants.values())
             max_cycles = latest + K * per
         while any(t.running for t in self._tenants.values()):
             self.step()
             if self.cycle > max_cycles:
-                raise RuntimeError(f"fabric exceeded {max_cycles} cycles")
+                raise CycleLimitExceeded(f"fabric exceeded {max_cycles} cycles")
         outcomes = tuple(
-            self._tenants[tid].outcome for tid in sorted(self._tenants)
+            self._tenants[tid].outcome() for tid in sorted(self._tenants)
         )
         last = max((o.global_cycle for o in outcomes), default=0)
         return FabricStats(policy=self.policy, cycles=last, outcomes=outcomes)

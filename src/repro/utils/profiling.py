@@ -1,13 +1,12 @@
 """Lightweight measurement utilities ("no optimization without measuring").
 
 Per the scientific-Python performance guidance the repo follows, the hot
-construction paths were designed against measurements; these helpers make
+construction paths were designed against measurements; this timer makes
 the measurements reproducible by any user:
 
-- :class:`StageTimer` — accumulate named wall-clock stages;
-- :func:`profile_pipeline` — time every stage of building a PolarFly
-  Allreduce plan from cold caches (field tables, graph, layout/difference
-  set, trees, Algorithm 1), the numbers behind the E-A3 bench.
+- :class:`StageTimer` — accumulate named wall-clock stages; pass one as
+  ``build_plan(..., timer=)`` to time the "graph build" / "tree
+  construction" / "bandwidth fill" stages of building a plan.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import time
 from contextlib import contextmanager
 from typing import Dict, List, Tuple
 
-__all__ = ["StageTimer", "profile_pipeline", "render_profile"]
+__all__ = ["StageTimer"]
 
 
 class StageTimer:
@@ -61,84 +60,3 @@ class StageTimer:
         for name, ns in self.stages_ns:
             out[name] = out.get(name, 0) + ns
         return out
-
-
-def profile_pipeline(q: int, scheme: str = "low-depth") -> StageTimer:
-    """Time each cold-cache stage of building a plan for ``(q, scheme)``.
-
-    Clears the library's memoization caches first so every stage pays its
-    true construction cost.
-    """
-    from repro.core.bandwidth import tree_bandwidths
-    from repro.gf.gf import GF, get_field
-    from repro.topology.layout import PolarFlyLayout, polarfly_layout
-    from repro.topology.polarfly import PolarFly, polarfly_graph
-    from repro.topology.singer import SingerGraph, singer_difference_set, singer_graph
-
-    from repro.trees.disjoint import _max_disjoint_hamiltonian_pairs_cached
-
-    get_field.cache_clear()
-    polarfly_graph.cache_clear()
-    singer_graph.cache_clear()
-    singer_difference_set.cache_clear()
-    polarfly_layout.cache_clear()
-    _max_disjoint_hamiltonian_pairs_cached.cache_clear()
-
-    timer = StageTimer()
-    if scheme in ("low-depth", "low-depth-even", "single"):
-        with timer.stage("field tables"):
-            GF(q)
-        with timer.stage("ER_q adjacency"):
-            pf = PolarFly(q)
-        g = pf.graph
-        if scheme == "single":
-            from repro.trees.single import single_tree
-
-            with timer.stage("BFS tree"):
-                trees = [single_tree(g)]
-        elif scheme == "low-depth":
-            with timer.stage("Algorithm 2 layout"):
-                layout = PolarFlyLayout(pf)
-            from repro.trees.lowdepth import low_depth_trees_from_layout
-
-            with timer.stage("Algorithm 3 trees"):
-                trees = low_depth_trees_from_layout(layout)
-        else:
-            from repro.topology.layout_even import PolarFlyEvenLayout
-            from repro.trees.lowdepth_even import low_depth_trees_even_from_layout
-
-            with timer.stage("nucleus layout"):
-                layout = PolarFlyEvenLayout(pf)
-            with timer.stage("even-q trees"):
-                trees = low_depth_trees_even_from_layout(layout)
-    elif scheme == "edge-disjoint":
-        with timer.stage("field tables"):
-            GF(q)
-        with timer.stage("Singer difference set"):
-            singer_difference_set(q)
-        with timer.stage("Singer graph"):
-            sg = SingerGraph(q)
-        g = sg.graph
-        from repro.trees.disjoint import (
-            edge_disjoint_hamiltonian_trees,
-            max_disjoint_hamiltonian_pairs,
-        )
-
-        with timer.stage("maximum matching"):
-            pairs = max_disjoint_hamiltonian_pairs(q)
-        with timer.stage("Hamiltonian path trees"):
-            trees = edge_disjoint_hamiltonian_trees(q, pairs)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-
-    with timer.stage("Algorithm 1"):
-        tree_bandwidths(g, trees)
-    return timer
-
-
-def render_profile(q: int, scheme: str, timer: StageTimer) -> str:
-    lines = [f"cold-cache plan construction, q={q}, scheme={scheme}:"]
-    for name, d in timer.stages:
-        lines.append(f"  {name:<24} {d * 1000:>10.2f} ms")
-    lines.append(f"  {'total':<24} {timer.total() * 1000:>10.2f} ms")
-    return "\n".join(lines)

@@ -58,6 +58,18 @@ def _grid():
     ]
 
 
+def _trace_or_stall(plan, parts, faults, engine, compress=False):
+    """The dense per-cycle activity, or the trace's stall outcome."""
+    try:
+        trace = trace_allreduce(
+            plan.topology, plan.trees, parts, engine=engine, faults=faults,
+            compress=compress,
+        )
+    except SimulationStalled as exc:
+        return ("stall", exc.cycle, exc.pending)
+    return (trace.expand() if compress else trace).activity
+
+
 @pytest.mark.parametrize("mode", OBSERVERS)
 @pytest.mark.parametrize(
     "label,scheme,build",
@@ -88,17 +100,20 @@ def test_engines_bit_identical_under_faults(label, scheme, build, mode):
             outcomes[engine] = ("stall", exc.cycle, exc.pending)
         if col is not None:
             streams[engine] = col.to_jsonl()
-        try:
-            traces[engine] = trace_allreduce(
-                plan.topology, plan.trees, parts, engine=engine, faults=faults,
-            ).activity
-        except SimulationStalled:
-            traces[engine] = None
+        traces[engine] = _trace_or_stall(plan, parts, faults, engine)
+    # the leap engine's run-length tracer expands to the same columns
+    traces["leap-compressed"] = _trace_or_stall(
+        plan, parts, faults, "leap", compress=True
+    )
 
     ref = outcomes["reference"]
     for engine in CYCLE_ENGINES[1:]:
         assert outcomes[engine] == ref, (label, engine, mode, outcomes)
-        assert traces[engine] == traces["reference"], (label, engine, mode)
+    for engine, trace in traces.items():
+        assert trace == traces["reference"], (label, engine, mode)
+    if ref[0] == "stall":
+        # the trace loops stall at run()'s exact cycle and pending set
+        assert traces["reference"] == ref, (label, mode)
     for engine, stream in streams.items():
         assert stream == streams["reference"], (label, engine)
 

@@ -3,9 +3,20 @@
 import pytest
 
 from repro.core import build_plan
-from repro.simulator import CycleSimulator, fluid_simulate, simulate_allreduce
+from repro.simulator import (
+    BatchedCycleSimulator,
+    CycleLimitExceeded,
+    CycleSimulator,
+    LaneSpec,
+    fluid_simulate,
+    make_engine,
+    simulate_allreduce,
+)
+from repro.tenancy import FabricSimulator, TenantJob, place_jobs
 from repro.topology import Graph, polarfly_graph
 from repro.trees import SpanningTree, single_tree
+
+from tests.strategies import CYCLE_ENGINES
 
 
 class TestMechanics:
@@ -107,6 +118,31 @@ class TestMechanics:
         t = SpanningTree(0, {1: 0})
         with pytest.raises(RuntimeError):
             simulate_allreduce(g, [t], [100], max_cycles=3)
+
+    def test_cycle_guard_is_one_typed_error(self):
+        # every engine, a batched lane and a K=1 fabric stop at the same
+        # cycle with the same CycleLimitExceeded
+        plan = build_plan(3, "low-depth")
+        flits = plan.partition(60)
+        n = 7
+        msg = f"simulation exceeded {n} cycles"
+        for engine in CYCLE_ENGINES:
+            sim = make_engine(engine, plan.topology, plan.trees, flits)
+            with pytest.raises(CycleLimitExceeded) as exc:
+                sim.run(max_cycles=n)
+            assert (str(exc.value), sim.cycle) == (msg, n + 1), engine
+        (out,) = BatchedCycleSimulator(
+            plan.topology, plan.trees, lanes=[LaneSpec(flits)]
+        ).run_batch(max_cycles=n)
+        with pytest.raises(CycleLimitExceeded) as exc:
+            out.result()
+        assert str(exc.value) == msg
+        job = TenantJob(tenant=0, arrival=0, m=60, tree_count=plan.num_trees)
+        fabric = FabricSimulator(place_jobs(3, [job]))
+        with pytest.raises(CycleLimitExceeded) as exc:
+            fabric.run(max_cycles=n)
+        # the fabric guards its global clock, so the message names it
+        assert (str(exc.value), fabric.cycle) == (f"fabric exceeded {n} cycles", n + 1)
 
 
 class TestModelValidation:
