@@ -9,6 +9,12 @@ bit-identical to the solo engine (isolation differential, re-asserted
 here as the speedup precondition) and the K-tenant fabric completes in
 less wall-cycles than K serialized solos.
 
+A second case records the fabric's wall-time curve over K (fair-share,
+capacity 1, buffer 2, m=64): q=7 K=4 partitioned, q=7 K=8 shared and
+q=11 K=16/K=32 shared — fabric seconds against serialized-solo seconds,
+the fabric cycles and the µs per fabric cycle.  (q=13 K=64 takes tens
+of seconds and is left out.)
+
 Each case's numbers land in ``benchmark.extra_info`` *and* are persisted
 to ``BENCH_tenancy.json`` at the repo root so the trajectory is tracked
 across PRs.
@@ -118,3 +124,60 @@ def test_k_tenant_throughput_vs_serial_solo(benchmark):
     assert fabric_s < BUDGET_S, (
         f"fabric run took {fabric_s:.2f}s (budget {BUDGET_S}s)"
     )
+
+
+#: (q, K, placement mode) cells of the wall-time curve over K
+K_CURVE = ((7, 4, "partitioned"), (7, 8, "shared"), (11, 16, "shared"),
+           (11, 32, "shared"))
+
+
+def test_k_curve_fabric_vs_serial_solo(benchmark):
+    """Fabric wall time per K, next to the same K tenants run one after
+    another alone.  Partitioned tenants take one tree each; shared
+    tenants take every tree of the plan (maximal link overlap)."""
+
+    def cell(q, k, mode):
+        plan = build_plan(q, "low-depth")
+        trees_each = 1 if mode == "partitioned" else plan.num_trees
+        jobs = [
+            TenantJob(tenant=t, arrival=0, m=M, tree_count=trees_each)
+            for t in range(k)
+        ]
+        fplan = place_jobs(q, jobs, mode=mode)
+        t0 = time.perf_counter()
+        solos = [
+            make_engine(
+                "fast",
+                fplan.topology,
+                [fplan.trees[i] for i in p.tree_ids],
+                list(p.flits),
+                1,
+                2,
+            ).run()
+            for p in fplan.placements
+        ]
+        serial_s = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        stats = FabricSimulator(fplan, 1, 2, policy="fair-share").run()
+        fabric_s = time.perf_counter() - t0
+        assert all(o.status == "completed" for o in stats.outcomes)
+        return {
+            "q": q,
+            "k": k,
+            "mode": mode,
+            "trees_each": trees_each,
+            "fabric_cycles": stats.cycles,
+            "serial_cycles": sum(s.cycles for s in solos),
+            "fabric_seconds": round(fabric_s, 4),
+            "serial_seconds": round(serial_s, 4),
+            "us_per_fabric_cycle": round(fabric_s / stats.cycles * 1e6, 1),
+        }
+
+    curve = benchmark.pedantic(
+        lambda: {f"q{q}-k{k}-{mode}": cell(q, k, mode) for q, k, mode in K_CURVE},
+        rounds=1,
+        iterations=1,
+    )
+    record(benchmark, **curve)
+    _persist("tenancy-k-curve", curve)
+    assert curve["q11-k32-shared"]["fabric_seconds"] < BUDGET_S

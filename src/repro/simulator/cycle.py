@@ -108,6 +108,23 @@ class CycleLimitExceeded(RuntimeError):
     """
 
 
+def gate_mask(
+    blocked: Optional[np.ndarray], num_channels: int
+) -> Optional[np.ndarray]:
+    """The two-phase ``finish_cycle(budget, blocked)`` gate: ``None`` or a
+    boolean mask over the engine's :meth:`channels` (length C).  Returns
+    the mask as a bool array, or ``None`` when it gates no channel."""
+    if blocked is None:
+        return None
+    mask = np.asarray(blocked, dtype=bool)
+    if mask.shape != (num_channels,):
+        raise ValueError(
+            f"blocked must be a boolean mask of {num_channels} channels; "
+            f"got shape {mask.shape}"
+        )
+    return mask if mask.any() else None
+
+
 def default_max_cycles(
     trees: Sequence[SpanningTree],
     flits_per_tree: Sequence[int],
@@ -609,20 +626,18 @@ class CycleSimulator:
     def finish_cycle(
         self,
         budgets: Dict[Tuple[int, int], Optional[Dict[int, int]]],
-        blocked: Optional[Sequence[int]] = None,
+        blocked: Optional[np.ndarray] = None,
     ) -> int:
         """Phase 3 of one cycle: round-robin arbitration against the
-        :meth:`begin_cycle` budgets.  ``blocked`` lists channel indices
-        (into :meth:`channels`) gated off this cycle — same semantics as a
-        down link.  Returns the number of flits transferred."""
-        blocked_chs = set()
-        if blocked:
-            chs = list(self.channel_flows)
-            blocked_chs = {chs[i] for i in blocked}
+        :meth:`begin_cycle` budgets.  ``blocked`` is ``None`` or a boolean
+        mask over :meth:`channels` (length C); a masked channel is gated
+        off this cycle — same semantics as a down link.  Returns the
+        number of flits transferred."""
+        mask = gate_mask(blocked, len(self.channel_flows))
         moved = 0
-        for ch, fids in self.channel_flows.items():
+        for ci, (ch, fids) in enumerate(self.channel_flows.items()):
             budget = budgets[ch]
-            if budget is None or ch in blocked_chs:
+            if budget is None or (mask is not None and mask[ci]):
                 continue
             slots = self.capacity
             start = self._rr[ch]

@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.simulator.cycle import CycleStats, EngineRun
+from repro.simulator.cycle import CycleStats, EngineRun, gate_mask
 from repro.simulator.faultsched import FaultSchedule
 from repro.topology.graph import Graph, canonical_edge
 from repro.trees.tree import SpanningTree
@@ -393,20 +393,20 @@ class FastCycleSimulator:
     def finish_cycle(
         self,
         budget: Optional[np.ndarray],
-        blocked: Optional[Sequence[int]] = None,
+        blocked: Optional[np.ndarray] = None,
     ) -> int:
         """Phase 3 of one cycle: arbitrate and send against ``budget`` (a
-        :meth:`begin_cycle` result).  ``blocked`` is an optional list of
-        channel indices (into :meth:`channels`) whose flows arbitrate with
-        zero budget this cycle — identical semantics to a down link: the
-        channel grants nothing and its round-robin pointer holds still.
-        Returns the number of flits transferred."""
+        :meth:`begin_cycle` result).  ``blocked`` is ``None`` or a boolean
+        mask over :meth:`channels` (length C); the flows of a masked
+        channel arbitrate with zero budget this cycle — identical
+        semantics to a down link: the channel grants nothing and its
+        round-robin pointer holds still.  Returns the number of flits
+        transferred."""
         if budget is None:
             return 0
-        if blocked is not None and len(blocked):
-            mask_ch = np.zeros(self._C, dtype=bool)
-            mask_ch[np.asarray(blocked, dtype=np.int64)] = True
-            budget = np.where(mask_ch[self._flow_ch], 0, budget)
+        mask = gate_mask(blocked, self._C)
+        if mask is not None:
+            budget = np.where(mask[self._flow_ch], 0, budget)
         if self.capacity != 1:
             return self._arbitrate_general(budget)
 

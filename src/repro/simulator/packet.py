@@ -30,6 +30,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.bandwidth import optimal_partition, tree_bandwidths
+from repro.simulator.cycle import CycleLimitExceeded, SimulationStalled
 from repro.simulator.functional import REDUCE_OPS
 from repro.topology.graph import Graph
 from repro.trees.tree import SpanningTree
@@ -184,16 +185,16 @@ class PacketLevelSimulator:
             return self.partial[ti][fl.src, k]
         return self.bc_value[ti][fl.src, k]
 
+    def _tree_done(self, ti: int) -> bool:
+        t = self.trees[ti]
+        if self.m[ti] == 0:
+            return True
+        if self._agg_ready(ti, t.root) < self.m[ti]:
+            return False
+        return all(self.bc_have[ti][v] >= self.m[ti] for v in t.parent)
+
     def _done(self) -> bool:
-        for ti, t in enumerate(self.trees):
-            if self.m[ti] == 0:
-                continue
-            if self._agg_ready(ti, t.root) < self.m[ti]:
-                return False
-            for v in t.parent:
-                if self.bc_have[ti][v] < self.m[ti]:
-                    return False
-        return True
+        return all(self._tree_done(ti) for ti in range(len(self.trees)))
 
     # ------------------------------------------------------------ dynamics
 
@@ -242,7 +243,12 @@ class PacketLevelSimulator:
 
     def run(self, max_cycles: Optional[int] = None) -> Tuple[np.ndarray, PacketStats]:
         """Run to completion; returns ``(outputs, stats)`` where
-        ``outputs[v]`` is node ``v``'s received full result vector."""
+        ``outputs[v]`` is node ``v``'s received full result vector.
+
+        Raises :class:`~repro.simulator.cycle.CycleLimitExceeded` past
+        ``max_cycles`` and :class:`~repro.simulator.cycle.SimulationStalled`
+        (with the cycle and the pending trees) when a cycle moves nothing
+        with nothing in flight."""
         if max_cycles is None:
             depth = max((t.depth for t in self.trees), default=0)
             max_cycles = 16 + 4 * depth + 8 * (sum(self.m) + 1) * max(1, len(self.trees))
@@ -251,9 +257,13 @@ class PacketLevelSimulator:
             moved = self.step()
             cycle += 1
             if cycle > max_cycles:
-                raise RuntimeError(f"simulation exceeded {max_cycles} cycles")
-            if moved == 0 and not self._landing and not self._done():
-                raise RuntimeError("simulation stalled")
+                raise CycleLimitExceeded(f"simulation exceeded {max_cycles} cycles")
+            if moved == 0 and not self._landing:
+                pending = [
+                    ti for ti in range(len(self.trees)) if not self._tree_done(ti)
+                ]
+                if pending:
+                    raise SimulationStalled(cycle, pending)
         out = np.empty_like(self.inputs)
         for ti, t in enumerate(self.trees):
             o, w = self.offsets[ti], self.m[ti]

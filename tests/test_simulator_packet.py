@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core import build_plan
-from repro.simulator import simulate_allreduce
+from repro.simulator import (
+    CycleLimitExceeded,
+    SimulationStalled,
+    simulate_allreduce,
+)
 from repro.simulator.packet import PacketLevelSimulator, packet_allreduce
 from repro.topology import Graph
 from repro.trees import SpanningTree
@@ -113,3 +117,35 @@ class TestValidation:
         out, stats = packet_allreduce(plan.topology, plan.trees, x)
         assert out.shape == x.shape
         assert stats.cycles == 0
+
+
+class _FrozenTree0(PacketLevelSimulator):
+    """Tree 0's flows never become eligible: a deadlock on that tree."""
+
+    def _eligible(self, fl):
+        return 0 if fl.tree == 0 else super()._eligible(fl)
+
+
+class TestNamedErrors:
+    def test_cycle_limit_exceeded(self):
+        plan = build_plan(3, "low-depth")
+        x = np.ones((plan.num_nodes, 12))
+        sim = PacketLevelSimulator(plan.topology, plan.trees, x)
+        with pytest.raises(CycleLimitExceeded, match="simulation exceeded 2 cycles"):
+            sim.run(max_cycles=2)
+        assert issubclass(CycleLimitExceeded, RuntimeError)
+
+    def test_stall_names_the_cycle_and_the_pending_trees(self):
+        """The stall lands on the cycle the other trees complete — the
+        run with tree 0's share emptied — and names tree 0 alone."""
+        plan = build_plan(3, "low-depth")
+        x = np.ones((plan.num_nodes, 12))
+        _, rest = PacketLevelSimulator(
+            plan.topology, plan.trees, x[:, :8], partition=[0, 4, 4]
+        ).run()
+        sim = _FrozenTree0(plan.topology, plan.trees, x, partition=[4, 4, 4])
+        with pytest.raises(SimulationStalled) as exc:
+            sim.run()
+        assert exc.value.cycle == rest.cycles
+        assert exc.value.pending == (0,)
+        assert isinstance(exc.value, RuntimeError)

@@ -12,6 +12,9 @@ never violate, over random seeded tenant mixes
   determinism), and a whole fabric run is deterministic;
 - work conservation: under the work-conserving policies a shared
   channel with a pending eligible flit is never left idle;
+- the matrix arbiter agrees, row by row of the trace, with a literal
+  per-channel reading of the three policies, and each tenant's
+  ``blocked_cycles`` matches a recount from the trace;
 - fair-share slowdown of a completed tenant is bounded by ~K.
 """
 
@@ -166,6 +169,91 @@ class TestWorkConservation:
                     ch,
                     info,
                 )
+
+
+def _oracle_winner(policy, cycle, sharers, cands, rr, ch):
+    """The per-channel arbiter, read literally off the policy rules."""
+    if policy == "isolated-slice":
+        # static slots over all placed sharers, demand or not
+        return sharers[cycle % len(sharers)]
+    if not cands:
+        return None
+    if policy == "strict-priority":
+        return min(cands)
+    # fair-share: next candidate at or after the rotating pointer
+    ptr = rr[ch]
+    k = len(sharers)
+    for i in range(k):
+        s = sharers[(ptr + i) % k]
+        if s in cands:
+            rr[ch] = (sharers.index(s) + 1) % k
+            return s
+    return None
+
+
+def _replay_arbiter(sim, stats):
+    """Replay every trace row through :func:`_oracle_winner`, carrying the
+    fair-share pointers across cycles.  Returns why each isolated-slice
+    grant went to a slot owner that was not running: ``"waiting"`` (not
+    arrived yet) or ``"done"`` (completed or stalled)."""
+    arrival = {o.tenant: o.arrival for o in stats.outcomes}
+    rr = dict.fromkeys(sim.shared, 0)
+    recount = dict.fromkeys(arrival, 0)
+    idle_owners = set()
+    for row in sim.trace:
+        cycle, running = row["cycle"], set(row["moved"])
+        blocked = set()
+        for ch, sharers in sim.shared.items():
+            info = row["channels"].get(ch)
+            if info is None:
+                # only a row without candidates skips arbitration: no
+                # running sharer had demand, so none moved a flit on it
+                assert sim.policy != "isolated-slice", (cycle, ch)
+                assert all(
+                    row["moved"][tid].get(ch, 0) == 0
+                    for tid in sharers
+                    if tid in running
+                ), (cycle, ch)
+                continue
+            demand = info["demand"]
+            assert list(demand) == [t for t in sharers if t in running]
+            cands = [t for t in sharers if demand.get(t, 0) > 0]
+            winner = _oracle_winner(sim.policy, cycle, sharers, cands, rr, ch)
+            assert winner is not None, (cycle, ch)
+            assert info["winner"] == winner, (cycle, ch, info)
+            if winner not in running:
+                idle_owners.add("waiting" if cycle <= arrival[winner] else "done")
+            blocked.update(t for t in cands if t != winner)
+        for tid in blocked:
+            recount[tid] += 1
+    for o in stats.outcomes:
+        assert o.blocked_cycles == recount[o.tenant], o.tenant
+    return idle_owners
+
+
+class TestArbiterOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        mix=tenant_mixes(max_tenants=4, max_m=10, max_arrival=12),
+        mode=placement_modes(),
+        policy=arbitration_policies(),
+        capacity=st.integers(min_value=1, max_value=2),
+    )
+    def test_trace_replays_through_the_per_channel_rules(
+        self, mix, mode, policy, capacity
+    ):
+        _, sim = _fabric(mix, mode, policy, capacity=capacity, record_trace=True)
+        _replay_arbiter(sim, sim.run())
+
+    def test_isolated_slice_grants_slots_of_absent_owners(self):
+        """Tenant 1 arrives after tenant 0 and outlives it, so its slot is
+        granted while it has not arrived and tenant 0's slot once tenant 0
+        has finished — the slices never move to a running tenant."""
+        mix = ((0, 4, 3), (9, 16, 3))
+        _, sim = _fabric(mix, "shared", "isolated-slice", record_trace=True)
+        stats = sim.run()
+        assert all(o.status == "completed" for o in stats.outcomes)
+        assert _replay_arbiter(sim, stats) == {"waiting", "done"}
 
 
 class TestAnalysisAndCli:

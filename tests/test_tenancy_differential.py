@@ -12,7 +12,9 @@ pinned here as pickle-equality of :class:`CycleStats`:
 - tenants on *shared* links never complete earlier than solo
   (contention can only hurt);
 - the fast and reference fabric engines are bit-identical to each
-  other on contended mixes;
+  other on contended mixes, trace rows included;
+- the two-phase ``finish_cycle(budget, blocked)`` gate: an all-False
+  mask is the ungated ``step()``, and both engines gate a mask alike;
 - a K=1 tenant hitting a permanent fault records a per-tenant stall at
   the exact cycle, with the exact pending set, of the solo engine's
   ``SimulationStalled`` — and a one-tenant fault storm under
@@ -22,10 +24,16 @@ pinned here as pickle-equality of :class:`CycleStats`:
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.core import build_plan
-from repro.simulator import FaultSchedule, SimulationStalled, make_engine
+from repro.simulator import (
+    EngineRun,
+    FaultSchedule,
+    SimulationStalled,
+    make_engine,
+)
 from repro.tenancy import (
     POLICIES,
     FabricSimulator,
@@ -117,14 +125,94 @@ def test_shared_links_never_complete_earlier(policy):
         assert outcome.local_cycles >= solo.cycles
 
 
+_Q5_MIX = tuple(
+    TenantJob(tenant=t, arrival=4 * t, m=18, tree_count=2) for t in range(3)
+)
+_STAGGERED_Q7_MIX = (
+    TenantJob(tenant=0, arrival=0, m=30, tree_count=3),
+    TenantJob(tenant=1, arrival=3, m=9, tree_count=2),
+    TenantJob(tenant=2, arrival=11, m=22, tree_count=4),
+    TenantJob(tenant=3, arrival=40, m=14, tree_count=1),
+)
+
+
 @pytest.mark.parametrize("policy", POLICIES)
 def test_fabric_engines_bit_identical(policy):
-    jobs = [TenantJob(tenant=t, arrival=4 * t, m=18, tree_count=2)
-            for t in range(3)]
-    fplan = place_jobs(5, jobs, mode="shared")
-    fast = FabricSimulator(fplan, 1, 2, policy=policy, engine="fast").run()
-    ref = FabricSimulator(fplan, 1, 2, policy=policy, engine="reference").run()
-    assert pickle.dumps(fast) == pickle.dumps(ref)
+    """Equal outcomes and equal trace rows, at capacity 1 and 2, on a q=5
+    mix and a q=7 mix with staggered arrivals."""
+    for q, jobs in ((5, _Q5_MIX), (7, _STAGGERED_Q7_MIX)):
+        fplan = place_jobs(q, list(jobs), mode="shared")
+        for capacity in (1, 2):
+            sims = [
+                FabricSimulator(
+                    fplan, capacity, 2, policy=policy, engine=engine,
+                    record_trace=True,
+                )
+                for engine in ("fast", "reference")
+            ]
+            fast, ref = (sim.run() for sim in sims)
+            assert pickle.dumps(fast) == pickle.dumps(ref), (q, capacity)
+            assert sims[0].trace == sims[1].trace, (q, capacity)
+
+
+# --------------------------------------------- the two-phase blocked= gate
+
+
+def _gate_engines(capacity, faults=None):
+    plan = build_plan(5, "low-depth")
+    return [
+        make_engine(
+            engine, plan.topology, plan.trees, plan.partition(30), capacity, 2,
+            faults=faults,
+        )
+        for engine in ("fast", "reference")
+    ]
+
+
+@pytest.mark.parametrize("capacity", [1, 2])
+def test_all_false_mask_is_the_ungated_step(capacity):
+    plain = [eng.run() for eng in _gate_engines(capacity)]
+    for eng, solo in zip(_gate_engines(capacity), plain):
+        run = EngineRun(eng)
+        none = np.zeros(len(eng.channels()), dtype=bool)
+        while not run.finished:
+            run.tick(eng.finish_cycle(eng.begin_cycle(), none))
+        assert pickle.dumps(run.stats()) == pickle.dumps(solo)
+
+
+@pytest.mark.parametrize("capacity", [1, 2])
+def test_engines_gate_a_mask_identically(capacity):
+    """Both engines, gated by the same channels each cycle, move the same
+    flits on every channel; a gated channel moves nothing."""
+    plan = build_plan(5, "low-depth")
+    edge = sorted(plan.trees[0].edges)[0]
+    faults = FaultSchedule([(edge, 5, 9)])
+    engines = _gate_engines(capacity, faults)
+    chs = sorted(engines[0].channels())
+    assert sorted(engines[1].channels()) == chs
+    rng = np.random.default_rng(7)
+    prev = dict.fromkeys(chs, 0)
+    for _ in range(400):
+        gated = {ch for ch in chs if rng.random() < 0.3}
+        moved, counts = [], []
+        for eng in engines:
+            mask = np.array([ch in gated for ch in eng.channels()])
+            moved.append(eng.finish_cycle(eng.begin_cycle(), mask))
+            counts.append(dict(zip(eng.channels(), eng.channel_flit_counts())))
+        assert moved[0] == moved[1]
+        assert counts[0] == counts[1]
+        assert all(counts[0][ch] == prev[ch] for ch in gated)
+        prev = counts[0]
+        if all(eng.done() for eng in engines):
+            break
+    assert all(eng.done() for eng in engines)
+    assert engines[0].delivered_floor() == engines[1].delivered_floor()
+
+
+def test_gate_rejects_a_mask_of_the_wrong_length():
+    for eng in _gate_engines(1):
+        with pytest.raises(ValueError, match="boolean mask"):
+            eng.finish_cycle(eng.begin_cycle(), np.zeros(3, dtype=bool))
 
 
 @pytest.mark.parametrize("engine", ["fast", "reference"])
