@@ -5,12 +5,17 @@ reference engine can sweep in reasonable time) on both cycle engines.
 Pass criteria: the engines agree exactly on the resulting
 :class:`CycleStats`, and the vectorized engine is >= 10x faster.
 
+A second case times the cold construction of the vectorized engines at
+paper-scale radix (q=23, 25, 29, low-depth), where building the index
+layout used to cost more than short runs themselves.
+
 Each case's reproduced numbers land in ``benchmark.extra_info`` (for the
 pytest-benchmark JSON) *and* are persisted to ``BENCH_fastcycle.json`` at
 the repo root so the perf trajectory is tracked across PRs.
 """
 
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -18,10 +23,22 @@ import pytest
 from conftest import record
 
 from repro.core import build_plan
-from repro.simulator import simulate_allreduce
+from repro.simulator import make_engine, simulate_allreduce
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_fastcycle.json"
 SPEEDUP_TARGET = 10.0
+
+BUILD_QS = (23, 25, 29)
+BUILD_ENGINES = ("fast", "leap", "batched")
+BUILD_REPEATS = 5
+LEAP_BUILD_GATE_MS = 100.0
+#: cold ``make_engine`` ms before the array-built layout (per-flow Python
+#: loops), first call - best of 5, measured on the same 2-core host
+PARENT_BUILD_MS = {
+    23: {"fast": "154-180", "leap": "169-209", "batched": "154"},
+    25: {"fast": "215-319", "leap": "166-266", "batched": "152"},
+    29: {"fast": "414-564", "leap": "362-381", "batched": "323-336"},
+}
 
 CASES = [
     # scheme, q, m, buffer_size
@@ -123,3 +140,44 @@ def test_fastcycle_scaling_headroom(benchmark):
     }
     record(benchmark, **payload)
     _persist(f"scaling-headroom-q7-m{m}", payload)
+
+
+def _cold_build_ms(q, engine):
+    """Median ms of ``make_engine`` over fresh plans (cold tree caches)."""
+    times = []
+    for _ in range(BUILD_REPEATS):
+        plan = build_plan(q, "low-depth")
+        parts = plan.partition(28000)
+        t0 = time.perf_counter()
+        make_engine(engine, plan.topology, plan.trees, parts)
+        times.append((time.perf_counter() - t0) * 1e3)
+    return round(statistics.median(times), 2)
+
+
+def test_engine_build_cold(benchmark):
+    """Cold engine construction at paper-scale radix: the index layout is
+    built with array operations, so the leap engine at q=29 (N=871, 29
+    trees, 50,460 flows) must build in at most 100 ms."""
+    cells = benchmark.pedantic(
+        lambda: {
+            q: {e: _cold_build_ms(q, e) for e in BUILD_ENGINES} for q in BUILD_QS
+        },
+        rounds=1,
+        iterations=1,
+    )
+    payload = {
+        "scheme": "low-depth",
+        "repeats": BUILD_REPEATS,
+        "leap_q29_gate_ms": LEAP_BUILD_GATE_MS,
+    }
+    for q, row in cells.items():
+        payload[f"q{q}"] = {
+            **{f"{e}_ms": ms for e, ms in row.items()},
+            "parent_ms": PARENT_BUILD_MS[q],
+        }
+    record(benchmark, **payload)
+    _persist("engine-build-low-depth", payload)
+    assert cells[29]["leap"] <= LEAP_BUILD_GATE_MS, (
+        f"cold leap build at q=29 took {cells[29]['leap']} ms "
+        f"(gate {LEAP_BUILD_GATE_MS} ms)"
+    )

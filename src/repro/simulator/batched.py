@@ -8,10 +8,10 @@ the full per-cycle Python/NumPy dispatch overhead B times; this engine
 stacks the lanes along a batch axis and advances *all* of them per cycle:
 
 - the fast engine's flat ``(4, T, n)`` state tensor grows a lane axis;
-  every per-flow gather/scatter reuses the fast engine's precomputed
-  flat indices (borrowed from a zero-flit template
-  :class:`FastCycleSimulator`, so flow order — and therefore the
-  round-robin visit sequence — is identical by construction).  The lane
+  every per-flow gather/scatter reads the same
+  :class:`~repro.simulator.engine_layout.EngineLayout` the serial
+  engines build, so flow order — and therefore the round-robin visit
+  sequence — is identical by construction.  The lane
   axis is stored **last** (``(4*T*n, B)``, flow-major), so those
   gathers/scatters move whole contiguous lane-rows instead of strided
   elements — the step is memory-bound and this is worth ~5x;
@@ -55,8 +55,8 @@ passing ``telemetry`` raises ``ValueError`` up front.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,9 +64,12 @@ from repro.simulator.cycle import (
     CycleLimitExceeded,
     CycleStats,
     SimulationStalled,
+    check_engine_args,
     default_max_cycles,
 )
-from repro.simulator.fastcycle import _AGG, _BCD, _INF, FastCycleSimulator
+from repro.simulator.engine_layout import AGG as _AGG
+from repro.simulator.engine_layout import BCD as _BCD
+from repro.simulator.engine_layout import EngineLayout
 from repro.simulator.faultsched import FaultSchedule
 from repro.topology.graph import Graph
 from repro.trees.tree import SpanningTree
@@ -74,6 +77,7 @@ from repro.trees.tree import SpanningTree
 __all__ = ["LaneSpec", "LaneOutcome", "BatchedCycleSimulator"]
 
 _BUF_INF = 1 << 30  # per-lane buffer sentinel: credit can never bind
+_INF = 1 << 30  # root pin: above every flit count the int32 headroom admits
 _NO_EVENT = 1 << 62  # per-lane fault sentinel: no schedule change ahead
 _BIG32 = np.int32(np.iinfo(np.int32).max)  # idle-slot arbitration key
 _M_MAX = 1 << 27  # int32 headroom guard on per-tree flit counts
@@ -95,9 +99,7 @@ class LaneSpec:
     faults: Optional[FaultSchedule] = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "flits_per_tree", tuple(int(x) for x in self.flits_per_tree)
-        )
+        object.__setattr__(self, "flits_per_tree", tuple(self.flits_per_tree))
 
 
 @dataclass(frozen=True)
@@ -178,59 +180,49 @@ class BatchedCycleSimulator:
                 raise ValueError("pass flits_per_tree (one lane) or lanes")
             lanes = [
                 LaneSpec(
-                    tuple(int(x) for x in flits_per_tree),
-                    link_capacity,
-                    buffer_size,
-                    faults if faults else None,
+                    flits_per_tree, link_capacity, buffer_size, faults or None
                 )
             ]
-        self.lanes: List[LaneSpec] = list(lanes)
-        if not self.lanes:
+        if not lanes:
             raise ValueError("a batched run needs at least one lane")
 
-        # the zero-flit template builds (and validates) every
-        # lane-independent index array exactly as the fast engine would:
-        # flow order, flat state indices, reduceat groups, channel slots
-        tmpl = FastCycleSimulator(g, trees, [0] * len(trees))
-        self._tmpl = tmpl
+        # one argument check per lane (the serial engines' own), then the
+        # batch's int32 headroom on top
+        self.lanes: List[LaneSpec] = []
+        for lane in lanes:
+            m, cap, buf = check_engine_args(
+                g, trees, lane.flits_per_tree, lane.link_capacity,
+                lane.buffer_size, lane.faults,
+            )
+            self.lanes.append(
+                replace(lane, flits_per_tree=m, link_capacity=cap, buffer_size=buf)
+            )
         self.g = g
         self.n = g.n
-        self.trees = tmpl.trees
-        T = tmpl._T
-        self._T = T
-        F = tmpl._F
-        self._F = F
-        C = tmpl._C
-        self._C = C
-        self.channel_flows = tmpl.channel_flows
+        self.trees = list(trees)
+        # the serial engines' index layout: flow order — and therefore the
+        # round-robin visit sequence — is identical by construction
+        lay = EngineLayout.build(self.n, self.trees)
+        self._lay = lay
+        T = self._T = lay.num_trees
+        F = self._F = lay.num_flows
+        C = self._C = lay.num_channels
 
         B = len(self.lanes)
         self._B = B
-        k_max = int(tmpl._ch_k.max()) if C else 1
+        k_max = int(lay.ch_k.max()) if C else 1
         self._K = k_max
         m_cap = min(_M_MAX, (1 << 30) // k_max)
         for lane in self.lanes:
-            if len(lane.flits_per_tree) != T:
-                raise ValueError("flits_per_tree must align with trees")
-            if any(x < 0 for x in lane.flits_per_tree):
-                raise ValueError("flit counts must be non-negative")
             if any(x >= m_cap for x in lane.flits_per_tree):
                 raise ValueError(
                     f"batched engine int32 headroom: per-tree flit counts "
                     f"must stay below {m_cap}; use a serial engine for "
                     f"larger messages"
                 )
-            if lane.link_capacity < 1:
-                raise ValueError("link capacity must be >= 1 flit/cycle")
             if lane.link_capacity >= (1 << 15):
                 raise ValueError("batched engine int32 headroom: link "
                                  "capacity must stay below 2**15")
-            if lane.buffer_size is not None and lane.buffer_size < 1:
-                raise ValueError(
-                    "buffer size must be >= 1 slot (or None for infinite)"
-                )
-            if lane.faults is not None:
-                lane.faults.validate_against(g)
         if F * (2 * k_max + 1) >= (1 << 31):  # pragma: no cover - giant graphs
             raise ValueError(
                 "batched engine int32 headroom: too many flows for packed "
@@ -250,16 +242,17 @@ class BatchedCycleSimulator:
         # (pointer ahead: the slot wraps).  min(packed) picks the fast
         # engine's winner because slot + k*(slot < rr) is the cyclic
         # offset plus the per-channel constant rr — order-preserving.
-        self._gr_slot32 = tmpl._gr_slot.astype(np.int32)
-        self._packed_lo = (tmpl._gr_slot * F + tmpl._gr_fid).astype(np.int32)
+        self._gr_slot32 = lay.gr_slot.astype(np.int32)
+        self._packed_lo = (lay.gr_slot * F + lay.gr_fid).astype(np.int32)
         self._packed_hi = (
-            self._packed_lo + (tmpl._ch_k[tmpl._gr_ch] * F).astype(np.int32)
+            self._packed_lo + (lay.ch_k[lay.gr_ch] * F).astype(np.int32)
         )
         self._F32 = np.int32(F)
-        self._ch_k_col = tmpl._ch_k.astype(np.int32).reshape(C, 1)
+        self._ch_k_col = lay.ch_k.astype(np.int32).reshape(C, 1)
         # padded (C*K) scatter targets: row c*K + slot holds that slot's
         # packed key; rows with no flow keep _BIG32 forever
-        self._pad_rows = (tmpl._gr_ch * k_max + tmpl._gr_slot).astype(np.int64)
+        self._pad_rows = lay.gr_ch * k_max + lay.gr_slot
+        self._pos = np.arange(k_max, dtype=np.int64).reshape(1, -1, 1)
         self._pad = np.full((C * k_max, B), _BIG32, dtype=np.int32)
 
         # row -> original lane index (compaction permutes live lanes down)
@@ -289,7 +282,7 @@ class BatchedCycleSimulator:
         self._flat2 = self._state.reshape(-1, B)
         if T:
             self._state[_AGG] = self._m_arr[:, None, :]
-            self._state[_BCD, np.arange(T), tmpl._roots, :] = _INF
+            self._state[_BCD, np.arange(T), lay.roots, :] = _INF
         self._sent = np.zeros((F, B), dtype=np.int32)
         self._pending = np.zeros((F, B), dtype=np.int32)
         self._rr = np.zeros((C, B), dtype=np.int32)
@@ -305,31 +298,20 @@ class BatchedCycleSimulator:
         self._next_change = np.full(B, _NO_EVENT, dtype=np.int64)
         if self._have_faults:
             self._dead_mask = np.zeros((F, B), dtype=bool)
-            self._edge_flows: Dict[Tuple[int, int], np.ndarray] = {}
-            edges = np.asarray(
-                [e for e in tmpl._flow_edges], dtype=np.int64
-            ).reshape(F, 2) if F else np.zeros((0, 2), dtype=np.int64)
             for b, sched in enumerate(self._lane_faults):
-                if sched is None:
-                    continue
-                cycles = sched.event_cycles()
-                self._next_change[b] = cycles[0] if cycles else _NO_EVENT
-                for e in sched.edges():
-                    if e not in self._edge_flows:
-                        self._edge_flows[e] = np.nonzero(
-                            (edges[:, 0] == e[0]) & (edges[:, 1] == e[1])
-                        )[0]
+                if sched is not None:
+                    cycles = sched.event_cycles()
+                    self._next_change[b] = cycles[0] if cycles else _NO_EVENT
 
         self._refresh_agg()
 
     # ------------------------------------------------------------ frontiers
 
     def _refresh_agg(self) -> None:
-        if len(self._tmpl._grp_off):
-            self._flat2[self._tmpl._grp_agg_idx] = np.minimum.reduceat(
-                self._flat2[self._tmpl._child_up_idx],
-                self._tmpl._grp_off,
-                axis=0,
+        lay = self._lay
+        if len(lay.grp_off):
+            self._flat2[lay.grp_agg_idx] = np.minimum.reduceat(
+                self._flat2[lay.child_up_idx], lay.grp_off, axis=0
             )
 
     def _done_mask_batch(self) -> np.ndarray:
@@ -337,7 +319,7 @@ class BatchedCycleSimulator:
         only), exactly the fast engine's row check per lane."""
         if not self._T:
             return np.ones((0, self._B), dtype=bool)
-        agg_root = self._flat2[self._tmpl._agg_root_idx]
+        agg_root = self._flat2[self._lay.agg_root_idx]
         bc_floor = self._state[_BCD].min(axis=1)
         return (agg_root >= self._m_arr) & (bc_floor >= self._m_arr)
 
@@ -349,10 +331,9 @@ class BatchedCycleSimulator:
         due = np.nonzero(self._next_change <= self.cycle)[0]
         for b in due:
             sched = self._lane_faults[b]
-            dead = sched.down_edges_at(self.cycle)
-            self._dead_mask[:, b] = False
-            for e in dead:
-                self._dead_mask[self._edge_flows[e], b] = True
+            self._dead_mask[:, b] = self._lay.flows_on(
+                sched.down_edges_at(self.cycle)
+            )
             nxt = sched.next_event_after(self.cycle)
             self._next_change[b] = _NO_EVENT if nxt is None else nxt
 
@@ -366,21 +347,22 @@ class BatchedCycleSimulator:
         # _land_idx is unique per flow, so the fancy += never collides
         if self._F == 0:
             return 0
-        self._flat2[self._tmpl._land_idx] += self._pending
+        lay = self._lay
+        self._flat2[lay.land_idx] += self._pending
         self._pending[:] = 0
         self._refresh_agg()
 
         # 2. per-flow budgets from the start-of-cycle snapshot
-        avail = self._flat2[self._tmpl._avail_idx] - self._sent
+        avail = self._flat2[lay.avail_idx] - self._sent
         if self._any_buffered:
             snap = self._sent.copy()
-            self._flat2[self._tmpl._grp_bcm_idx] = np.minimum.reduceat(
-                snap[self._tmpl._child_bcfid], self._tmpl._grp_off, axis=0
+            self._flat2[lay.grp_bcm_idx] = np.minimum.reduceat(
+                snap[lay.child_bcfid], lay.grp_off, axis=0
             )
             cons = np.where(
-                self._tmpl._cons_from_sent[:, None],
-                snap[self._tmpl._cons_sent_fid],
-                self._flat2[self._tmpl._cons_state_idx],
+                lay.cons_from_sent[:, None],
+                snap[lay.cons_sent_fid],
+                self._flat2[lay.cons_state_idx],
             )
             credit = self._buf[None, :] - (snap - cons)
             budget = np.minimum(avail, credit)
@@ -404,13 +386,13 @@ class BatchedCycleSimulator:
         """All-lanes-capacity-1 round robin: per (lane, channel), grant
         the backlogged flow with the smallest cyclic pointer offset —
         computed as a padded-axis min over unwrapped packed keys."""
-        t = self._tmpl
+        lay = self._lay
         B = self._B
         F32 = self._F32
-        rr_g = self._rr[t._gr_ch]  # (G, B)
+        rr_g = self._rr[lay.gr_ch]  # (G, B)
         wrapped = self._gr_slot32[:, None] < rr_g
         packed = np.where(
-            budget[t._gr_fid] > 0,
+            budget[lay.gr_fid] > 0,
             np.where(wrapped, self._packed_hi[:, None], self._packed_lo[:, None]),
             _BIG32,
         )
@@ -436,8 +418,8 @@ class BatchedCycleSimulator:
     def _arbitrate_general(self, budget: np.ndarray) -> None:
         """Per-lane-capacity water filling: T complete round-robin passes
         plus R extras by cyclic rank, batched over lanes (lane axis last)."""
-        t = self._tmpl
-        Bm = np.where(t._ch_valid[:, :, None], budget[t._ch_fid], 0)
+        lay = self._lay
+        Bm = np.where(lay.ch_valid[:, :, None], budget[lay.ch_fid], 0)
         Bm = Bm.astype(np.int64)
         np.maximum(Bm, 0, out=Bm)
         tot = Bm.sum(axis=1)  # (C, B)
@@ -455,9 +437,9 @@ class BatchedCycleSimulator:
 
         grants = np.minimum(Bm, T_arr[:, None, :])
         jpos = (
-            t._pos.reshape(1, -1, 1) - self._rr[:, None, :]
-        ) % t._ch_k[:, None, None]
-        want_extra = (Bm > T_arr[:, None, :]) & t._ch_valid[:, :, None]
+            self._pos - self._rr[:, None, :]
+        ) % lay.ch_k[:, None, None]
+        want_extra = (Bm > T_arr[:, None, :]) & lay.ch_valid[:, :, None]
         if want_extra.any():
             # rank of each candidate among candidates, in cyclic order
             rank = (
@@ -475,21 +457,21 @@ class BatchedCycleSimulator:
         last_pass = grants.max(axis=1, initial=0)
         j_pass = np.where(
             (Bm >= last_pass[:, None, :])
-            & t._ch_valid[:, :, None]
+            & lay.ch_valid[:, :, None]
             & (last_pass[:, None, :] > 0),
             jpos,
             -1,
         ).max(axis=1, initial=-1)
         j_last = np.where(has_extra, j_extra, j_pass)
         self._rr = np.where(
-            S > 0, (self._rr + j_last + 1) % t._ch_k[:, None], self._rr
+            S > 0, (self._rr + j_last + 1) % lay.ch_k[:, None], self._rr
         ).astype(np.int32)
 
         self._last_moved = S.sum(axis=0)
         if self._last_moved.any():
-            flat = grants[t._ch_valid]  # (F, B) in _flat_fids order
-            self._pending[t._flat_fids] = flat
-            self._sent[t._flat_fids] += flat.astype(np.int32)
+            flat = grants[lay.ch_valid]  # (F, B) in gr_fid order
+            self._pending[lay.gr_fid] = flat
+            self._sent[lay.gr_fid] += flat.astype(np.int32)
             self._ch_cum += grants.sum(axis=1).astype(np.int32)
             self._flits_moved += self._last_moved
 
@@ -650,7 +632,7 @@ class BatchedCycleSimulator:
         return bool(self._done_mask().all())
 
     def channels(self) -> List[Tuple[int, int]]:
-        return list(self._tmpl._chs)
+        return self._lay.channels()
 
     def channel_flit_counts(self) -> List[int]:
         return [int(x) for x in self._ch_cum[:, 0]]
@@ -667,25 +649,25 @@ class BatchedCycleSimulator:
     def reduced_at_root(self) -> List[int]:
         if not self._T:
             return []
-        agg = self._flat2[self._tmpl._agg_root_idx, 0]
+        agg = self._flat2[self._lay.agg_root_idx, 0]
         return [int(min(a, mi)) for a, mi in zip(agg, self._m_arr[:, 0])]
 
     def _consumed_now(self) -> np.ndarray:
         """Lane-0 per-flow consumed counters against the current state
         (reference ``_consumed_now`` semantics, fast-engine layout)."""
-        t = self._tmpl
+        lay = self._lay
         sent = np.ascontiguousarray(self._sent[:, 0])
-        if len(t._grp_off):
-            bcm = np.minimum.reduceat(sent[t._child_bcfid], t._grp_off)
+        if len(lay.grp_off):
+            bcm = np.minimum.reduceat(sent[lay.child_bcfid], lay.grp_off)
         else:
             bcm = np.zeros(0, dtype=np.int32)
         return np.where(
-            t._cons_from_sent,
-            sent[t._cons_sent_fid],
+            lay.cons_from_sent,
+            sent[lay.cons_sent_fid],
             np.where(
-                t._cons_grp >= 0,
-                bcm[np.maximum(t._cons_grp, 0)] if bcm.size else np.int32(0),
-                self._flat2[t._cons_state_idx, 0],
+                lay.cons_grp >= 0,
+                bcm[np.maximum(lay.cons_grp, 0)] if bcm.size else np.int32(0),
+                self._flat2[lay.cons_state_idx, 0],
             ),
         )
 
@@ -694,15 +676,16 @@ class BatchedCycleSimulator:
             return [0] * self.n
         outstanding = self._sent[:, 0] - self._consumed_now()
         out = np.zeros(self.n, dtype=np.int64)
-        np.add.at(out, self._tmpl._flow_dst, outstanding)
+        np.add.at(out, self._lay.flow_dst, outstanding)
         return [int(x) for x in out]
 
     def phase_flit_totals(self) -> Tuple[List[int], List[int]]:
         red = np.zeros(self._T, dtype=np.int64)
         bc = np.zeros(self._T, dtype=np.int64)
         if self._F:
-            up = self._tmpl._flow_is_reduce
+            up = self._lay.flow_is_reduce
+            tree = self._lay.flow_tree
             sent = self._sent[:, 0]
-            np.add.at(red, self._tmpl._flow_tree[up], sent[up])
-            np.add.at(bc, self._tmpl._flow_tree[~up], sent[~up])
+            np.add.at(red, tree[up], sent[up])
+            np.add.at(bc, tree[~up], sent[~up])
         return [int(x) for x in red], [int(x) for x in bc]

@@ -46,6 +46,7 @@ counters and per-channel round-robin pointers.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -62,6 +63,7 @@ __all__ = [
     "CycleLimitExceeded",
     "EngineRun",
     "SimulationStalled",
+    "check_engine_args",
     "simulate_allreduce",
     "default_max_cycles",
 ]
@@ -207,6 +209,61 @@ class CycleStats:
         )
 
 
+_INT64_MAX = (1 << 63) - 1
+
+
+def _whole(name: str, x) -> int:
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer; got {x!r}") from None
+
+
+def check_engine_args(
+    g: Graph,
+    trees: Sequence[SpanningTree],
+    flits_per_tree: Sequence[int],
+    link_capacity: int,
+    buffer_size: Optional[int],
+    faults: Optional[FaultSchedule],
+) -> Tuple[List[int], int, Optional[int]]:
+    """The argument check every cycle engine runs before building state.
+
+    Flit counts, link capacity and buffer size must be integers
+    (``operator.index``: NumPy integers pass, floats and strings raise a
+    named ``TypeError``); trees must be spanning trees of ``g`` and the
+    fault schedule must name links of ``g``.  Every flit of tree ``i``
+    crosses its ``2(N-1)`` directed flows, so the engines' int64 flit
+    counters hold ``2(N-1) * sum(m_i)``; a split that would overflow them
+    raises a ``ValueError`` naming the limit.  Returns the normalized
+    ``(flits_per_tree, link_capacity, buffer_size)``.
+    """
+    if len(trees) != len(flits_per_tree):
+        raise ValueError("flits_per_tree must align with trees")
+    m = [_whole(f"flits_per_tree[{i}]", x) for i, x in enumerate(flits_per_tree)]
+    link_capacity = _whole("link_capacity", link_capacity)
+    if link_capacity < 1:
+        raise ValueError("link capacity must be >= 1 flit/cycle")
+    if buffer_size is not None:
+        buffer_size = _whole("buffer_size", buffer_size)
+        if buffer_size < 1:
+            raise ValueError("buffer size must be >= 1 slot (or None for infinite)")
+    for t in trees:
+        t.validate(g)
+    if faults is not None:
+        faults.validate_against(g)
+    if any(x < 0 for x in m):
+        raise ValueError("flit counts must be non-negative")
+    hops = 2 * (g.n - 1)
+    if hops and sum(m) > _INT64_MAX // hops:
+        raise ValueError(
+            f"int64 headroom: per-tree flit counts must sum to at most "
+            f"{_INT64_MAX // hops} on a {g.n}-node topology (each flit "
+            f"crosses 2(N-1) = {hops} channels); got {sum(m)}"
+        )
+    return m, link_capacity, buffer_size
+
+
 class EngineRun:
     """One run of a cycle engine: the contract every engine, the tracer
     and the multi-tenant fabric share.
@@ -338,23 +395,11 @@ class CycleSimulator:
         faults: Optional[FaultSchedule] = None,
         telemetry=None,
     ):
-        if len(trees) != len(flits_per_tree):
-            raise ValueError("flits_per_tree must align with trees")
-        if link_capacity < 1:
-            raise ValueError("link capacity must be >= 1 flit/cycle")
-        if buffer_size is not None and buffer_size < 1:
-            raise ValueError("buffer size must be >= 1 slot (or None for infinite)")
-        for t in trees:
-            t.validate(g)
-        if faults is not None:
-            faults.validate_against(g)
+        self.m, self.capacity, self.buffer_size = check_engine_args(
+            g, trees, flits_per_tree, link_capacity, buffer_size, faults
+        )
         self.g = g
         self.trees = list(trees)
-        self.m = [int(x) for x in flits_per_tree]
-        if any(x < 0 for x in self.m):
-            raise ValueError("flit counts must be non-negative")
-        self.capacity = link_capacity
-        self.buffer_size = buffer_size
         self.faults = faults if faults else None
         self.telemetry = telemetry
         self.cycle = 0  # cycles stepped so far (the c-th step is cycle c)

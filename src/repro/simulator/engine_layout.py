@@ -1,0 +1,271 @@
+"""Index layout of the vectorized cycle engines, built with array operations.
+
+The fast, leap and batched engines step one flat ``(4, T, n)`` state
+tensor (planes :data:`AGG`, :data:`BCD`, :data:`BCM`, :data:`UPD`) through
+precomputed flat indices.
+:class:`EngineLayout` holds every one of those index maps for one
+``(graph, trees)`` embedding; :meth:`EngineLayout.build` derives them from
+the trees' parent arrays with sorts, scatters and gathers — no per-flow
+Python loop.
+
+**Flow-order contract.**  Flows are numbered tree-major, and within a
+tree in the insertion order of its ``parent`` dict: the ``e``-th
+``(child, parent)`` pair of the embedding is reduce flow ``2e``
+(child -> parent) followed by broadcast flow ``2e + 1`` (parent ->
+child).  This is the order :class:`~repro.simulator.cycle.CycleSimulator`
+creates its flows in, and it fixes everything the round robin observes:
+
+- channels are numbered in order of first appearance along the flow ids,
+  so :meth:`EngineLayout.channels` equals the reference's
+  ``channel_flows`` key order;
+- a channel's flows occupy its arbitration slots in ascending flow id,
+  so slot ``j`` of a channel is the reference's ``channel_flows[ch][j]``
+  and the rotating pointer visits flows in the same sequence.
+
+``tests/test_engine_layout.py`` pins both against the reference engine on
+shuffled parent dicts and repeated trees.
+
+The streaming-aggregation groups are the internal ``(tree, node)`` pairs,
+tree-major and node-ascending, each listing its children in ascending
+order (the order of :meth:`SpanningTree.children`); one
+``np.minimum.reduceat`` over ``child_up_idx`` at ``grp_off`` computes every
+aggregation frontier.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import AbstractSet, List, Sequence, Tuple
+
+import numpy as np
+
+from repro.trees.tree import SpanningTree
+
+__all__ = ["EngineLayout"]
+
+# planes of the flat state tensor (each of shape (num_trees, n))
+AGG = 0  # flits fully aggregated at a node (leaves pinned at m_i)
+BCD = 1  # broadcast flits fully arrived at a node (roots pinned at _INF)
+BCM = 2  # min over a node's outgoing broadcast 'sent' counters
+UPD = 3  # flits from a node fully arrived at its parent
+
+
+@dataclass(frozen=True, eq=False)
+class EngineLayout:
+    """Every index map the vectorized engines read, for one embedding.
+
+    Flat indices address the ``(4, T, n)`` state tensor as
+    ``plane * T * n + tree * n + node``.  All arrays are int64 (bool for
+    masks) and treated as read-only by the engines.
+    """
+
+    n: int
+    #: per-tree roots, shape (T,)
+    roots: np.ndarray
+    # ---- flows, in the contract's fid order, shape (F,)
+    flow_tree: np.ndarray
+    flow_src: np.ndarray
+    flow_dst: np.ndarray
+    flow_is_reduce: np.ndarray
+    #: undirected link of each flow as ``lo * n + hi``
+    flow_edge_key: np.ndarray
+    #: where the flow's next flit becomes available at its source
+    avail_idx: np.ndarray
+    #: where a landed flit of the flow is recorded
+    land_idx: np.ndarray
+    # ---- credit consumption: the receiver's consumed counter is
+    # sent[cons_sent_fid] where cons_from_sent, else flat[cons_state_idx]
+    cons_state_idx: np.ndarray
+    cons_from_sent: np.ndarray
+    cons_sent_fid: np.ndarray
+    #: aggregation group whose broadcast-min is the consumed counter (-1: none)
+    cons_grp: np.ndarray
+    #: aggregation group whose min is the flow's availability (-1: none)
+    avail_grp: np.ndarray
+    # ---- streaming-aggregation groups, shape (G,) / (G,) / (G,)
+    grp_agg_idx: np.ndarray
+    grp_bcm_idx: np.ndarray
+    grp_off: np.ndarray
+    # ... and their children, concatenated in group order
+    child_up_idx: np.ndarray
+    child_bcfid: np.ndarray
+    #: aggregation frontier of each tree's root, shape (T,)
+    agg_root_idx: np.ndarray
+    # ---- channels, in order of first appearance, shape (C,)
+    ch_src: np.ndarray
+    ch_dst: np.ndarray
+    #: flows per channel
+    ch_k: np.ndarray
+    #: channel of each flow, shape (F,)
+    flow_ch: np.ndarray
+    # ---- flows grouped by channel, slots in fid order, shape (F,)
+    gr_fid: np.ndarray
+    gr_slot: np.ndarray
+    gr_ch: np.ndarray
+    # ---- padded (C, K) channel x slot matrix of flow ids
+    ch_fid: np.ndarray
+    ch_valid: np.ndarray
+
+    @property
+    def num_trees(self) -> int:
+        return len(self.roots)
+
+    @property
+    def num_flows(self) -> int:
+        return len(self.flow_tree)
+
+    @property
+    def num_channels(self) -> int:
+        return len(self.ch_k)
+
+    def channels(self) -> List[Tuple[int, int]]:
+        """Directed channels ``(src, dst)`` in index order."""
+        return list(zip(self.ch_src.tolist(), self.ch_dst.tolist()))
+
+    def flows_on(self, edges: AbstractSet[Tuple[int, int]]) -> np.ndarray:
+        """Boolean flow mask: which flows cross one of the canonical
+        undirected ``edges`` (in either direction).
+
+        One key comparison per edge — the loop ``np.isin`` itself runs for
+        key sets this small, without its per-call overhead; a fault
+        segment downs a handful of links, and the batched engine rebuilds
+        one lane's mask per schedule event."""
+        mask = np.zeros(len(self.flow_edge_key), dtype=bool)
+        for lo, hi in edges:
+            mask |= self.flow_edge_key == lo * self.n + hi
+        return mask
+
+    @classmethod
+    def build(cls, n: int, trees: Sequence[SpanningTree]) -> "EngineLayout":
+        """Derive the layout of ``trees`` embedded in an ``n``-node graph."""
+        T = len(trees)
+        plane = T * n
+        roots = np.asarray([t.root for t in trees], dtype=np.int64)
+        counts = [len(t.parent) for t in trees]
+        E = sum(counts)
+        # one (child, parent) pair per tree edge, tree-major, parent-dict order
+        child = np.empty(E, dtype=np.int64)
+        par = np.empty(E, dtype=np.int64)
+        at = 0
+        for t, k in zip(trees, counts):
+            child[at : at + k] = np.fromiter(t.parent.keys(), np.int64, count=k)
+            par[at : at + k] = np.fromiter(t.parent.values(), np.int64, count=k)
+            at += k
+        etree = np.repeat(np.arange(T, dtype=np.int64), counts)
+
+        # ---- flows: 2e reduces child -> parent, 2e+1 broadcasts back
+        F = 2 * E
+        flow_tree = np.repeat(etree, 2)
+        flow_src = np.empty(F, dtype=np.int64)
+        flow_dst = np.empty(F, dtype=np.int64)
+        flow_src[0::2] = flow_dst[1::2] = child
+        flow_src[1::2] = flow_dst[0::2] = par
+        flow_is_reduce = np.zeros(F, dtype=bool)
+        flow_is_reduce[0::2] = True
+        flow_edge_key = np.minimum(flow_src, flow_dst) * n + np.maximum(
+            flow_src, flow_dst
+        )
+
+        def fidx(p, ti, v) -> np.ndarray:
+            return p * plane + ti * n + v
+
+        # availability of a flow's next flit at its source:
+        #   reduce flow         -> aggregation frontier at src
+        #   broadcast from root -> aggregation frontier at the root
+        #   broadcast interior  -> broadcast-delivered frontier at src
+        src_is_agg = flow_is_reduce | (flow_src == roots[flow_tree])
+        avail_idx = fidx(np.where(src_is_agg, AGG, BCD), flow_tree, flow_src)
+        # a landed flit is recorded as up-delivered at src (reduce) or
+        # broadcast-delivered at dst (broadcast)
+        land_idx = np.where(
+            flow_is_reduce,
+            fidx(UPD, flow_tree, flow_src),
+            fidx(BCD, flow_tree, flow_dst),
+        )
+
+        # ---- aggregation groups: edges sorted by (tree, parent, child);
+        # each run of one (tree, parent) is a group
+        order = np.lexsort((child, par, etree))
+        s_tree, s_par = etree[order], par[order]
+        first = np.ones(E, dtype=bool)
+        first[1:] = (s_tree[1:] != s_tree[:-1]) | (s_par[1:] != s_par[:-1])
+        grp_off = np.flatnonzero(first)
+        g_tree, g_node = s_tree[first], s_par[first]
+        grp_agg_idx = fidx(AGG, g_tree, g_node)
+        child_up_idx = fidx(UPD, s_tree, child[order])
+        child_bcfid = 2 * order + 1
+        # per-(tree, node) maps: group id (-1 for leaves), reduce fid
+        grp_of = np.full((T, n), -1, dtype=np.int64)
+        grp_of[g_tree, g_node] = np.arange(len(grp_off), dtype=np.int64)
+        up_fid = np.zeros((T, n), dtype=np.int64)
+        up_fid[etree, child] = np.arange(0, F, 2, dtype=np.int64)
+
+        # ---- consumption counter per flow (credit bookkeeping):
+        #   reduce into the root    -> min over the root's broadcast 'sent'
+        #   reduce into an interior -> that node's own up-flow 'sent'
+        #   broadcast into a leaf   -> broadcast-delivered at the leaf
+        #   broadcast into interior -> min over its broadcast 'sent'
+        dst_grp = grp_of[flow_tree, flow_dst]
+        cons_from_sent = flow_is_reduce & (flow_dst != roots[flow_tree])
+        cons_sent_fid = np.where(cons_from_sent, up_fid[flow_tree, flow_dst], 0)
+        cons_state_idx = np.where(
+            cons_from_sent,
+            0,
+            fidx(np.where(dst_grp >= 0, BCM, BCD), flow_tree, flow_dst),
+        )
+        cons_grp = np.where(cons_from_sent, -1, dst_grp)
+        avail_grp = np.where(src_is_agg, grp_of[flow_tree, flow_src], -1)
+
+        # ---- channels ranked by first appearance along the fids; slots
+        # by a stable sort, so each channel lists its flows in fid order
+        ch_key = flow_src * n + flow_dst
+        uniq, first_fid, inverse = np.unique(
+            ch_key, return_index=True, return_inverse=True
+        )
+        rank = np.argsort(first_fid)
+        C = len(uniq)
+        ch_of_uniq = np.empty(C, dtype=np.int64)
+        ch_of_uniq[rank] = np.arange(C, dtype=np.int64)
+        flow_ch = ch_of_uniq[inverse.reshape(-1)]
+        ch_key = uniq[rank]
+        ch_k = np.bincount(flow_ch, minlength=C).astype(np.int64)
+        gr_fid = np.argsort(flow_ch, kind="stable").astype(np.int64)
+        gr_ch = flow_ch[gr_fid]
+        gr_slot = np.arange(F, dtype=np.int64) - (np.cumsum(ch_k) - ch_k)[gr_ch]
+        K = int(ch_k.max()) if C else 1
+        ch_fid = np.zeros((C, K), dtype=np.int64)
+        ch_valid = np.zeros((C, K), dtype=bool)
+        ch_fid[gr_ch, gr_slot] = gr_fid
+        ch_valid[gr_ch, gr_slot] = True
+
+        return cls(
+            n=n,
+            roots=roots,
+            flow_tree=flow_tree,
+            flow_src=flow_src,
+            flow_dst=flow_dst,
+            flow_is_reduce=flow_is_reduce,
+            flow_edge_key=flow_edge_key,
+            avail_idx=avail_idx,
+            land_idx=land_idx,
+            cons_state_idx=cons_state_idx,
+            cons_from_sent=cons_from_sent,
+            cons_sent_fid=cons_sent_fid,
+            cons_grp=cons_grp,
+            avail_grp=avail_grp,
+            grp_agg_idx=grp_agg_idx,
+            grp_bcm_idx=grp_agg_idx + (BCM - AGG) * plane,
+            grp_off=grp_off,
+            child_up_idx=child_up_idx,
+            child_bcfid=child_bcfid,
+            agg_root_idx=fidx(AGG, np.arange(T, dtype=np.int64), roots),
+            ch_src=ch_key // n,
+            ch_dst=ch_key % n,
+            ch_k=ch_k,
+            flow_ch=flow_ch,
+            gr_fid=gr_fid,
+            gr_slot=gr_slot,
+            gr_ch=gr_ch,
+            ch_fid=ch_fid,
+            ch_valid=ch_valid,
+        )

@@ -7,8 +7,9 @@ cycle with array operations and produces bit-identical results:
 - per-(tree, phase) flit frontiers (delivered reduction / broadcast
   counters, the streaming-aggregation frontier, and the consumption
   counters that back credits) live in one flat integer state tensor that
-  every per-cycle gather/scatter addresses through precomputed flat
-  indices;
+  every per-cycle gather/scatter addresses through the flat indices of an
+  :class:`~repro.simulator.engine_layout.EngineLayout` (whose docstring
+  states the flow-order contract the round robin depends on);
 - streaming aggregation is a single ``np.minimum.reduceat`` over the
   concatenated children lists; credit counters are per-flow vectors
   computed from the same start-of-cycle snapshot the reference uses, so
@@ -38,26 +39,23 @@ solo, under telemetry, or gated by the multi-tenant fabric.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.simulator.cycle import CycleStats, EngineRun, gate_mask
+from repro.simulator.cycle import CycleStats, EngineRun, check_engine_args, gate_mask
+from repro.simulator.engine_layout import AGG as _AGG
+from repro.simulator.engine_layout import BCD as _BCD
+from repro.simulator.engine_layout import EngineLayout
 from repro.simulator.faultsched import FaultSchedule
-from repro.topology.graph import Graph, canonical_edge
+from repro.topology.graph import Graph
 from repro.trees.tree import SpanningTree
 
 __all__ = ["FastCycleSimulator"]
 
-_INF = 1 << 30
+_INF = 1 << 62  # root pin: above any flit count the int64 headroom check admits
 _BIG = 1 << 62  # padded-slot sentinel (empty arbitration slots)
 _DEAD = 1 << 40  # ineligible-flow key offset (still < _BIG, > any real key)
-
-# planes of the flat state tensor (each of shape (num_trees, n))
-_AGG = 0  # flits fully aggregated at a node (leaves pinned at m_i)
-_BCD = 1  # broadcast flits fully arrived at a node (roots pinned at _INF)
-_BCM = 2  # min over a node's outgoing broadcast 'sent' counters
-_UPD = 3  # flits from a node fully arrived at its parent
 
 
 class FastCycleSimulator:
@@ -85,210 +83,52 @@ class FastCycleSimulator:
         faults: Optional[FaultSchedule] = None,
         telemetry=None,
     ):
-        if len(trees) != len(flits_per_tree):
-            raise ValueError("flits_per_tree must align with trees")
-        if link_capacity < 1:
-            raise ValueError("link capacity must be >= 1 flit/cycle")
-        if buffer_size is not None and buffer_size < 1:
-            raise ValueError("buffer size must be >= 1 slot (or None for infinite)")
-        for t in trees:
-            t.validate(g)
-        if faults is not None:
-            faults.validate_against(g)
+        self.m, self.capacity, self.buffer_size = check_engine_args(
+            g, trees, flits_per_tree, link_capacity, buffer_size, faults
+        )
         self.g = g
         self.trees = list(trees)
-        self.m = [int(x) for x in flits_per_tree]
-        if any(x < 0 for x in self.m):
-            raise ValueError("flit counts must be non-negative")
-        self.capacity = link_capacity
-        self.buffer_size = buffer_size
         self.faults = faults if faults else None
         self.telemetry = telemetry
         self.cycle = 0  # cycles stepped so far (the c-th step is cycle c)
 
         n = g.n
         self.n = n
-        T = len(self.trees)
-        self._T = T
+        lay = EngineLayout.build(n, self.trees)
+        self._lay = lay
+        T = self._T = lay.num_trees
+        F = self._F = lay.num_flows
+        C = self._C = lay.num_channels
         self._m_arr = np.asarray(self.m, dtype=np.int64).reshape(T)
-
-        # ---- flows, in the exact fid order of the reference simulator
-        # (the order fixes the round-robin visit sequence per channel)
-        f_tree: List[int] = []
-        f_src: List[int] = []
-        f_dst: List[int] = []
-        f_is_reduce: List[bool] = []
-        channel_flows: Dict[Tuple[int, int], List[int]] = {}
-        up_fid_of: Dict[Tuple[int, int], int] = {}  # (tree, child) -> reduce fid
-        bc_fid_of: Dict[Tuple[int, int], int] = {}  # (tree, child) -> broadcast fid
-        for ti, t in enumerate(self.trees):
-            for v, p in t.parent.items():
-                fid = len(f_tree)
-                f_tree.append(ti); f_src.append(v); f_dst.append(p); f_is_reduce.append(True)
-                channel_flows.setdefault((v, p), []).append(fid)
-                up_fid_of[(ti, v)] = fid
-                fid = len(f_tree)
-                f_tree.append(ti); f_src.append(p); f_dst.append(v); f_is_reduce.append(False)
-                channel_flows.setdefault((p, v), []).append(fid)
-                bc_fid_of[(ti, v)] = fid
-        self.channel_flows = channel_flows
-        F = len(f_tree)
-        self._F = F
-        tree_arr = np.asarray(f_tree, dtype=np.int64).reshape(F)
-        src_arr = np.asarray(f_src, dtype=np.int64).reshape(F)
-        dst_arr = np.asarray(f_dst, dtype=np.int64).reshape(F)
-        is_reduce = np.asarray(f_is_reduce, dtype=bool).reshape(F)
-        roots = np.asarray([t.root for t in self.trees], dtype=np.int64)
-        self._roots = roots
-        # per-flow metadata kept for telemetry (queue/phase aggregation)
-        self._flow_tree = tree_arr
-        self._flow_dst = dst_arr
-        self._flow_is_reduce = is_reduce
-
         self.sent = np.zeros(F, dtype=np.int64)
 
-        # ---- flat state tensor and per-flow flat indices
+        # ---- flat state tensor, addressed through the layout's indices
         self._state = np.zeros((4, T, n), dtype=np.int64)
         self._flat = self._state.reshape(-1)
-        plane = T * n
-
-        def fidx(p: int, ti: np.ndarray, v: np.ndarray) -> np.ndarray:
-            return p * plane + ti * n + v
-
         if T:
             # leaves of the aggregation frontier pin at m_i forever
             self._state[_AGG] = self._m_arr[:, None]
             # roots never receive broadcast traffic; pinning them at _INF
             # keeps them out of the delivered-floor row-min
-            self._state[_BCD][np.arange(T), roots] = _INF
+            self._state[_BCD][np.arange(T), lay.roots] = _INF
 
-        # availability of the flow's next flit at its source:
-        #   reduce flow        -> aggregation frontier at src
-        #   broadcast from root-> aggregation frontier at the root
-        #   broadcast interior -> broadcast-delivered frontier at src
-        avail_plane = np.where(is_reduce | (src_arr == roots[tree_arr]), _AGG, _BCD)
-        self._avail_idx = fidx(avail_plane, tree_arr, src_arr)
-        # where a landed flit is recorded (one-cycle hop latency):
-        #   reduce flow    -> up-delivered at src
-        #   broadcast flow -> broadcast-delivered at dst
-        self._land_idx = np.where(
-            is_reduce, fidx(_UPD, tree_arr, src_arr), fidx(_BCD, tree_arr, dst_arr)
-        )
-
-        # consumption counter per flow (credit bookkeeping):
-        #   reduce into the root    -> min over the root's broadcast 'sent'
-        #   reduce into an interior -> that node's own up-flow 'sent'
-        #   broadcast into a leaf   -> broadcast-delivered at the leaf
-        #   broadcast into interior -> min over its broadcast 'sent'
-        has_kids = {(ti, v) for ti, t in enumerate(self.trees) for v in t.parent.values()}
-        cons_state = np.empty(F, dtype=np.int64)
-        cons_from_sent = np.zeros(F, dtype=bool)
-        cons_sent_fid = np.zeros(F, dtype=np.int64)
-        for fid in range(F):
-            ti, d = f_tree[fid], f_dst[fid]
-            if f_is_reduce[fid]:
-                if d == self.trees[ti].root:
-                    cons_state[fid] = fidx(_BCM, np.int64(ti), np.int64(d))
-                else:
-                    cons_from_sent[fid] = True
-                    cons_sent_fid[fid] = up_fid_of[(ti, d)]
-                    cons_state[fid] = 0
-            else:
-                cons_state[fid] = fidx(
-                    _BCD if (ti, d) not in has_kids else _BCM, np.int64(ti), np.int64(d)
-                )
-        self._cons_state_idx = cons_state
-        self._cons_from_sent = cons_from_sent
-        self._cons_sent_fid = cons_sent_fid
-
-        # ---- streaming-aggregation structure: children grouped per
-        # internal (tree, node), one minimum.reduceat per cycle
-        grp_idx: List[int] = []
-        offsets: List[int] = []
-        child_up_idx: List[int] = []
-        child_bcfid: List[int] = []
-        for ti, t in enumerate(self.trees):
-            for v in range(n):
-                kids = t.children(v)
-                if not kids:
-                    continue
-                grp_idx.append(_AGG * plane + ti * n + v)
-                offsets.append(len(child_up_idx))
-                for c in kids:
-                    child_up_idx.append(_UPD * plane + ti * n + c)
-                    child_bcfid.append(bc_fid_of[(ti, c)])
-        self._grp_agg_idx = np.asarray(grp_idx, dtype=np.int64)
-        self._grp_bcm_idx = self._grp_agg_idx + (_BCM - _AGG) * plane
-        self._grp_off = np.asarray(offsets, dtype=np.int64)
-        self._child_up_idx = np.asarray(child_up_idx, dtype=np.int64)
-        self._child_bcfid = np.asarray(child_bcfid, dtype=np.int64)
-        self._agg_root_idx = fidx(
-            np.full(T, _AGG, dtype=np.int64), np.arange(T, dtype=np.int64), roots
-        ) if T else np.zeros(0, dtype=np.int64)
-        # consumption-group map: flow -> the minimum.reduceat group whose
-        # min is the flow's consumed counter (-1 for flows whose consumed
-        # counter is a raw 'sent'/BCD value). Shared by the telemetry
-        # queue probe here and the leap verifier's credit extrapolation.
-        bcm_pos = {int(ix): gi for gi, ix in enumerate(self._grp_bcm_idx)}
-        self._cons_grp = np.asarray(
-            [
-                -1 if cons_from_sent[f] else bcm_pos.get(int(ix), -1)
-                for f, ix in enumerate(cons_state)
-            ],
-            dtype=np.int64,
-        ) if F else np.zeros(0, dtype=np.int64)
-
-        # ---- per-channel arbitration structures
-        self._chs: List[Tuple[int, int]] = list(channel_flows)
-        C = len(self._chs)
-        self._C = C
-        self._ch_k = np.ones(C, dtype=np.int64)
-        # flows grouped by channel (for the capacity-1 row-minima path)
-        gr_fid: List[int] = []
-        gr_slot: List[int] = []
-        gr_ch: List[int] = []
-        for ci, ch in enumerate(self._chs):
-            fids = channel_flows[ch]
-            self._ch_k[ci] = len(fids)
-            for slot, fid in enumerate(fids):
-                gr_fid.append(fid)
-                gr_slot.append(slot)
-                gr_ch.append(ci)
-        self._gr_fid = np.asarray(gr_fid, dtype=np.int64)
-        self._gr_slot = np.asarray(gr_slot, dtype=np.int64)
-        self._gr_ch = np.asarray(gr_ch, dtype=np.int64)
-        # flow -> channel index (each flow lives on exactly one channel);
-        # the two-phase stepping API gates whole channels through this map
-        self._flow_ch = np.zeros(F, dtype=np.int64)
-        if F:
-            self._flow_ch[self._gr_fid] = self._gr_ch
-        K = int(self._ch_k.max()) if C else 1
+        # ---- per-channel arbitration state
+        K = int(lay.ch_k.max()) if C else 1
         # capacity-1 arbitration: unwrapped round-robin keys
         # key = (slot + k*(slot < rr))*F + fid, scattered into a transposed
         # padded (K, C) matrix (row j holds every channel's slot-j key)
-        self._key0 = self._gr_slot * F + self._gr_fid
-        self._key_wrap = self._ch_k[self._gr_ch] * F
+        self._key0 = lay.gr_slot * F + lay.gr_fid
+        self._key_wrap = lay.ch_k[lay.gr_ch] * F
         self._padT = np.full((K, C), _BIG, dtype=np.int64)
-        self._pad_idx = self._gr_slot * C + self._gr_ch
-        # padded (channel x slot) matrix for the general-capacity path
-        self._ch_fid = np.zeros((C, K), dtype=np.int64)
-        self._ch_valid = np.zeros((C, K), dtype=bool)
-        for ci, ch in enumerate(self._chs):
-            fids = channel_flows[ch]
-            self._ch_fid[ci, : len(fids)] = fids
-            self._ch_valid[ci, : len(fids)] = True
+        self._pad_idx = lay.gr_slot * C + lay.gr_ch
         self._pos = np.arange(K, dtype=np.int64)[None, :]
-        self._flat_fids = self._ch_fid[self._ch_valid]
         self._rr = np.zeros(C, dtype=np.int64)
         self._ch_cum = np.zeros(C, dtype=np.int64)
 
-        # fault bookkeeping: per-flow undirected link keys, plus the dead
-        # set / budget mask of the current fault segment (updated lazily —
-        # the set of down links only changes at schedule event cycles)
-        self._flow_edges = [
-            canonical_edge(s, d) for s, d in zip(f_src, f_dst)
-        ]
-        self._dead_now = frozenset()
+        # dead-link set / budget mask of the current fault segment
+        # (updated lazily: the set of down links only changes at schedule
+        # event cycles)
+        self._dead_now: FrozenSet[Tuple[int, int]] = frozenset()
         self._dead_mask: Optional[np.ndarray] = None
 
         # in-flight flits: (flow ids, counts) landing at the next boundary
@@ -301,16 +141,17 @@ class FastCycleSimulator:
         # one of its flows has delivered m_i flits (each is bounded by
         # m_i, so the landed total hits m_i * #flows iff all are
         # complete) — the done check is one O(T) compare
-        flow_counts = np.bincount(tree_arr, minlength=T).astype(np.int64)
+        flow_counts = np.bincount(lay.flow_tree, minlength=T).astype(np.int64)
         self._done_target = self._m_arr * flow_counts
         self._done_cnt = np.zeros(T, dtype=np.int64)
 
     # ------------------------------------------------------------ frontiers
 
     def _refresh_agg(self) -> None:
-        if len(self._grp_off):
-            self._flat[self._grp_agg_idx] = np.minimum.reduceat(
-                self._flat[self._child_up_idx], self._grp_off
+        lay = self._lay
+        if len(lay.grp_off):
+            self._flat[lay.grp_agg_idx] = np.minimum.reduceat(
+                self._flat[lay.child_up_idx], lay.grp_off
             )
 
     def _done_mask(self) -> np.ndarray:
@@ -320,8 +161,9 @@ class FastCycleSimulator:
         """Rebuild the per-tree landed totals from the state tensor (after
         a leap moved the state without landing events).  Every flow has a
         unique landing cell, so this is one weighted bincount."""
+        lay = self._lay
         self._done_cnt = np.zeros(self._T, dtype=np.int64)
-        np.add.at(self._done_cnt, self._flow_tree, self._flat[self._land_idx])
+        np.add.at(self._done_cnt, lay.flow_tree, self._flat[lay.land_idx])
 
     # ------------------------------------------------------------- dynamics
 
@@ -331,11 +173,7 @@ class FastCycleSimulator:
         dead = self.faults.down_edges_at(self.cycle)
         if dead != self._dead_now:
             self._dead_now = dead
-            self._dead_mask = (
-                np.asarray([e in dead for e in self._flow_edges], dtype=bool)
-                if dead
-                else None
-            )
+            self._dead_mask = self._lay.flows_on(dead) if dead else None
 
     def step(self) -> int:
         """Advance one cycle; returns the number of flits transferred."""
@@ -361,27 +199,28 @@ class FastCycleSimulator:
         self.cycle += 1
         if self.faults is not None:
             self._refresh_fault_mask()
+        lay = self._lay
         # 1. land last cycle's in-flight flits (one-cycle hop latency)
         pend = self._pending_fids
         if len(pend):
-            self._flat[self._land_idx[pend]] += self._pending_cnt
-            np.add.at(self._done_cnt, self._flow_tree[pend], self._pending_cnt)
+            self._flat[lay.land_idx[pend]] += self._pending_cnt
+            np.add.at(self._done_cnt, lay.flow_tree[pend], self._pending_cnt)
             self._pending_fids = np.zeros(0, dtype=np.int64)
         if self._F == 0:
             return None
         self._refresh_agg()
 
         # 2. per-flow budgets from the start-of-cycle snapshot
-        budget = self._flat[self._avail_idx] - self.sent
+        budget = self._flat[lay.avail_idx] - self.sent
         if self.buffer_size is not None:
             snap = self.sent
-            self._flat[self._grp_bcm_idx] = np.minimum.reduceat(
-                snap[self._child_bcfid], self._grp_off
+            self._flat[lay.grp_bcm_idx] = np.minimum.reduceat(
+                snap[lay.child_bcfid], lay.grp_off
             )
             cons = np.where(
-                self._cons_from_sent,
-                snap[self._cons_sent_fid],
-                self._flat[self._cons_state_idx],
+                lay.cons_from_sent,
+                snap[lay.cons_sent_fid],
+                self._flat[lay.cons_state_idx],
             )
             np.minimum(budget, self.buffer_size - (snap - cons), out=budget)
         if self._dead_mask is not None:
@@ -406,15 +245,16 @@ class FastCycleSimulator:
             return 0
         mask = gate_mask(blocked, self._C)
         if mask is not None:
-            budget = np.where(mask[self._flow_ch], 0, budget)
+            budget = np.where(mask[self._lay.flow_ch], 0, budget)
         if self.capacity != 1:
             return self._arbitrate_general(budget)
 
         # 3. capacity-1 round robin: unwrapped key per backlogged flow,
         # transposed padded scatter, K row-minima, arithmetic rr update
         F = self._F
-        key = self._key0 + self._key_wrap * (self._gr_slot < self._rr[self._gr_ch])
-        key += _DEAD * (budget[self._gr_fid] <= 0)
+        lay = self._lay
+        key = self._key0 + self._key_wrap * (lay.gr_slot < self._rr[lay.gr_ch])
+        key += _DEAD * (budget[lay.gr_fid] <= 0)
         padT = self._padT
         padT.fill(_BIG)
         padT.reshape(-1)[self._pad_idx] = key
@@ -430,7 +270,7 @@ class FastCycleSimulator:
         bw = best[active]
         win = bw % F
         newrr = bw // F + 1
-        k_act = self._ch_k[active]
+        k_act = lay.ch_k[active]
         newrr -= k_act * (newrr >= k_act)
         self._rr[active] = newrr
         self.sent[win] += 1
@@ -445,14 +285,16 @@ class FastCycleSimulator:
         :meth:`channels`) — what the fabric's arbitration policies read to
         stay work-conserving."""
         out = np.zeros(self._C, dtype=np.int64)
+        lay = self._lay
         if budget is not None and self._F:
-            np.add.at(out, self._gr_ch, (budget[self._gr_fid] > 0).astype(np.int64))
+            np.add.at(out, lay.gr_ch, (budget[lay.gr_fid] > 0).astype(np.int64))
         return out
 
     def _arbitrate_general(self, budget: np.ndarray) -> int:
         """Water-filling closed form of the one-flit-per-visit round robin
         for arbitrary capacity."""
-        B = np.where(self._ch_valid, budget[self._ch_fid], 0)
+        lay = self._lay
+        B = np.where(lay.ch_valid, budget[lay.ch_fid], 0)
         np.maximum(B, 0, out=B)
         tot = B.sum(axis=1)
         S = np.minimum(tot, self.capacity)
@@ -467,8 +309,8 @@ class FastCycleSimulator:
         R = S - base
 
         grants = np.minimum(B, T_arr[:, None])
-        jpos = (self._pos - self._rr[:, None]) % self._ch_k[:, None]
-        want_extra = (B > T_arr[:, None]) & self._ch_valid
+        jpos = (self._pos - self._rr[:, None]) % lay.ch_k[:, None]
+        want_extra = (B > T_arr[:, None]) & lay.ch_valid
         if want_extra.any():
             # rank of each candidate among candidates, in cyclic order
             rank = (want_extra[:, None, :] & (jpos[:, None, :] < jpos[:, :, None])).sum(axis=2)
@@ -482,18 +324,18 @@ class FastCycleSimulator:
         j_extra = np.where(extra, jpos, -1).max(axis=1, initial=-1)
         last_pass = grants.max(axis=1, initial=0)
         j_pass = np.where(
-            (B >= last_pass[:, None]) & self._ch_valid & (last_pass[:, None] > 0),
+            (B >= last_pass[:, None]) & lay.ch_valid & (last_pass[:, None] > 0),
             jpos,
             -1,
         ).max(axis=1, initial=-1)
         j_last = np.where(has_extra, j_extra, j_pass)
-        self._rr = np.where(S > 0, (self._rr + j_last + 1) % self._ch_k, self._rr)
+        self._rr = np.where(S > 0, (self._rr + j_last + 1) % lay.ch_k, self._rr)
 
         moved = int(S.sum())
         if moved:
-            flat = grants[self._ch_valid]
+            flat = grants[lay.ch_valid]  # (F,) in gr_fid order
             nz = flat > 0
-            self._pending_fids = self._flat_fids[nz]
+            self._pending_fids = lay.gr_fid[nz]
             self._pending_cnt = flat[nz]
             self.sent[self._pending_fids] += self._pending_cnt
             self._ch_cum += grants.sum(axis=1)
@@ -509,7 +351,7 @@ class FastCycleSimulator:
         return bool(self._done_mask().all())
 
     def channels(self) -> List[Tuple[int, int]]:
-        return list(self._chs)
+        return self._lay.channels()
 
     def channel_flit_counts(self) -> List[int]:
         return [int(x) for x in self._ch_cum]
@@ -530,7 +372,7 @@ class FastCycleSimulator:
         """Per-tree flits fully aggregated at the root (landed only)."""
         if not self._T:
             return []
-        agg = self._flat[self._agg_root_idx]
+        agg = self._flat[self._lay.agg_root_idx]
         return [int(min(a, mi)) for a, mi in zip(agg, self._m_arr)]
 
     def _queues(self, flat: np.ndarray, sent: np.ndarray) -> np.ndarray:
@@ -540,21 +382,22 @@ class FastCycleSimulator:
         ``_consumed_now`` semantics, vectorized).  Broadcast-min groups
         are computed into a local — never into the BCM plane, whose
         step-time update pattern the leap licensing depends on."""
-        if len(self._grp_off):
-            bcm = np.minimum.reduceat(sent[self._child_bcfid], self._grp_off)
+        lay = self._lay
+        if len(lay.grp_off):
+            bcm = np.minimum.reduceat(sent[lay.child_bcfid], lay.grp_off)
         else:
             bcm = np.zeros(0, dtype=np.int64)
         consumed = np.where(
-            self._cons_from_sent,
-            sent[self._cons_sent_fid],
+            lay.cons_from_sent,
+            sent[lay.cons_sent_fid],
             np.where(
-                self._cons_grp >= 0,
-                bcm[np.maximum(self._cons_grp, 0)] if bcm.size else np.int64(0),
-                flat[self._cons_state_idx],
+                lay.cons_grp >= 0,
+                bcm[np.maximum(lay.cons_grp, 0)] if bcm.size else np.int64(0),
+                flat[lay.cons_state_idx],
             ),
         )
         out = np.zeros(self.n, dtype=np.int64)
-        np.add.at(out, self._flow_dst, sent - consumed)
+        np.add.at(out, lay.flow_dst, sent - consumed)
         return out
 
     def queue_occupancy(self) -> List[int]:
@@ -567,9 +410,10 @@ class FastCycleSimulator:
         red = np.zeros(self._T, dtype=np.int64)
         bc = np.zeros(self._T, dtype=np.int64)
         if self._F:
-            up = self._flow_is_reduce
-            np.add.at(red, self._flow_tree[up], self.sent[up])
-            np.add.at(bc, self._flow_tree[~up], self.sent[~up])
+            up = self._lay.flow_is_reduce
+            tree = self._lay.flow_tree
+            np.add.at(red, tree[up], self.sent[up])
+            np.add.at(bc, tree[~up], self.sent[~up])
         return [int(x) for x in red], [int(x) for x in bc]
 
     def run(self, max_cycles: Optional[int] = None) -> CycleStats:

@@ -147,15 +147,12 @@ class LeapCycleSimulator(FastCycleSimulator):
         # detection reach)
         slot = 2 * (self._flat.size + 2 * self._F + self._C + 1)
         self._p_max = max(1, min(self.P_MAX, self._VERIFY_BUDGET // max(1, slot)))
-        # maps from decision inputs to the minimum.reduceat group feeding
-        # them, for principled forward-drift extrapolation of min-planes
+        # member counts of the minimum.reduceat groups (flows map to their
+        # group through the layout's avail_grp / cons_grp), for principled
+        # forward-drift extrapolation of min-planes
         self._grp_sizes = np.diff(
-            np.append(self._grp_off, len(self._child_up_idx))
+            np.append(self._lay.grp_off, len(self._lay.child_up_idx))
         ).astype(np.int64)
-        agg_pos = {int(ix): g for g, ix in enumerate(self._grp_agg_idx)}
-        self._avail_grp = np.asarray(
-            [agg_pos.get(int(ix), -1) for ix in self._avail_idx], dtype=np.int64
-        ) if self._F else np.zeros(0, dtype=np.int64)
         self.leap_log: List[Tuple[int, int, int]] = []
         self.stepped_cycles = 0
         self.idle_skipped = 0  # dead-wait cycles fast-forwarded, not stepped
@@ -227,7 +224,7 @@ class LeapCycleSimulator(FastCycleSimulator):
         argmin set is stable."""
         if vals.size == 0:
             return np.zeros(0, dtype=np.int64), _INF_K
-        off = self._grp_off
+        off = self._lay.grp_off
         mins = np.minimum.reduceat(vals, off)
         gaps = vals - np.repeat(mins, self._grp_sizes)
         rstar = np.minimum.reduceat(np.where(gaps == 0, rates, _BIG), off)
@@ -278,16 +275,17 @@ class LeapCycleSimulator(FastCycleSimulator):
         reconstruction (``queue2``/``bcm2t``, the post-step queues and
         broadcast-min inputs per phase) is passed only with a collector
         attached, and adds one argmin-stability bound on ``k``."""
-        child_rates = r_flat[self._child_up_idx]
+        lay = self._lay
+        child_rates = r_flat[lay.child_up_idx]
         buffered = self.buffer_size is not None
         tel_on = queue2 is not None
         need_cons = buffered or tel_on
-        bc_rates = r_sent[self._child_bcfid] if need_cons else None
+        bc_rates = r_sent[lay.child_bcfid] if need_cons else None
         r_cons_base = (
             np.where(
-                self._cons_from_sent,
-                r_sent[self._cons_sent_fid],
-                r_flat[self._cons_state_idx],
+                lay.cons_from_sent,
+                r_sent[lay.cons_sent_fid],
+                r_flat[lay.cons_state_idx],
             )
             if need_cons
             else None
@@ -300,19 +298,19 @@ class LeapCycleSimulator(FastCycleSimulator):
             rstar_agg, gb = self._min_group_terms(aggch2[j], child_rates)
             k = min(k, gb)
             d_avail_src = np.where(
-                self._avail_grp >= 0,
-                rstar_agg[np.maximum(self._avail_grp, 0)]
+                lay.avail_grp >= 0,
+                rstar_agg[np.maximum(lay.avail_grp, 0)]
                 if rstar_agg.size
                 else np.int64(0),
-                r_flat[self._avail_idx],
+                r_flat[lay.avail_idx],
             )
             k = min(k, self._regime_bound(avail2[j], d_avail_src - r_sent))
             if buffered:
                 rstar_bcm, bb = self._min_group_terms(bcmch2[j], bc_rates)
                 k = min(k, bb)
                 r_cons = np.where(
-                    self._cons_grp >= 0,
-                    rstar_bcm[np.maximum(self._cons_grp, 0)]
+                    lay.cons_grp >= 0,
+                    rstar_bcm[np.maximum(lay.cons_grp, 0)]
                     if rstar_bcm.size
                     else np.int64(0),
                     r_cons_base,
@@ -327,14 +325,14 @@ class LeapCycleSimulator(FastCycleSimulator):
                 rstar_bcm_t, bb_t = self._min_group_terms(bcm2t[j], bc_rates)
                 k = min(k, bb_t)
                 r_cons_t = np.where(
-                    self._cons_grp >= 0,
-                    rstar_bcm_t[np.maximum(self._cons_grp, 0)]
+                    lay.cons_grp >= 0,
+                    rstar_bcm_t[np.maximum(lay.cons_grp, 0)]
                     if rstar_bcm_t.size
                     else np.int64(0),
                     r_cons_base,
                 )
                 dq = np.zeros(self.n, dtype=np.int64)
-                np.add.at(dq, self._flow_dst, r_sent - r_cons_t)
+                np.add.at(dq, lay.flow_dst, r_sent - r_cons_t)
                 phase_q.append(queue2[j])
                 phase_dq.append(dq)
         return k, phase_q, phase_dq
@@ -598,17 +596,18 @@ class SteadyRings:
         credit = [] if self.buffered else None
         aggch = []
         bcmch = [] if self.buffered else None
+        lay = sim._lay
         for s in phases:
             flat_s = self.flat[s]
             sent_pre = self.sent[(s - 1) % R]
-            avail.append(flat_s[sim._avail_idx] - sent_pre)
-            aggch.append(flat_s[sim._child_up_idx])
+            avail.append(flat_s[lay.avail_idx] - sent_pre)
+            aggch.append(flat_s[lay.child_up_idx])
             if self.buffered:
-                bcmch.append(sent_pre[sim._child_bcfid])
+                bcmch.append(sent_pre[lay.child_bcfid])
                 cons = np.where(
-                    sim._cons_from_sent,
-                    sent_pre[sim._cons_sent_fid],
-                    flat_s[sim._cons_state_idx],
+                    lay.cons_from_sent,
+                    sent_pre[lay.cons_sent_fid],
+                    flat_s[lay.cons_state_idx],
                 )
                 credit.append(sim.buffer_size + cons - sent_pre)
         queue2 = bcm2t = None
@@ -616,7 +615,7 @@ class SteadyRings:
             # post-step views of each phase, the observation instants the
             # per-cycle engines sample at
             queue2 = [sim._queues(self.flat[s], self.sent[s]) for s in phases]
-            bcm2t = [self.sent[s][sim._child_bcfid] for s in phases]
+            bcm2t = [self.sent[s][lay.child_bcfid] for s in phases]
         k = sim._completion_bound(r_sent)
         k, phase_q, phase_dq = sim._license_bounds(
             P, k, avail, credit, aggch, bcmch, r_flat, r_sent,

@@ -1,5 +1,8 @@
 """Tests for the cycle-level flit simulator, incl. validation of Algorithm 1."""
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.core import build_plan
@@ -7,7 +10,9 @@ from repro.simulator import (
     BatchedCycleSimulator,
     CycleLimitExceeded,
     CycleSimulator,
+    FaultSchedule,
     LaneSpec,
+    SimulationStalled,
     fluid_simulate,
     make_engine,
     simulate_allreduce,
@@ -16,7 +21,7 @@ from repro.tenancy import FabricSimulator, TenantJob, place_jobs
 from repro.topology import Graph, polarfly_graph
 from repro.trees import SpanningTree, single_tree
 
-from tests.strategies import CYCLE_ENGINES
+from tests.strategies import CYCLE_ENGINES, get_plan
 
 
 class TestMechanics:
@@ -143,6 +148,81 @@ class TestMechanics:
             fabric.run(max_cycles=n)
         # the fabric guards its global clock, so the message names it
         assert (str(exc.value), fabric.cycle) == (f"fabric exceeded {n} cycles", n + 1)
+
+
+class TestArgumentCheck:
+    """Every engine runs one argument check with named errors: no silent
+    truncation, no NumPy or ``range`` errors from deep inside a
+    constructor, no int64 wrap-around."""
+
+    @staticmethod
+    def _plan():
+        plan = get_plan(5, "low-depth")
+        return plan.topology, plan.trees
+
+    @pytest.mark.parametrize("engine", CYCLE_ENGINES)
+    @pytest.mark.parametrize("bad", [1.5, "3"])
+    def test_non_integer_flits_rejected(self, engine, bad):
+        g, trees = self._plan()
+        m = [bad] + [2] * (len(trees) - 1)
+        with pytest.raises(TypeError, match=r"flits_per_tree\[0\] must be an integer"):
+            make_engine(engine, g, trees, m)
+
+    @pytest.mark.parametrize("engine", CYCLE_ENGINES)
+    def test_non_integer_capacity_rejected(self, engine):
+        g, trees = self._plan()
+        with pytest.raises(TypeError, match="link_capacity must be an integer"):
+            make_engine(engine, g, trees, [2] * len(trees), link_capacity=1.5)
+
+    @pytest.mark.parametrize("engine", CYCLE_ENGINES)
+    def test_non_integer_buffer_rejected(self, engine):
+        g, trees = self._plan()
+        with pytest.raises(TypeError, match="buffer_size must be an integer"):
+            make_engine(engine, g, trees, [2] * len(trees), buffer_size=1.5)
+
+    @pytest.mark.parametrize("engine", CYCLE_ENGINES)
+    def test_numpy_integers_pass(self, engine):
+        g, trees = self._plan()
+        m = [3] * len(trees)
+        plain = make_engine(engine, g, trees, m, 2, 3).run()
+        numpy = make_engine(
+            engine, g, trees, np.asarray(m, dtype=np.int64), np.int64(2), np.int32(3)
+        ).run()
+        assert pickle.dumps(numpy) == pickle.dumps(plain)
+
+    @pytest.mark.parametrize("engine", CYCLE_ENGINES)
+    @pytest.mark.parametrize("m", [1 << 57, 1 << 58])
+    def test_int64_flit_overflow_rejected(self, engine, m):
+        g, trees = self._plan()
+        limit = "at most 153722867280912930"  # (2**63 - 1) // (2 * 30)
+        with pytest.raises(ValueError, match=f"int64 headroom: .* {limit}"):
+            make_engine(engine, g, trees, [m] * len(trees))
+
+    def test_leap_at_the_int64_limit_counts_every_flit(self):
+        g, trees = self._plan()
+        hops = 2 * (g.n - 1)
+        m = [((1 << 63) - 1) // hops // len(trees)] * len(trees)
+        stats = make_engine("leap", g, trees, m).run()
+        assert stats.flits_moved == hops * sum(m)
+        assert stats.cycles > max(m)
+
+    def test_delivered_floor_past_2_30_flits(self):
+        # a tree that completed delivered all m_i flits to every node, also
+        # when m_i exceeds the old 2**30 root pin of the broadcast plane
+        plan = get_plan(3, "low-depth")
+        T = len(plan.trees)
+        link = sorted(plan.trees[0].edges)[0]
+        faults = FaultSchedule([(link, 3 << 30)])  # permanent, mid-run
+        sim = make_engine(
+            "leap", plan.topology, plan.trees, [1 << 32] * T, faults=faults
+        )
+        with pytest.raises(SimulationStalled):
+            sim.run()
+        done = [i for i in range(T) if sim.tree_done(i)]
+        assert done
+        floor = sim.delivered_floor()
+        assert all(floor[i] == 1 << 32 for i in done)
+        assert all(floor[i] > 1 << 30 for i in range(T))
 
 
 class TestModelValidation:
