@@ -23,7 +23,12 @@ import pytest
 from conftest import record
 
 from repro.core import build_plan
-from repro.simulator import make_engine, simulate_allreduce
+from repro.simulator import (
+    BatchedCycleSimulator,
+    LaneSpec,
+    make_engine,
+    simulate_allreduce,
+)
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_fastcycle.json"
 SPEEDUP_TARGET = 10.0
@@ -143,13 +148,17 @@ def test_fastcycle_scaling_headroom(benchmark):
 
 
 def _cold_build_ms(q, engine):
-    """Median ms of ``make_engine`` over fresh plans (cold tree caches)."""
+    """Median ms of ``make_engine`` (a one-lane ``BatchedCycleSimulator``
+    for ``"batched"``) over fresh plans (cold tree caches)."""
     times = []
     for _ in range(BUILD_REPEATS):
         plan = build_plan(q, "low-depth")
         parts = plan.partition(28000)
         t0 = time.perf_counter()
-        make_engine(engine, plan.topology, plan.trees, parts)
+        if engine == "batched":
+            BatchedCycleSimulator(plan.topology, plan.trees, lanes=[LaneSpec(parts)])
+        else:
+            make_engine(engine, plan.topology, plan.trees, parts)
         times.append((time.perf_counter() - t0) * 1e3)
     return round(statistics.median(times), 2)
 

@@ -139,7 +139,7 @@ def fault_monte_carlo(
         links, k, seed, num_faults, transient_fraction, down_window,
         outage_window,
     )
-    flits = (int(m),) * plan.num_trees
+    flits = (m,) * plan.num_trees  # the engines name a non-integer m
     clean = make_engine("fast", plan.topology, plan.trees, flits).run()
 
     lanes: List[Dict[str, Any]] = []

@@ -17,6 +17,9 @@ compatible cells become one :meth:`~repro.simulator.batched.
 BatchedCycleSimulator.run_batch` call whose per-lane results are
 bit-identical to calling :func:`sim_point` per cell (the engine's
 differential guarantee), so the sweep cache cannot tell the routes apart.
+A cell whose knobs overflow the batch's int32 state
+(:func:`~repro.simulator.batched.int32_headroom`) runs through
+:func:`sim_point` instead.
 
 A stalled run is *data*, not an error (``{"stalled": True, ...}``) — fault
 grids stall by design; the cycle guard (``CycleLimitExceeded``) still
@@ -29,8 +32,13 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core import get_plan
 from repro.simulator import SimulationStalled, make_engine
-from repro.simulator.batched import BatchedCycleSimulator, LaneOutcome, LaneSpec
-from repro.simulator.cycle import CycleStats
+from repro.simulator.batched import (
+    BatchedCycleSimulator,
+    LaneOutcome,
+    LaneSpec,
+    int32_headroom,
+)
+from repro.simulator.cycle import CycleStats, check_engine_args
 from repro.simulator.faultsched import FaultSchedule
 
 __all__ = ["sim_point", "sim_point_batch", "sim_point_group_key", "sim_grid_cells"]
@@ -52,11 +60,10 @@ def _fault_schedule(faults: FaultsParam) -> Optional[FaultSchedule]:
 
 def _lane(plan, m: Union[int, Sequence[int]], link_capacity: int,
           buffer_size: Optional[int], faults: FaultsParam) -> LaneSpec:
-    if isinstance(m, (list, tuple)):
-        flits: Tuple[int, ...] = tuple(int(x) for x in m)
-    else:
-        flits = (int(m),) * plan.num_trees
-    return LaneSpec(flits, int(link_capacity), buffer_size, _fault_schedule(faults))
+    # values pass through as given: every engine's check_engine_args
+    # names a non-integer knob instead of truncating it
+    flits = m if isinstance(m, (list, tuple)) else (m,) * plan.num_trees
+    return LaneSpec(flits, link_capacity, buffer_size, _fault_schedule(faults))
 
 
 def _done_dict(stats: CycleStats) -> Dict[str, Any]:
@@ -122,15 +129,14 @@ def sim_point(
 
 
 def sim_point_group_key(kwargs: Dict[str, Any]) -> Tuple[Any, ...]:
-    """Cells that may share one batched call: same plan, batchable engine.
+    """Cells that may share one batched call: same plan, ``fast`` engine.
 
-    Only ``engine="fast"`` and ``engine="batched"`` cells are grouped —
-    the batched engine is differentially proven bit-identical to ``fast``
-    per lane, so routing either through ``run_batch`` cannot change a
-    byte of the cached result.  Other engines stay on the serial path.
+    Only ``engine="fast"`` cells are grouped — the batched lanes are
+    differentially proven bit-identical to ``fast``, so routing them
+    through ``run_batch`` cannot change a byte of the cached result.
+    Other engines stay on the serial path.
     """
-    engine = kwargs.get("engine", "fast")
-    if engine not in ("fast", "batched"):
+    if kwargs.get("engine", "fast") != "fast":
         return None
     return (kwargs["q"], kwargs.get("scheme", "low-depth"))
 
@@ -140,22 +146,40 @@ def sim_point_batch(cells_kwargs: Sequence[Dict[str, Any]]) -> List[Dict[str, An
 
     Per-lane results are bit-identical to :func:`sim_point` per cell; a
     lane whose serial run would raise the cycle guard
-    (``CycleLimitExceeded``) raises it here too.
+    (``CycleLimitExceeded``) raises it here too.  Cells the batch cannot
+    hold (:func:`~repro.simulator.batched.int32_headroom`) run through
+    :func:`sim_point`.
     """
     first = cells_kwargs[0]
     plan = get_plan(first["q"], first.get("scheme", "low-depth"))
-    lanes = [
-        _lane(
+    k_max = plan.max_congestion  # flows on the busiest channel
+    held: Dict[int, LaneSpec] = {}
+    for i, kw in enumerate(cells_kwargs):
+        lane = _lane(
             plan,
             kw.get("m", 1),
             kw.get("link_capacity", 1),
             kw.get("buffer_size"),
             kw.get("faults"),
         )
-        for kw in cells_kwargs
+        # the engines' own check first: a bad knob raises its named error
+        # here exactly as on the serial route
+        m, cap, _ = check_engine_args(
+            plan.topology, plan.trees, lane.flits_per_tree,
+            lane.link_capacity, lane.buffer_size, lane.faults,
+        )
+        if int32_headroom(m, cap, k_max) is None:
+            held[i] = lane
+    done: Dict[int, Dict[str, Any]] = {}
+    if held:
+        sim = BatchedCycleSimulator(
+            plan.topology, plan.trees, lanes=list(held.values())
+        )
+        done = dict(zip(held, map(_outcome_dict, sim.run_batch())))
+    return [
+        done[i] if i in done else sim_point(**kw)
+        for i, kw in enumerate(cells_kwargs)
     ]
-    sim = BatchedCycleSimulator(plan.topology, plan.trees, lanes=lanes)
-    return [_outcome_dict(out) for out in sim.run_batch()]
 
 
 def sim_grid_cells(

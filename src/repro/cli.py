@@ -54,9 +54,10 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("low-depth", "edge-disjoint", "single"))
     s.add_argument("-m", type=int, default=600, help="total flits")
     s.add_argument("--engine", default="leap",
-                   choices=("reference", "fast", "leap", "batched"),
-                   help="cycle engine (leap: O(events) wall clock, "
-                        "cycle-exact; default)")
+                   choices=("reference", "fast", "leap"),
+                   help="single-run cycle engine, all cycle-exact (leap: "
+                        "O(events) wall clock; default); batched lanes "
+                        "run through montecarlo and sweep")
     s.add_argument("--buffer", type=int, default=None, metavar="SLOTS",
                    help="per-flow credit buffer slots (default: unbounded)")
     s.add_argument("--capacity", type=int, default=1,

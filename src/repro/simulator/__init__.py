@@ -13,7 +13,11 @@ Three fidelities, all exercising the Section 4.3/4.4 dataflow:
   (``engine="leap"``) whose ``run()`` is O(depth + #events) in wall
   clock, independent of message size, while staying cycle-exact (it
   steps with the fast engine's fused per-cycle step; the reference
-  engine never delegates, so it stays an independent oracle);
+  engine never delegates, so it stays an independent oracle).  Those
+  three are the single-run engines (:data:`ENGINES`);
+  :mod:`repro.simulator.batched` is the lane evaluator that runs many
+  fast-engine-identical runs of one plan in a single
+  :meth:`BatchedCycleSimulator.run_batch` call;
 - :mod:`repro.simulator.fluid` — closed-form max-min rate model for large
   configurations.
 

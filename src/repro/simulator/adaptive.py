@@ -65,7 +65,7 @@ __all__ = [
 ]
 
 #: Engines that can host the congestion controller (per-cycle stepping;
-#: the leap/batched engines cannot be interrupted mid-window).
+#: the leap engine cannot be interrupted mid-window).
 ADAPTIVE_ENGINES = ("reference", "fast")
 
 

@@ -1,4 +1,4 @@
-"""Batched tensor engine — B independent runs in one ``(B, 4, T, n)`` state.
+"""Batched lane evaluator — B independent runs in one ``(B, 4, T, n)`` state.
 
 Sweep grids and fault Monte Carlo simulate the *same* topology and tree
 plan thousands of times, varying only the scalar knobs (message split,
@@ -25,8 +25,9 @@ stacks the lanes along a batch axis and advances *all* of them per cycle:
   constant ``rr``), so the packed per-flow keys are two precomputed
   constants selected by one comparison — no per-cycle modulo — and the
   segmented min is a scatter into a ``(C, K, B)`` padded buffer plus one
-  vectorized axis-min (several times faster than ``reduceat``).  The
-  general-capacity path is the fast engine's water-filling transposed;
+  vectorized axis-min (several times faster than ``reduceat``).  Larger
+  capacities call the fast engine's
+  :func:`~repro.simulator.fastcycle.water_fill` over all lanes;
 - per-lane :class:`~repro.simulator.faultsched.FaultSchedule` masks are
   rebuilt lazily, only at lanes whose schedule changes at this cycle;
 - per-lane completion / stall / max-cycles detection freezes finished
@@ -37,9 +38,9 @@ stacks the lanes along a batch axis and advances *all* of them per cycle:
 The per-cycle state is deliberately ``int32``: every quantity the step
 touches is bounded far below ``2**31`` (flit counters by the per-tree
 message size, unwrapped arbitration keys by ``2*K*#flows``, credit debts
-by the buffer sentinel), the constructor enforces the headroom
-explicitly, and integer arithmetic is exact in any width it fits — so
-halving the memory traffic changes nothing observable.
+by the buffer sentinel), :func:`int32_headroom` states the bound each
+lane must meet, and integer arithmetic is exact in any width it fits —
+so halving the memory traffic changes nothing observable.
 
 Every lane is **bit-identical** to a serial ``engine="fast"`` run with
 the same knobs — same :class:`~repro.simulator.cycle.CycleStats` (down to
@@ -48,9 +49,10 @@ cycle and pending set, same
 :class:`~repro.simulator.cycle.CycleLimitExceeded` guard cycle — enforced
 by ``tests/test_batched_equivalence.py`` and the differential suite.
 
-Telemetry is **not supported** in v1: collectors observe one engine's
-per-cycle state and the batch axis has no serial equivalent to hook;
-passing ``telemetry`` raises ``ValueError`` up front.
+This is not a single-run engine (``make_engine`` does not know it): one
+lane steps about 2.5x slower than ``engine="fast"``, so it earns its
+keep only through :meth:`BatchedCycleSimulator.run_batch` over many
+lanes, and it takes no telemetry collector.
 """
 
 from __future__ import annotations
@@ -70,17 +72,37 @@ from repro.simulator.cycle import (
 from repro.simulator.engine_layout import AGG as _AGG
 from repro.simulator.engine_layout import BCD as _BCD
 from repro.simulator.engine_layout import EngineLayout
+from repro.simulator.fastcycle import water_fill
 from repro.simulator.faultsched import FaultSchedule
 from repro.topology.graph import Graph
 from repro.trees.tree import SpanningTree
 
-__all__ = ["LaneSpec", "LaneOutcome", "BatchedCycleSimulator"]
+__all__ = ["LaneSpec", "LaneOutcome", "BatchedCycleSimulator", "int32_headroom"]
 
 _BUF_INF = 1 << 30  # per-lane buffer sentinel: credit can never bind
 _INF = 1 << 30  # root pin: above every flit count the int32 headroom admits
 _NO_EVENT = 1 << 62  # per-lane fault sentinel: no schedule change ahead
 _BIG32 = np.int32(np.iinfo(np.int32).max)  # idle-slot arbitration key
 _M_MAX = 1 << 27  # int32 headroom guard on per-tree flit counts
+
+
+def int32_headroom(
+    flits_per_tree: Sequence[int], link_capacity: int, k_max: int
+) -> Optional[str]:
+    """Why a lane with these (already checked) knobs does not fit the
+    batch's int32 state, or ``None`` when it does.  ``k_max`` is the
+    number of flows on the busiest channel (the plan's worst link
+    congestion).  Buffer sizes always fit: any credit at or above the
+    sentinel can never bind."""
+    m_cap = min(_M_MAX, (1 << 30) // max(k_max, 1))
+    if any(x >= m_cap for x in flits_per_tree):
+        return (
+            f"per-tree flit counts must stay below {m_cap}; use a serial "
+            f"engine for larger messages"
+        )
+    if link_capacity >= 1 << 15:
+        return "link capacity must stay below 2**15"
+    return None
 
 
 @dataclass(frozen=True)
@@ -142,47 +164,18 @@ class LaneOutcome:
 class BatchedCycleSimulator:
     """B independent Allreduce runs advanced together, cycle-exact per lane.
 
-    Construct either like the other engines (one lane from the scalar
-    arguments, making it a drop-in :class:`CycleEngine` for
-    ``make_engine`` / ``simulate_allreduce`` / ``trace_allreduce``) or
-    with ``lanes=[LaneSpec(...), ...]`` for a real batch, then call
-    :meth:`run_batch` for the per-lane :class:`LaneOutcome` list.
-
-    The single-run :class:`CycleEngine` protocol surface (``step`` /
-    ``done`` / ``channels`` / ... / ``run``) observes **lane 0**; ``run``
-    refuses multi-lane batches and points at :meth:`run_batch`.
+    Construct with ``lanes=[LaneSpec(...), ...]`` over one shared
+    topology and tree plan, then call :meth:`run_batch` for the per-lane
+    :class:`LaneOutcome` list.
     """
-
-    engine_name = "batched"
 
     def __init__(
         self,
         g: Graph,
         trees: Sequence[SpanningTree],
-        flits_per_tree: Optional[Sequence[int]] = None,
-        link_capacity: int = 1,
-        buffer_size: Optional[int] = None,
-        faults: Optional[FaultSchedule] = None,
-        telemetry=None,
-        lanes: Optional[Sequence[LaneSpec]] = None,
+        *,
+        lanes: Sequence[LaneSpec],
     ):
-        if telemetry is not None:
-            raise ValueError(
-                "the batched engine does not support telemetry (v1): "
-                "collectors observe one run's per-cycle state, which has "
-                "no batch equivalent; use engine='fast' (or 'reference'/"
-                "'leap') for telemetry runs"
-            )
-        if lanes is not None and flits_per_tree is not None:
-            raise ValueError("pass flits_per_tree (one lane) or lanes, not both")
-        if lanes is None:
-            if flits_per_tree is None:
-                raise ValueError("pass flits_per_tree (one lane) or lanes")
-            lanes = [
-                LaneSpec(
-                    flits_per_tree, link_capacity, buffer_size, faults or None
-                )
-            ]
         if not lanes:
             raise ValueError("a batched run needs at least one lane")
 
@@ -197,7 +190,6 @@ class BatchedCycleSimulator:
             self.lanes.append(
                 replace(lane, flits_per_tree=m, link_capacity=cap, buffer_size=buf)
             )
-        self.g = g
         self.n = g.n
         self.trees = list(trees)
         # the serial engines' index layout: flow order — and therefore the
@@ -212,29 +204,16 @@ class BatchedCycleSimulator:
         self._B = B
         k_max = int(lay.ch_k.max()) if C else 1
         self._K = k_max
-        m_cap = min(_M_MAX, (1 << 30) // k_max)
         for lane in self.lanes:
-            if any(x >= m_cap for x in lane.flits_per_tree):
-                raise ValueError(
-                    f"batched engine int32 headroom: per-tree flit counts "
-                    f"must stay below {m_cap}; use a serial engine for "
-                    f"larger messages"
-                )
-            if lane.link_capacity >= (1 << 15):
-                raise ValueError("batched engine int32 headroom: link "
-                                 "capacity must stay below 2**15")
+            why = int32_headroom(lane.flits_per_tree, lane.link_capacity, k_max)
+            if why is not None:
+                raise ValueError(f"batched engine int32 headroom: {why}")
         if F * (2 * k_max + 1) >= (1 << 31):  # pragma: no cover - giant graphs
             raise ValueError(
                 "batched engine int32 headroom: too many flows for packed "
                 "arbitration keys; use a serial engine"
             )
 
-        # lane-0 view of the scalar engine attributes (CycleEngine surface)
-        self.m = list(self.lanes[0].flits_per_tree)
-        self.capacity = self.lanes[0].link_capacity
-        self.buffer_size = self.lanes[0].buffer_size
-        self.faults = self.lanes[0].faults
-        self.telemetry = None
         self.cycle = 0
 
         # unwrapped-key constants for the capacity-1 closed form:
@@ -252,7 +231,6 @@ class BatchedCycleSimulator:
         # padded (C*K) scatter targets: row c*K + slot holds that slot's
         # packed key; rows with no flow keep _BIG32 forever
         self._pad_rows = lay.gr_ch * k_max + lay.gr_slot
-        self._pos = np.arange(k_max, dtype=np.int64).reshape(1, -1, 1)
         self._pad = np.full((C * k_max, B), _BIG32, dtype=np.int32)
 
         # row -> original lane index (compaction permutes live lanes down)
@@ -265,16 +243,18 @@ class BatchedCycleSimulator:
             [lane.link_capacity for lane in self.lanes], dtype=np.int32
         )
         self._cap1 = bool((self._cap == 1).all())
+        # no buffer, or one the sentinel already covers (per-tree flits
+        # stay below 2**27, so such a credit never binds); CycleStats
+        # still reports each lane's own buffer_size
         self._buf = np.asarray(
             [
-                _BUF_INF if lane.buffer_size is None else lane.buffer_size
+                _BUF_INF if lane.buffer_size is None
+                else min(lane.buffer_size, _BUF_INF)
                 for lane in self.lanes
             ],
             dtype=np.int32,
         )
-        self._any_buffered = any(
-            lane.buffer_size is not None for lane in self.lanes
-        )
+        self._any_buffered = bool((self._buf != _BUF_INF).any())
 
         # ---- batched state, flow-major: (4, T, n, B) with a (4*T*n, B)
         # flat view addressed by the fast engine's flat indices on axis 0
@@ -314,7 +294,7 @@ class BatchedCycleSimulator:
                 self._flat2[lay.child_up_idx], lay.grp_off, axis=0
             )
 
-    def _done_mask_batch(self) -> np.ndarray:
+    def _done_mask(self) -> np.ndarray:
         """(T, B) — which trees of which lanes are complete (landed flits
         only), exactly the fast engine's row check per lane."""
         if not self._T:
@@ -416,63 +396,16 @@ class BatchedCycleSimulator:
         self._flits_moved += self._last_moved
 
     def _arbitrate_general(self, budget: np.ndarray) -> None:
-        """Per-lane-capacity water filling: T complete round-robin passes
-        plus R extras by cyclic rank, batched over lanes (lane axis last)."""
+        """Per-lane-capacity :func:`water_fill`, all lanes at once."""
         lay = self._lay
-        Bm = np.where(lay.ch_valid[:, :, None], budget[lay.ch_fid], 0)
-        Bm = Bm.astype(np.int64)
-        np.maximum(Bm, 0, out=Bm)
-        tot = Bm.sum(axis=1)  # (C, B)
-        cap = self._cap.astype(np.int64)
-        S = np.minimum(tot, cap[None, :])
-
-        T_arr = np.zeros_like(S)
-        base = np.zeros_like(S)
-        for p in range(1, int(self._cap.max()) + 1):
-            s = np.minimum(Bm, p).sum(axis=1)
-            ok = (s <= S) & (p <= cap[None, :])
-            T_arr[ok] = p
-            base[ok] = s[ok]
-        R = S - base
-
-        grants = np.minimum(Bm, T_arr[:, None, :])
-        jpos = (
-            self._pos - self._rr[:, None, :]
-        ) % lay.ch_k[:, None, None]
-        want_extra = (Bm > T_arr[:, None, :]) & lay.ch_valid[:, :, None]
-        if want_extra.any():
-            # rank of each candidate among candidates, in cyclic order
-            rank = (
-                want_extra[:, None, :, :]
-                & (jpos[:, None, :, :] < jpos[:, :, None, :])
-            ).sum(axis=2)
-            extra = want_extra & (rank < R[:, None, :])
-            grants += extra
-        else:
-            extra = want_extra
-
-        # rotating pointer: one past the last grant of the cycle
-        has_extra = extra.any(axis=1)
-        j_extra = np.where(extra, jpos, -1).max(axis=1, initial=-1)
-        last_pass = grants.max(axis=1, initial=0)
-        j_pass = np.where(
-            (Bm >= last_pass[:, None, :])
-            & lay.ch_valid[:, :, None]
-            & (last_pass[:, None, :] > 0),
-            jpos,
-            -1,
-        ).max(axis=1, initial=-1)
-        j_last = np.where(has_extra, j_extra, j_pass)
-        self._rr = np.where(
-            S > 0, (self._rr + j_last + 1) % lay.ch_k[:, None], self._rr
-        ).astype(np.int32)
-
-        self._last_moved = S.sum(axis=0)
+        grants, self._rr = water_fill(lay, budget, self._cap, self._rr)
+        per_ch = grants.sum(axis=1)  # (C, B)
+        self._last_moved = per_ch.sum(axis=0)
         if self._last_moved.any():
             flat = grants[lay.ch_valid]  # (F, B) in gr_fid order
             self._pending[lay.gr_fid] = flat
             self._sent[lay.gr_fid] += flat.astype(np.int32)
-            self._ch_cum += grants.sum(axis=1).astype(np.int32)
+            self._ch_cum += per_ch.astype(np.int32)
             self._flits_moved += self._last_moved
 
     # ----------------------------------------------------------- batch runs
@@ -555,7 +488,7 @@ class BatchedCycleSimulator:
             maxc = np.full(B, int(max_cycles), dtype=np.int64)
         outcomes: List[Optional[LaneOutcome]] = [None] * B
         completion = np.zeros((T, B), dtype=np.int64)
-        done = self._done_mask_batch()
+        done = self._done_mask()
         for b in np.nonzero(done.all(axis=0))[0]:
             outcomes[b] = self._finish_lane(b, completion[:, b])
             self._freeze(b)
@@ -580,7 +513,7 @@ class BatchedCycleSimulator:
                     error=f"simulation exceeded {int(maxc[b])} cycles",
                 )
                 self._freeze(b)
-            now = self._done_mask_batch()
+            now = self._done_mask()
             col_done = now.all(axis=0)
             stall_cand = self._alive & (moved == 0) & ~col_done
             for b in np.nonzero(stall_cand)[0]:
@@ -602,90 +535,3 @@ class BatchedCycleSimulator:
                 outcomes[int(self._orig[b])] = self._finish_lane(b, completion[:, b])
                 self._freeze(b)
         return outcomes  # type: ignore[return-value]
-
-    def run(self, max_cycles: Optional[int] = None) -> CycleStats:
-        """Serial-contract run of a single-lane batch: returns the lane's
-        :class:`CycleStats`, raising :class:`SimulationStalled` or
-        :class:`CycleLimitExceeded` exactly as the fast engine would.
-        Multi-lane batches must use :meth:`run_batch`."""
-        if len(self.lanes) != 1:
-            raise ValueError(
-                f"run() is the single-run protocol; this batch has "
-                f"{len(self.lanes)} lanes — use run_batch() for per-lane "
-                f"outcomes"
-            )
-        return self.run_batch(max_cycles)[0].result()
-
-    # ---------------------------------------------- engine protocol (lane 0)
-
-    @property
-    def flits_moved(self) -> int:
-        return int(self._flits_moved[0])
-
-    def tree_done(self, i: int) -> bool:
-        return bool(self._done_mask()[i])
-
-    def _done_mask(self) -> np.ndarray:
-        return self._done_mask_batch()[:, 0]
-
-    def done(self) -> bool:
-        return bool(self._done_mask().all())
-
-    def channels(self) -> List[Tuple[int, int]]:
-        return self._lay.channels()
-
-    def channel_flit_counts(self) -> List[int]:
-        return [int(x) for x in self._ch_cum[:, 0]]
-
-    def has_in_flight(self) -> bool:
-        return bool(self._pending[:, 0].any())
-
-    def delivered_floor(self) -> List[int]:
-        if not self._T:
-            return []
-        floor = self._state[_BCD, :, :, 0].min(axis=1)  # roots pinned at _INF
-        return [int(min(f, mi)) for f, mi in zip(floor, self._m_arr[:, 0])]
-
-    def reduced_at_root(self) -> List[int]:
-        if not self._T:
-            return []
-        agg = self._flat2[self._lay.agg_root_idx, 0]
-        return [int(min(a, mi)) for a, mi in zip(agg, self._m_arr[:, 0])]
-
-    def _consumed_now(self) -> np.ndarray:
-        """Lane-0 per-flow consumed counters against the current state
-        (reference ``_consumed_now`` semantics, fast-engine layout)."""
-        lay = self._lay
-        sent = np.ascontiguousarray(self._sent[:, 0])
-        if len(lay.grp_off):
-            bcm = np.minimum.reduceat(sent[lay.child_bcfid], lay.grp_off)
-        else:
-            bcm = np.zeros(0, dtype=np.int32)
-        return np.where(
-            lay.cons_from_sent,
-            sent[lay.cons_sent_fid],
-            np.where(
-                lay.cons_grp >= 0,
-                bcm[np.maximum(lay.cons_grp, 0)] if bcm.size else np.int32(0),
-                self._flat2[lay.cons_state_idx, 0],
-            ),
-        )
-
-    def queue_occupancy(self) -> List[int]:
-        if self._F == 0:
-            return [0] * self.n
-        outstanding = self._sent[:, 0] - self._consumed_now()
-        out = np.zeros(self.n, dtype=np.int64)
-        np.add.at(out, self._lay.flow_dst, outstanding)
-        return [int(x) for x in out]
-
-    def phase_flit_totals(self) -> Tuple[List[int], List[int]]:
-        red = np.zeros(self._T, dtype=np.int64)
-        bc = np.zeros(self._T, dtype=np.int64)
-        if self._F:
-            up = self._lay.flow_is_reduce
-            tree = self._lay.flow_tree
-            sent = self._sent[:, 0]
-            np.add.at(red, tree[up], sent[up])
-            np.add.at(bc, tree[~up], sent[~up])
-        return [int(x) for x in red], [int(x) for x in bc]

@@ -748,10 +748,11 @@ def simulate_allreduce(
     :class:`~repro.simulator.fastcycle.FastCycleSimulator`;
     ``engine="leap"`` runs the cycle-leaping
     :class:`~repro.simulator.leap.LeapCycleSimulator` (O(depth + #events)
-    wall clock, message-size independent); ``engine="batched"`` runs a
-    single-lane :class:`~repro.simulator.batched.BatchedCycleSimulator`.
-    All four are cycle-exact equivalents, so the choice only affects
-    wall-clock time.
+    wall clock, message-size independent).  The three are cycle-exact
+    equivalents, so the choice only affects wall-clock time.  Many runs
+    over one plan belong in
+    :meth:`~repro.simulator.batched.BatchedCycleSimulator.run_batch`
+    instead.
 
     ``faults`` injects a dynamic link-failure schedule, honored
     identically by every engine; a run severed for good raises

@@ -1,7 +1,7 @@
 """Shared cycle-engine protocol and engine selection.
 
-Four interchangeable implementations of the flit-level pipelined
-Allreduce simulation exist:
+Three interchangeable single-run implementations of the flit-level
+pipelined Allreduce simulation exist:
 
 - ``"reference"`` — :class:`repro.simulator.cycle.CycleSimulator`, the
   mechanism-faithful per-flit implementation (per-channel Python round
@@ -14,13 +14,7 @@ Allreduce simulation exist:
   cycle-leaping engine: steps with the fast engine's fused step, confirms
   the steady-state period of the pipeline from ring buffers, and jumps
   whole multiples of it in closed form, so ``run()`` wall-clock is
-  O(depth + #events) instead of O(cycles);
-- ``"batched"`` — :class:`repro.simulator.batched.BatchedCycleSimulator`,
-  the batch engine: B independent runs over a shared topology/plan in one
-  ``(B, 4, T, n)`` state tensor, each lane bit-identical to ``"fast"``.
-  As a :class:`CycleEngine` it is a single-lane batch; real batches go
-  through ``lanes=[LaneSpec(...), ...]`` + ``run_batch``.  Telemetry is
-  unsupported in v1 (raises ``ValueError``).
+  O(depth + #events) instead of O(cycles).
 
 All satisfy :class:`CycleEngine` and are **cycle-exact** equivalents:
 identical per-channel per-cycle flit counts, per-tree completion cycles
@@ -29,6 +23,12 @@ and :class:`~repro.simulator.cycle.CycleStats` on every workload
 ``tests/test_leap.py``).  Tracing and the waterfall renderer
 (:mod:`repro.simulator.trace`) work against this protocol, so they are
 engine-agnostic.
+
+Many runs over one plan go through the lane evaluator instead,
+:meth:`repro.simulator.batched.BatchedCycleSimulator.run_batch`: B runs in
+one ``(B, 4, T, n)`` state tensor, each lane bit-identical to
+``"fast"``.  It is not a :class:`CycleEngine` (no single-run surface, no
+telemetry) and not in :data:`ENGINES`.
 
 Engines only step.  Every ``run`` — and the tracer, and each tenant of
 the multi-tenant fabric — books its cycles through one
@@ -50,7 +50,6 @@ except ImportError:  # pragma: no cover
     def runtime_checkable(cls):  # type: ignore[misc]
         return cls
 
-from repro.simulator.batched import BatchedCycleSimulator
 from repro.simulator.cycle import CycleSimulator, CycleStats
 from repro.simulator.fastcycle import FastCycleSimulator
 from repro.simulator.faultsched import FaultSchedule
@@ -126,7 +125,6 @@ ENGINES = {
     "reference": CycleSimulator,
     "fast": FastCycleSimulator,
     "leap": LeapCycleSimulator,
-    "batched": BatchedCycleSimulator,
 }
 
 
@@ -140,10 +138,9 @@ def make_engine(
     faults: Optional[FaultSchedule] = None,
     telemetry=None,
 ) -> "CycleEngine":
-    """Instantiate the named cycle engine (``"reference"``, ``"fast"``,
-    ``"leap"`` or ``"batched"``), optionally bound to a dynamic fault
-    schedule and/or a :class:`~repro.telemetry.Collector` (the batched
-    engine rejects telemetry)."""
+    """Instantiate the named cycle engine (``"reference"``, ``"fast"`` or
+    ``"leap"``), optionally bound to a dynamic fault schedule and/or a
+    :class:`~repro.telemetry.Collector`."""
     try:
         cls = ENGINES[engine]
     except KeyError:

@@ -23,9 +23,10 @@ cycle with array operations and produces bit-identical results:
   contiguous row-minima decide every channel at once.  For larger
   capacities, ``T`` complete round-robin passes hand flow ``i`` exactly
   ``min(b_i, T)`` flits and the remaining ``R`` flits go to the first
-  ``R`` flows with ``b_i > T`` in cyclic order (water-filling), computed
-  with vectorized offsets.  In both paths the pointer advances to one
-  past the last grant, exactly like the reference loop.
+  ``R`` flows with ``b_i > T`` in cyclic order (water-filling):
+  :func:`water_fill`, written once over a trailing lane axis and shared
+  with the batched lane evaluator.  In both paths the pointer advances
+  to one past the last grant, exactly like the reference loop.
 
 Cycle-exactness (same per-channel per-cycle flit counts, same completion
 cycles, same round-robin pointer trajectory, same :class:`CycleStats`) is
@@ -51,11 +52,69 @@ from repro.simulator.faultsched import FaultSchedule
 from repro.topology.graph import Graph
 from repro.trees.tree import SpanningTree
 
-__all__ = ["FastCycleSimulator"]
+__all__ = ["FastCycleSimulator", "water_fill"]
 
 _INF = 1 << 62  # root pin: above any flit count the int64 headroom check admits
 _BIG = 1 << 62  # padded-slot sentinel (empty arbitration slots)
 _DEAD = 1 << 40  # ineligible-flow key offset (still < _BIG, > any real key)
+
+
+def water_fill(
+    lay: EngineLayout, budget: np.ndarray, capacity: np.ndarray, rr: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Closed form of the one-flit-per-visit round robin at any capacity.
+
+    Arrays carry a trailing lane axis of length L: ``budget`` is (F, L)
+    per-flow budgets, ``capacity`` (L,) link capacities and ``rr`` (C, L)
+    round-robin pointers.  On each channel, ``T`` complete passes hand
+    flow ``i`` exactly ``min(b_i, T)`` flits and the remaining ``R`` go to
+    the first ``R`` flows with ``b_i > T`` in cyclic order from the
+    pointer; the pointer moves one past the cycle's last grant.  Returns
+    the (C, K, L) grants in :attr:`EngineLayout.ch_fid` slots and the new
+    pointers (``rr``'s dtype).
+    """
+    valid = lay.ch_valid[:, :, None]
+    B = np.where(valid, budget[lay.ch_fid], 0).astype(np.int64, copy=False)
+    np.maximum(B, 0, out=B)
+    cap = capacity.astype(np.int64, copy=False)
+    S = np.minimum(B.sum(axis=1), cap)  # (C, L) flits sent this cycle
+
+    # T = the most complete passes that fit in S.  Pass p costs at least
+    # p flits unless every budget is below p, and passes past the largest
+    # budget grant nothing more, so the search can stop at max(S)
+    T_arr = np.zeros_like(S)
+    base = np.zeros_like(S)
+    for p in range(1, int(S.max(initial=0)) + 1):
+        s = np.minimum(B, p).sum(axis=1)
+        ok = (s <= S) & (p <= cap)
+        T_arr[ok] = p
+        base[ok] = s[ok]
+    R = S - base
+
+    grants = np.minimum(B, T_arr[:, None, :])
+    pos = np.arange(B.shape[1]).reshape(1, -1, 1)
+    jpos = (pos - rr[:, None, :]) % lay.ch_k[:, None, None]
+    want_extra = (B > T_arr[:, None, :]) & valid
+    if want_extra.any():
+        # rank of each candidate among candidates, in cyclic order
+        rank = (
+            want_extra[:, None] & (jpos[:, None] < jpos[:, :, None])
+        ).sum(axis=2)
+        extra = want_extra & (rank < R[:, None, :])
+        grants += extra
+    else:
+        extra = want_extra
+
+    # rotating pointer: one past the last grant of the cycle
+    has_extra = extra.any(axis=1)
+    j_extra = np.where(extra, jpos, -1).max(axis=1, initial=-1)
+    last_pass = grants.max(axis=1, initial=0)[:, None, :]
+    j_pass = np.where(
+        (B >= last_pass) & valid & (last_pass > 0), jpos, -1
+    ).max(axis=1, initial=-1)
+    j_last = np.where(has_extra, j_extra, j_pass)
+    new_rr = np.where(S > 0, (rr + j_last + 1) % lay.ch_k[:, None], rr)
+    return grants, new_rr.astype(rr.dtype, copy=False)
 
 
 class FastCycleSimulator:
@@ -121,7 +180,6 @@ class FastCycleSimulator:
         self._key_wrap = lay.ch_k[lay.gr_ch] * F
         self._padT = np.full((K, C), _BIG, dtype=np.int64)
         self._pad_idx = lay.gr_slot * C + lay.gr_ch
-        self._pos = np.arange(K, dtype=np.int64)[None, :]
         self._rr = np.zeros(C, dtype=np.int64)
         self._ch_cum = np.zeros(C, dtype=np.int64)
 
@@ -291,54 +349,20 @@ class FastCycleSimulator:
         return out
 
     def _arbitrate_general(self, budget: np.ndarray) -> int:
-        """Water-filling closed form of the one-flit-per-visit round robin
-        for arbitrary capacity."""
+        """Capacity > 1: :func:`water_fill` with one lane."""
         lay = self._lay
-        B = np.where(lay.ch_valid, budget[lay.ch_fid], 0)
-        np.maximum(B, 0, out=B)
-        tot = B.sum(axis=1)
-        S = np.minimum(tot, self.capacity)
-
-        T_arr = np.zeros(self._C, dtype=np.int64)
-        base = np.zeros(self._C, dtype=np.int64)
-        for t in range(1, self.capacity + 1):
-            s = np.minimum(B, t).sum(axis=1)
-            ok = s <= S
-            T_arr[ok] = t
-            base[ok] = s[ok]
-        R = S - base
-
-        grants = np.minimum(B, T_arr[:, None])
-        jpos = (self._pos - self._rr[:, None]) % lay.ch_k[:, None]
-        want_extra = (B > T_arr[:, None]) & lay.ch_valid
-        if want_extra.any():
-            # rank of each candidate among candidates, in cyclic order
-            rank = (want_extra[:, None, :] & (jpos[:, None, :] < jpos[:, :, None])).sum(axis=2)
-            extra = want_extra & (rank < R[:, None])
-            grants += extra
-        else:
-            extra = want_extra
-
-        # rotating pointer: one past the last grant of the cycle
-        has_extra = extra.any(axis=1)
-        j_extra = np.where(extra, jpos, -1).max(axis=1, initial=-1)
-        last_pass = grants.max(axis=1, initial=0)
-        j_pass = np.where(
-            (B >= last_pass[:, None]) & lay.ch_valid & (last_pass[:, None] > 0),
-            jpos,
-            -1,
-        ).max(axis=1, initial=-1)
-        j_last = np.where(has_extra, j_extra, j_pass)
-        self._rr = np.where(S > 0, (self._rr + j_last + 1) % lay.ch_k, self._rr)
-
-        moved = int(S.sum())
+        grants, rr = water_fill(
+            lay, budget[:, None], np.asarray([self.capacity]), self._rr[:, None]
+        )
+        self._rr = rr[:, 0]
+        flat = grants[lay.ch_valid][:, 0]  # (F,) in gr_fid order
+        moved = int(flat.sum())
         if moved:
-            flat = grants[lay.ch_valid]  # (F,) in gr_fid order
             nz = flat > 0
             self._pending_fids = lay.gr_fid[nz]
             self._pending_cnt = flat[nz]
             self.sent[self._pending_fids] += self._pending_cnt
-            self._ch_cum += grants.sum(axis=1)
+            self._ch_cum += grants[:, :, 0].sum(axis=1)
             self.flits_moved += moved
         return moved
 

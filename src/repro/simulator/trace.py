@@ -121,9 +121,9 @@ def trace_allreduce(
 ):
     """Step the selected cycle engine, recording channel activity.
 
-    ``engine`` selects any registered engine (``"reference"``, ``"fast"``,
-    ``"leap"`` or ``"batched"``) — all produce the same
-    :class:`ChannelTrace` (cycle-exact equivalence).
+    ``engine`` selects any registered engine (``"reference"``, ``"fast"``
+    or ``"leap"``) — all produce the same :class:`ChannelTrace`
+    (cycle-exact equivalence).
 
     With ``compress=True`` the result is a :class:`CompressedTrace` of
     run-length ``(repeat, block)`` runs instead of a dense per-cycle

@@ -14,9 +14,10 @@ inline across ``tests/test_differential.py``,
   — small named topologies plus seeded random spanning-tree embeddings
   for cross-cutting invariants;
 - :data:`CYCLE_ENGINES` / :func:`cycle_engines` — every registered cycle
-  engine, for differential suites that must cover all of them
-  (:data:`TELEMETRY_ENGINES` is the subset accepting collectors — the
-  batched engine rejects telemetry in v1);
+  engine, for differential suites that must cover all of them;
+- :data:`RUN_ENGINES` / :func:`run_engine` — those engines plus
+  ``"batched"``, a one-lane ``BatchedCycleSimulator.run_batch``, for
+  suites that pin every stepping implementation to one run's result;
 - :data:`OBSERVERS` / :func:`observer` — run an engine unobserved
   (``"auto"``) or with a per-cycle Python collector (``"python"``), for
   suites that pin that observation changes no observable;
@@ -57,9 +58,10 @@ __all__ = [
     "topology_names",
     "random_embedding",
     "CYCLE_ENGINES",
+    "RUN_ENGINES",
+    "run_engine",
     "OBSERVERS",
     "observer",
-    "TELEMETRY_ENGINES",
     "cycle_engines",
     "fault_specs",
     "materialize_faults",
@@ -74,11 +76,32 @@ __all__ = [
 
 #: every registered cycle-engine name, reference first (kept in sync with
 #: repro.simulator.engine.ENGINES by tests/test_leap.py)
-CYCLE_ENGINES = ("reference", "fast", "leap", "batched")
+CYCLE_ENGINES = ("reference", "fast", "leap")
 
-#: the engines that accept a telemetry Collector — the batched engine
-#: raises ValueError on telemetry (v1), so collector differentials skip it
-TELEMETRY_ENGINES = ("reference", "fast", "leap")
+#: the names :func:`run_engine` takes: the cycle engines plus the batched
+#: lane evaluator
+RUN_ENGINES = CYCLE_ENGINES + ("batched",)
+
+
+def run_engine(engine, g, trees, flits_per_tree, link_capacity=1,
+               buffer_size=None, faults=None, max_cycles=None):
+    """Run one Allreduce to its ``CycleStats`` on ``engine``.
+
+    ``"batched"`` runs it as the only lane of a
+    ``BatchedCycleSimulator.run_batch``; the lane's ``result()`` returns
+    the stats or raises what a serial run raises (``SimulationStalled``,
+    ``CycleLimitExceeded``).  The other names go through ``make_engine``.
+    """
+    from repro.simulator import BatchedCycleSimulator, LaneSpec, make_engine
+
+    if engine == "batched":
+        lane = LaneSpec(flits_per_tree, link_capacity, buffer_size, faults)
+        (out,) = BatchedCycleSimulator(g, trees, lanes=[lane]).run_batch(max_cycles)
+        return out.result()
+    return make_engine(
+        engine, g, trees, flits_per_tree, link_capacity, buffer_size, faults=faults
+    ).run(max_cycles)
+
 
 #: how a run is observed: ``"auto"`` runs unobserved (the engines skip
 #: every telemetry hook), ``"python"`` attaches a
@@ -88,10 +111,9 @@ TELEMETRY_ENGINES = ("reference", "fast", "leap")
 OBSERVERS = ("auto", "python")
 
 
-def observer(mode: str, engine: str):
-    """A fresh collector for ``mode == "python"`` on an engine that takes
-    telemetry; ``None`` otherwise (the batched engine has no hooks)."""
-    if mode == "python" and engine in TELEMETRY_ENGINES:
+def observer(mode: str):
+    """A fresh collector for ``mode == "python"``; ``None`` otherwise."""
+    if mode == "python":
         from repro.telemetry import Collector
 
         return Collector(sample_every=8)

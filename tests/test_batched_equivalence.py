@@ -13,10 +13,13 @@ batches after.
 
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro.cli import main
 from repro.simulator import (
+    ENGINES,
     BatchedCycleSimulator,
     LaneSpec,
     SimulationStalled,
@@ -24,7 +27,6 @@ from repro.simulator import (
     simulate_allreduce,
     trace_allreduce,
 )
-from repro.simulator.engine import ENGINES
 
 from tests.strategies import (
     batch_specs,
@@ -180,76 +182,114 @@ def test_random_heterogeneous_batches_match_fast(key, batch):
     _assert_lanes_match(plan, materialize_lanes(plan, batch))
 
 
-# ------------------------------------------------- protocol surface (B=1)
+# ------------------------------------------------------------ one lane
+
+
+def _serial_in_flight(fast) -> np.ndarray:
+    """The fast engine's in-flight flits as a dense per-flow vector."""
+    out = np.zeros(len(fast.sent), dtype=np.int64)
+    if fast.has_in_flight():  # the counts of an empty cycle are stale
+        out[fast._pending_fids] = fast._pending_cnt
+    return out
 
 
 class TestSingleLaneProtocol:
-    def test_registered_in_engine_zoo(self):
-        assert ENGINES["batched"] is BatchedCycleSimulator
-        assert BatchedCycleSimulator.engine_name == "batched"
+    """One lane's contract: validation, ``result()`` replaying the serial
+    run, and cycle-by-cycle parity with a serial fast engine.  The batched
+    engine itself is no single-run engine."""
+
+    def test_not_a_single_run_engine(self):
+        plan = _plan()
+        flits = (1,) * plan.num_trees
+        assert "batched" not in ENGINES
+        with pytest.raises(ValueError, match="unknown engine"):
+            make_engine("batched", plan.topology, plan.trees, flits)
+        with pytest.raises(ValueError, match="unknown engine"):
+            simulate_allreduce(plan.topology, plan.trees, flits, engine="batched")
+        with pytest.raises(SystemExit):
+            main(["simulate", "7", "--engine", "batched"])
+        with pytest.raises(TypeError):
+            BatchedCycleSimulator(plan.topology, plan.trees, flits)
+        for name in ("run", "done", "channels", "telemetry", "queue_occupancy"):
+            assert not hasattr(BatchedCycleSimulator, name), name
 
     def test_simulate_allreduce_roundtrip(self):
+        # a one-lane batch returns simulate_allreduce's stats, to the byte
         plan = _plan()
         parts = plan.partition(40)
         fast = simulate_allreduce(plan.topology, plan.trees, parts, engine="fast")
-        bat = simulate_allreduce(
-            plan.topology, plan.trees, parts, engine="batched"
-        )
-        assert bat == fast
+        (out,) = BatchedCycleSimulator(
+            plan.topology, plan.trees, lanes=[LaneSpec(parts)]
+        ).run_batch()
+        assert pickle.dumps(out.result()) == pickle.dumps(fast)
 
     def test_trace_parity_with_fast(self):
+        # a one-lane batch stepped to completion records, cycle by cycle,
+        # the channel activity trace_allreduce records on the fast engine
         plan = _plan()
         parts = plan.partition(12)
         t_f = trace_allreduce(plan.topology, plan.trees, parts, engine="fast")
-        t_b = trace_allreduce(plan.topology, plan.trees, parts, engine="batched")
-        assert t_b.cycles == t_f.cycles
-        assert t_b.activity == t_f.activity
+        batch = BatchedCycleSimulator(
+            plan.topology, plan.trees, lanes=[LaneSpec(parts)]
+        )
+        channels = make_engine("fast", plan.topology, plan.trees, parts).channels()
+        series = [[] for _ in channels]
+        prev = batch._ch_cum[:, 0].copy()
+        while not batch._done_mask().all():
+            batch.step()
+            now = batch._ch_cum[:, 0].copy()
+            for i, delta in enumerate((now - prev).tolist()):
+                series[i].append(delta)
+            prev = now
+        assert batch.cycle == t_f.cycles
+        assert dict(zip(channels, series)) == t_f.activity
 
     def test_midrun_probe_parity(self):
+        # a heterogeneous batch (message sizes, buffers, transient and
+        # permanent faults) stepped beside one serial fast engine per
+        # lane: every cycle, each lane's channel counters, sent counters
+        # and in-flight flits equal its serial engine's.  With one lane
+        # at capacity 2 the whole batch takes the water-filling path.
         plan = _plan()
         T = plan.num_trees
-        sf = make_engine("fast", plan.topology, plan.trees, (4,) * T,
-                         buffer_size=2)
-        sb = make_engine("batched", plan.topology, plan.trees, (4,) * T,
-                         buffer_size=2)
-        for cycle in range(10):
-            assert sf.step() == sb.step(), cycle
-            assert sf.queue_occupancy() == sb.queue_occupancy(), cycle
-            assert sf.phase_flit_totals() == sb.phase_flit_totals(), cycle
-            assert sf.delivered_floor() == sb.delivered_floor(), cycle
-            assert sf.reduced_at_root() == sb.reduced_at_root(), cycle
-            assert sf.channel_flit_counts() == sb.channel_flit_counts(), cycle
-            assert sf.has_in_flight() == sb.has_in_flight(), cycle
-            assert sf.done() == sb.done(), cycle
+        for capacity in (1, 2):
+            lanes = [
+                LaneSpec((6,) * T),
+                LaneSpec((9,) * T, buffer_size=2),
+                LaneSpec((7,) * T, buffer_size=1,
+                         faults=materialize_faults(plan, ((0, 3, 8),))),
+                LaneSpec((5,) * T,
+                         faults=materialize_faults(plan, ((2, 4, None),))),
+                LaneSpec(tuple(range(T)), link_capacity=capacity, buffer_size=3),
+            ]
+            self._step_beside_serial(plan, lanes, cycles=60)
 
-    def test_telemetry_rejected_with_clear_error(self):
-        plan = _plan()
-        with pytest.raises(ValueError, match="does not support telemetry"):
-            make_engine(
-                "batched", plan.topology, plan.trees,
-                (1,) * plan.num_trees, telemetry=object(),
-            )
-
-    def test_run_refuses_multilane_batch(self):
-        plan = _plan()
-        T = plan.num_trees
-        sim = BatchedCycleSimulator(
-            plan.topology, plan.trees,
-            lanes=[LaneSpec((1,) * T), LaneSpec((2,) * T)],
-        )
-        with pytest.raises(ValueError, match="run_batch"):
-            sim.run()
+    @staticmethod
+    def _step_beside_serial(plan, lanes, cycles):
+        batch = BatchedCycleSimulator(plan.topology, plan.trees, lanes=lanes)
+        serial = [
+            make_engine("fast", plan.topology, plan.trees, lane.flits_per_tree,
+                        lane.link_capacity, lane.buffer_size, faults=lane.faults)
+            for lane in lanes
+        ]
+        for cycle in range(1, cycles + 1):
+            batch.step()
+            for b, fast in enumerate(serial):
+                fast.step()
+                where = (lanes[b].link_capacity, cycle, b)
+                assert batch._ch_cum[:, b].tolist() == fast.channel_flit_counts(), where
+                assert np.array_equal(batch._sent[:, b], fast.sent), where
+                assert np.array_equal(
+                    batch._pending[:, b], _serial_in_flight(fast)
+                ), where
+        # the window covers every completion and the permanent stall
+        assert [fast.done() for fast in serial] == [True, True, True, False, True]
 
     def test_lane_validation(self):
         plan = _plan()
         T = plan.num_trees
         with pytest.raises(ValueError, match="at least one lane"):
             BatchedCycleSimulator(plan.topology, plan.trees, lanes=[])
-        with pytest.raises(ValueError, match="not both"):
-            BatchedCycleSimulator(
-                plan.topology, plan.trees, flits_per_tree=(1,) * T,
-                lanes=[LaneSpec((1,) * T)],
-            )
         with pytest.raises(ValueError, match="align"):
             BatchedCycleSimulator(
                 plan.topology, plan.trees, lanes=[LaneSpec((1,) * (T + 1))]

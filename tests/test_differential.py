@@ -11,8 +11,8 @@ The library has seven ways to execute the same multi-tree Allreduce:
    reference flit simulator),
 6. the cycle-leaping engine (steady-state detection + O(events) jumps,
    still cycle-exact),
-7. the batched tensor engine (B runs in one state tensor; here driven as
-   a single-lane batch through the same ``CycleEngine`` protocol).
+7. the batched lane evaluator (B runs in one state tensor; here driven
+   as a one-lane ``run_batch`` through :func:`tests.strategies.run_engine`).
 
 They share no execution code beyond the tree structures, so exact
 agreement on random workloads is a strong whole-stack check: the packet
@@ -39,11 +39,13 @@ from repro.simulator import (
 from tests.strategies import (
     CYCLE_ENGINES,
     PLANS,
+    RUN_ENGINES,
     fault_specs,
     materialize_faults,
     message_sizes,
     plan_keys,
     reduce_ops,
+    run_engine,
     seeds,
 )
 
@@ -85,10 +87,8 @@ def test_six_engines_agree(key, m, seed, op):
     )
     assert rstats.cycles == pstats.cycles
     assert rstats.flits_moved == pstats.flits_moved
-    for engine in ("fast", "leap", "batched"):
-        estats = simulate_allreduce(
-            plan.topology, plan.trees, plan.partition(m), engine=engine,
-        )
+    for engine in RUN_ENGINES[1:]:
+        estats = run_engine(engine, plan.topology, plan.trees, plan.partition(m))
         assert estats == rstats, engine
 
 
@@ -102,8 +102,8 @@ def test_packet_and_cycle_simulators_agree_on_timing(key, m):
     parts = plan.partition(m)
     x = np.ones((plan.num_nodes, m))
     _, pstats = packet_allreduce(plan.topology, plan.trees, x, partition=parts)
-    for engine in CYCLE_ENGINES:
-        cstats = simulate_allreduce(plan.topology, plan.trees, parts, engine=engine)
+    for engine in RUN_ENGINES:
+        cstats = run_engine(engine, plan.topology, plan.trees, parts)
         assert pstats.cycles == cstats.cycles
         assert pstats.flits_moved == cstats.flits_moved
 
@@ -127,11 +127,12 @@ def test_cycle_engines_agree_under_transient_faults(key, m, spec):
     t_ref = trace_allreduce(
         plan.topology, plan.trees, parts, engine="reference", faults=faults,
     )
-    for engine in ("fast", "leap", "batched"):
-        stats = simulate_allreduce(
-            plan.topology, plan.trees, parts, engine=engine, faults=faults,
+    for engine in RUN_ENGINES[1:]:
+        stats = run_engine(
+            engine, plan.topology, plan.trees, parts, faults=faults,
         )
         assert stats == ref, engine
+    for engine in CYCLE_ENGINES[1:]:
         t = trace_allreduce(
             plan.topology, plan.trees, parts, engine=engine, faults=faults,
         )
@@ -151,10 +152,10 @@ def test_cycle_engines_agree_on_stall_or_completion(key, m, spec):
     faults = materialize_faults(plan, spec)
     parts = plan.partition(m)
     outcomes = {}
-    for engine in CYCLE_ENGINES:
+    for engine in RUN_ENGINES:
         try:
-            s = simulate_allreduce(
-                plan.topology, plan.trees, parts, engine=engine, faults=faults,
+            s = run_engine(
+                engine, plan.topology, plan.trees, parts, faults=faults,
             )
             outcomes[engine] = ("done", s.cycles, s.tree_completion)
         except SimulationStalled as st_exc:

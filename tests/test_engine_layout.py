@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulator import CycleSimulator, make_engine
+from repro.simulator import CycleSimulator
 from repro.simulator.engine_layout import EngineLayout
 from repro.topology import Graph
 from repro.topology.graph import canonical_edge
@@ -30,10 +30,12 @@ from tests.strategies import (
     link_capacities,
     plan_keys,
     random_embedding,
+    run_engine,
     seeds,
     topology_names,
 )
 
+#: the layout's readers: the fast and leap engines and the batched lanes
 VECTOR_ENGINES = ("fast", "leap", "batched")
 
 
@@ -117,8 +119,8 @@ def test_vector_engines_are_pickle_equal_to_the_reference(emb, buf, cap):
         CycleSimulator(g, trees, m, link_capacity=cap, buffer_size=buf).run()
     )
     for engine in VECTOR_ENGINES:
-        sim = make_engine(engine, g, trees, m, link_capacity=cap, buffer_size=buf)
-        assert pickle.dumps(sim.run()) == expect, engine
+        got = run_engine(engine, g, trees, m, link_capacity=cap, buffer_size=buf)
+        assert pickle.dumps(got) == expect, engine
 
 
 @settings(max_examples=40, deadline=None)
@@ -155,11 +157,11 @@ def test_aggregation_groups_list_sorted_children_per_internal_node():
 def test_no_trees_and_zero_flit_trees(engine):
     plan = get_plan(5, "low-depth")
     g, trees = plan.topology, list(plan.trees)
-    empty = make_engine(engine, g, [], []).run()
+    empty = run_engine(engine, g, [], [])
     assert empty.cycles == 0 and empty.flits_moved == 0
     mixed = [0, 4] + [0] * (len(trees) - 2)
     ref = CycleSimulator(g, trees, mixed).run()
-    got = make_engine(engine, g, trees, mixed).run()
+    got = run_engine(engine, g, trees, mixed)
     assert pickle.dumps(got) == pickle.dumps(ref)
     assert got.tree_completion[0] == 0
 
@@ -170,4 +172,4 @@ def test_single_node_graph_has_no_flows():
     assert lay.num_flows == 0 and lay.num_channels == 0
     assert lay.channels() == []
     for engine in ("reference",) + VECTOR_ENGINES:
-        assert make_engine(engine, g, [SpanningTree(0, {})], [3]).run().cycles == 0
+        assert run_engine(engine, g, [SpanningTree(0, {})], [3]).cycles == 0

@@ -36,6 +36,7 @@ from repro.topology import Graph
 from repro.trees import SpanningTree, random_spanning_trees
 
 from tests.strategies import (
+    RUN_ENGINES,
     buffer_sizes,
     get_plan,
     link_capacities,
@@ -43,6 +44,7 @@ from tests.strategies import (
     plan_keys,
     plan_used_links,
     random_embedding,
+    run_engine,
     seeds,
     topology_names,
 )
@@ -286,9 +288,8 @@ class TestFusedStep:
     def test_zero_flit_trees_complete_immediately(self):
         plan = get_plan(3, "low-depth")
         parts = [0] * plan.num_trees
-        for engine in ("reference", "fast", "leap", "batched"):
-            stats = simulate_allreduce(plan.topology, plan.trees, parts,
-                                       engine=engine)
+        for engine in RUN_ENGINES:
+            stats = run_engine(engine, plan.topology, plan.trees, parts)
             assert stats.cycles == 0, engine
 
     def test_heterogeneous_parts_exact(self):
@@ -297,7 +298,6 @@ class TestFusedStep:
         parts = [int(x) for x in rng.integers(0, 9, plan.num_trees)]
         base = simulate_allreduce(plan.topology, plan.trees, parts,
                                   engine="reference")
-        for engine in ("fast", "leap", "batched"):
-            got = simulate_allreduce(plan.topology, plan.trees, parts,
-                                     engine=engine)
+        for engine in RUN_ENGINES[1:]:
+            got = run_engine(engine, plan.topology, plan.trees, parts)
             assert got == base, engine

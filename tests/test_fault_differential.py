@@ -2,7 +2,8 @@
 
 For every fault schedule in a fixed grid — permanent, transient, multi-
 link and cascading — the three cycle engines must agree on the *full*
-per-cycle trace and the completion (or stall) cycle, bit for bit. This is
+per-cycle trace and the completion (or stall) cycle, bit for bit, and a
+one-lane batch on the completion (or stall) cycle. This is
 the acceptance criterion of the dynamic fault layer: fault handling is
 implemented three independent ways (per-channel skip, vectorized budget
 mask, leap barriers + idle fast-forward) and the grid pins them to each
@@ -27,6 +28,7 @@ from tests.strategies import (
     OBSERVERS,
     observer,
     plan_used_links,
+    run_engine,
 )
 
 Q = 7
@@ -77,38 +79,43 @@ def _trace_or_stall(plan, parts, faults, engine, compress=False):
     ids=[f"{s}-{l}" for l, s, _ in _grid()],
 )
 def test_engines_bit_identical_under_faults(label, scheme, build, mode):
-    # under ``mode="python"`` every engine that takes telemetry runs with
-    # a collector attached: the observed runs must match the unobserved
-    # batched engine, and the collectors must record the same stream
+    # under ``mode="python"`` every cycle engine runs with a collector
+    # attached: the observed runs must match the unobserved batched lane,
+    # and the collectors must record the same stream
     plan = build_plan(Q, scheme)
     faults = build(plan_used_links(plan))
     parts = plan.partition(M)
+
+    def outcome(run):
+        try:
+            s = run()
+        except SimulationStalled as exc:
+            return ("stall", exc.cycle, exc.pending)
+        return ("done", s.cycles, s.tree_completion, s.flits_moved)
 
     outcomes = {}
     traces = {}
     streams = {}
     for engine in CYCLE_ENGINES:
-        col = observer(mode, engine)
-        try:
-            s = simulate_allreduce(
-                plan.topology, plan.trees, parts, engine=engine, faults=faults,
-                telemetry=col,
-            )
-            outcomes[engine] = ("done", s.cycles, s.tree_completion,
-                                s.flits_moved)
-        except SimulationStalled as exc:
-            outcomes[engine] = ("stall", exc.cycle, exc.pending)
+        col = observer(mode)
+        outcomes[engine] = outcome(lambda: simulate_allreduce(
+            plan.topology, plan.trees, parts, engine=engine, faults=faults,
+            telemetry=col,
+        ))
         if col is not None:
             streams[engine] = col.to_jsonl()
         traces[engine] = _trace_or_stall(plan, parts, faults, engine)
+    outcomes["batched"] = outcome(lambda: run_engine(
+        "batched", plan.topology, plan.trees, parts, faults=faults
+    ))
     # the leap engine's run-length tracer expands to the same columns
     traces["leap-compressed"] = _trace_or_stall(
         plan, parts, faults, "leap", compress=True
     )
 
     ref = outcomes["reference"]
-    for engine in CYCLE_ENGINES[1:]:
-        assert outcomes[engine] == ref, (label, engine, mode, outcomes)
+    for engine, got in outcomes.items():
+        assert got == ref, (label, engine, mode, outcomes)
     for engine, trace in traces.items():
         assert trace == traces["reference"], (label, engine, mode)
     if ref[0] == "stall":

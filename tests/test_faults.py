@@ -291,6 +291,15 @@ class TestFaultMonteCarlo:
         assert all(s >= 1.0 for s in slows)  # faults never speed a run up
         assert res.render()  # human-readable summary renders
 
+    @pytest.mark.parametrize("engine", ["batched", "fast"])
+    @pytest.mark.parametrize("m", [1.5, "3"])
+    def test_non_integer_m_named_on_both_evaluators(self, engine, m):
+        # m reaches the engines' argument check as given: no int() cast
+        from repro.analysis import fault_monte_carlo
+
+        with pytest.raises(TypeError, match=r"flits_per_tree\[0\] must be an integer"):
+            fault_monte_carlo(3, m=m, k=4, engine=engine)
+
     def test_input_validation(self):
         from repro.analysis import fault_monte_carlo
 

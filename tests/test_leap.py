@@ -61,7 +61,7 @@ class TestLeaping:
         for m in (2_000, 20_000):
             sim = make_engine("leap", plan.topology, plan.trees,
                               plan.partition(m),
-                              telemetry=observer(mode, "leap"))
+                              telemetry=observer(mode))
             stats = sim.run()
             assert sim.leap_log, f"no leap at m={m}"
             leaped = sum(k * p for _, p, k in sim.leap_log)
@@ -83,7 +83,7 @@ class TestLeaping:
             )
             leap = simulate_allreduce(
                 plan.topology, plan.trees, flits, cap, buffer_size=buf,
-                engine="leap", telemetry=observer(mode, "leap"),
+                engine="leap", telemetry=observer(mode),
             )
             assert leap == fast, (cap, buf, mode)
 
@@ -192,7 +192,7 @@ class TestRingBudget:
         plan = get_plan(5, "low-depth")
         parts = plan.partition(900)
         tiny = TinyBudget(plan.topology, plan.trees, parts,
-                          telemetry=observer(mode, "leap"))
+                          telemetry=observer(mode))
         assert tiny._p_max == 1
         stats = tiny.run()
         base = simulate_allreduce(plan.topology, plan.trees, parts,

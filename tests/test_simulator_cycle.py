@@ -21,7 +21,7 @@ from repro.tenancy import FabricSimulator, TenantJob, place_jobs
 from repro.topology import Graph, polarfly_graph
 from repro.trees import SpanningTree, single_tree
 
-from tests.strategies import CYCLE_ENGINES, get_plan
+from tests.strategies import CYCLE_ENGINES, RUN_ENGINES, get_plan, run_engine
 
 
 class TestMechanics:
@@ -160,43 +160,43 @@ class TestArgumentCheck:
         plan = get_plan(5, "low-depth")
         return plan.topology, plan.trees
 
-    @pytest.mark.parametrize("engine", CYCLE_ENGINES)
+    @pytest.mark.parametrize("engine", RUN_ENGINES)
     @pytest.mark.parametrize("bad", [1.5, "3"])
     def test_non_integer_flits_rejected(self, engine, bad):
         g, trees = self._plan()
         m = [bad] + [2] * (len(trees) - 1)
         with pytest.raises(TypeError, match=r"flits_per_tree\[0\] must be an integer"):
-            make_engine(engine, g, trees, m)
+            run_engine(engine, g, trees, m)
 
-    @pytest.mark.parametrize("engine", CYCLE_ENGINES)
+    @pytest.mark.parametrize("engine", RUN_ENGINES)
     def test_non_integer_capacity_rejected(self, engine):
         g, trees = self._plan()
         with pytest.raises(TypeError, match="link_capacity must be an integer"):
-            make_engine(engine, g, trees, [2] * len(trees), link_capacity=1.5)
+            run_engine(engine, g, trees, [2] * len(trees), link_capacity=1.5)
 
-    @pytest.mark.parametrize("engine", CYCLE_ENGINES)
+    @pytest.mark.parametrize("engine", RUN_ENGINES)
     def test_non_integer_buffer_rejected(self, engine):
         g, trees = self._plan()
         with pytest.raises(TypeError, match="buffer_size must be an integer"):
-            make_engine(engine, g, trees, [2] * len(trees), buffer_size=1.5)
+            run_engine(engine, g, trees, [2] * len(trees), buffer_size=1.5)
 
-    @pytest.mark.parametrize("engine", CYCLE_ENGINES)
+    @pytest.mark.parametrize("engine", RUN_ENGINES)
     def test_numpy_integers_pass(self, engine):
         g, trees = self._plan()
         m = [3] * len(trees)
-        plain = make_engine(engine, g, trees, m, 2, 3).run()
-        numpy = make_engine(
+        plain = run_engine(engine, g, trees, m, 2, 3)
+        numpy = run_engine(
             engine, g, trees, np.asarray(m, dtype=np.int64), np.int64(2), np.int32(3)
-        ).run()
+        )
         assert pickle.dumps(numpy) == pickle.dumps(plain)
 
-    @pytest.mark.parametrize("engine", CYCLE_ENGINES)
+    @pytest.mark.parametrize("engine", RUN_ENGINES)
     @pytest.mark.parametrize("m", [1 << 57, 1 << 58])
     def test_int64_flit_overflow_rejected(self, engine, m):
         g, trees = self._plan()
         limit = "at most 153722867280912930"  # (2**63 - 1) // (2 * 30)
         with pytest.raises(ValueError, match=f"int64 headroom: .* {limit}"):
-            make_engine(engine, g, trees, [m] * len(trees))
+            run_engine(engine, g, trees, [m] * len(trees))
 
     def test_leap_at_the_int64_limit_counts_every_flit(self):
         g, trees = self._plan()

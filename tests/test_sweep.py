@@ -204,13 +204,14 @@ class TestBatching:
 
         return sim_grid_cells(7, ms=(1, 2, 5, 8), buffer_sizes=(None, 2, 4))
 
-    def test_batched_and_serial_routes_byte_identical_cache(self, tmp_path):
-        cells = self._grid()
+    @staticmethod
+    def _assert_routes_byte_identical(tmp_path, cells):
         serial_cache = SweepCache(tmp_path / "serial")
         batched_cache = SweepCache(tmp_path / "batched")
         serial = SweepRunner(workers=0, cache=serial_cache, batching=False)
         batched = SweepRunner(workers=0, cache=batched_cache)
-        assert serial.run(cells) == batched.run(cells)
+        results = batched.run(cells)
+        assert serial.run(cells) == results
         assert serial.last_summary.batched == 0
         assert batched.last_summary.batched == len(cells)
         # the cache promise: routing through run_batch may not change a
@@ -220,6 +221,40 @@ class TestBatching:
                 batched_cache.path(c).read_bytes()
                 == serial_cache.path(c).read_bytes()
             ), c.kwargs
+        return results
+
+    def test_batched_and_serial_routes_byte_identical_cache(self, tmp_path):
+        self._assert_routes_byte_identical(tmp_path, self._grid())
+
+    @pytest.mark.parametrize(
+        "extra", [{}, {"link_capacity": 2**15}], ids=["buffer", "capacity"]
+    )
+    def test_knobs_past_int32_headroom_match_serial(self, tmp_path, extra):
+        # a buffer past int32 maps to the no-credit sentinel (exact: it can
+        # never bind); a capacity the batch cannot hold runs through
+        # sim_point.  Either way the cache cannot tell the routes apart.
+        cells = [
+            cell("sim_point", q=3, m=2, buffer_size=b, **extra)
+            for b in (2, 2**31)
+        ]
+        results = self._assert_routes_byte_identical(tmp_path, cells)
+        assert [r["cycles"] for r in results] == ([7, 7] if extra else [8, 8])
+
+    @pytest.mark.parametrize("batching", [True, False], ids=["batched", "serial"])
+    @pytest.mark.parametrize("knob,bad,name", [
+        ("m", 1.5, r"flits_per_tree\[0\]"),
+        ("m", "3", r"flits_per_tree\[0\]"),
+        ("link_capacity", 1.5, "link_capacity"),
+        ("buffer_size", 1.5, "buffer_size"),
+    ])
+    def test_non_integer_knob_named_on_both_routes(self, batching, knob, bad, name):
+        # no int() at the sweep boundary: the engines' argument check
+        # names the knob instead of running a truncated cell
+        kwargs = {"q": 3, "m": 2, knob: bad}
+        cells = [cell("sim_point", **kwargs), cell("sim_point", q=3)]
+        runner = SweepRunner(workers=0, batching=batching)
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            runner.run(cells)
 
     def test_mixed_grid_warm_run_all_hits(self, tmp_path):
         # batchable sim_point cells interleaved with unbatchable work:

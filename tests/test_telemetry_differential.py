@@ -12,9 +12,8 @@ Runs at q=7 so the differential covers real PolarFly radix (N=57) with
 leaps actually taken, not just the toy radixes the hypothesis suites
 sample.
 
-The batched engine is deliberately absent (``TELEMETRY_ENGINES``, not
-``CYCLE_ENGINES``): it rejects telemetry in v1 with a ``ValueError`` —
-asserted in ``tests/test_batched_equivalence.py``.
+The batched lane evaluator is absent: it is not a cycle engine and takes
+no collector.
 """
 
 import dataclasses
@@ -31,7 +30,7 @@ from repro.simulator import (
 )
 from repro.telemetry import Collector, loads_telemetry
 
-from tests.strategies import TELEMETRY_ENGINES, plan_used_links
+from tests.strategies import CYCLE_ENGINES, plan_used_links
 
 Q = 7
 M = 120
@@ -81,11 +80,11 @@ def test_engines_emit_byte_identical_jsonl(label, scheme, m, k, build):
     kw = build(plan_used_links(plan))
     streams = {
         e: _jsonl(plan, m, e, sample_every=k, **kw).to_jsonl()
-        for e in TELEMETRY_ENGINES
+        for e in CYCLE_ENGINES
     }
     ref = streams["reference"]
     assert ref  # never empty: at least header/leg/counters/end
-    for engine in TELEMETRY_ENGINES[1:]:
+    for engine in CYCLE_ENGINES[1:]:
         assert streams[engine] == ref, (label, engine)
 
 
@@ -95,7 +94,7 @@ def test_leap_reconstructs_samples_inside_jumps():
     plan = build_plan(Q, "low-depth")
     m = 1600
     cols = {
-        e: _jsonl(plan, m, e, sample_every=64) for e in TELEMETRY_ENGINES
+        e: _jsonl(plan, m, e, sample_every=64) for e in CYCLE_ENGINES
     }
     assert cols["leap"].counters[0].leap_jumps > 0
     ref = cols["reference"].to_jsonl()
@@ -103,7 +102,7 @@ def test_leap_reconstructs_samples_inside_jumps():
         1 for r in cols["leap"].records if r["t"] == "sample"
     )
     assert samples > cols["leap"].counters[0].leap_jumps  # jumps held samples
-    for engine in TELEMETRY_ENGINES[1:]:
+    for engine in CYCLE_ENGINES[1:]:
         assert cols[engine].to_jsonl() == ref
 
 
@@ -111,7 +110,7 @@ def test_engine_identity_confined_to_perf_record():
     plan = build_plan(Q, "low-depth")
     streams = {
         e: _jsonl(plan, M, e, sample_every=16, include_perf=True)
-        for e in TELEMETRY_ENGINES
+        for e in CYCLE_ENGINES
     }
     perfs = {}
     stripped = {}
@@ -119,7 +118,7 @@ def test_engine_identity_confined_to_perf_record():
         recs = [json.loads(line) for line in col.to_jsonl().splitlines()]
         perfs[e] = [r for r in recs if r["t"] == "perf"]
         stripped[e] = [r for r in recs if r["t"] != "perf"]
-    for e in TELEMETRY_ENGINES:
+    for e in CYCLE_ENGINES:
         assert len(perfs[e]) == 1
         assert perfs[e][0]["engines"][0]["engine"] == e
     assert stripped["fast"] == stripped["reference"]
@@ -130,7 +129,7 @@ def test_recovery_telemetry_engine_independent():
     plan = build_plan(Q, "low-depth")
     link = plan_used_links(plan)[0]
     streams = {}
-    for engine in TELEMETRY_ENGINES:
+    for engine in CYCLE_ENGINES:
         col = Collector(sample_every=16)
         res = run_with_recovery(
             plan, 240, FaultSchedule.single(link, 20), policy="repaired",
@@ -141,7 +140,7 @@ def test_recovery_telemetry_engine_independent():
     ref = streams["reference"]
     run = loads_telemetry(ref)
     assert len(run.legs) == 2 and len(run.episodes) == 1
-    for engine in TELEMETRY_ENGINES[1:]:
+    for engine in CYCLE_ENGINES[1:]:
         assert streams[engine] == ref
 
 
@@ -152,7 +151,7 @@ def test_telemetry_row_deterministic_and_engine_independent():
         dataclasses.replace(
             telemetry_row(Q, "low-depth", m=M, engine=e), engine="*"
         )
-        for e in TELEMETRY_ENGINES
+        for e in CYCLE_ENGINES
     ]
     assert rows[0] == rows[1] == rows[2]
     again = telemetry_row(Q, "low-depth", m=M, engine="leap")
