@@ -12,7 +12,7 @@ The shape is deliberately what the batched engine
 ``m`` / ``buffer_size`` / ``link_capacity`` / ``faults`` at a fixed
 ``(q, scheme)`` shares one topology and tree plan and differs only in
 per-lane knobs.  :func:`sim_point_group_key` and :func:`sim_point_batch`
-are the :data:`repro.sweep.batching.BATCHERS` hooks that exploit this:
+are the hooks :class:`~repro.sweep.engine.SweepRunner` routes through:
 compatible cells become one :meth:`~repro.simulator.batched.
 BatchedCycleSimulator.run_batch` call whose per-lane results are
 bit-identical to calling :func:`sim_point` per cell (the engine's

@@ -37,6 +37,7 @@ import numpy as np
 
 from repro.topology.graph import Graph
 from repro.trees.tree import Edge, SpanningTree, edge_congestion
+from repro.utils.errors import whole
 
 Number = Union[int, float, Fraction]
 
@@ -373,7 +374,12 @@ def optimal_partition(m: int, bandwidths: Sequence[Number]) -> List[int]:
     because ``N`` and ``D`` are shared positive constants — so the result
     is identical to the retained ``Fraction`` reference, without any
     rational arithmetic.
+
+    ``m`` must be an integer (``operator.index``: a NumPy integer becomes
+    an exact Python ``int``; a float or string raises a named
+    ``TypeError``).
     """
+    m = whole("m", m)
     if m < 0:
         raise ValueError("vector size must be non-negative")
     fracs = [_as_fraction(b) for b in bandwidths]
@@ -476,8 +482,10 @@ def latency_aware_partition(
     L_j`` cross-multiplies to ``P <= a_j S``, and each exact share
     ``(T - L_i) B_i`` is the integer ``(P - a_i S) b_i`` over the shared
     denominator ``D^2 S`` — identical output to the retained ``Fraction``
-    reference, largest-remainder integer rounding included.
+    reference, largest-remainder integer rounding included. ``m`` is
+    checked as in :func:`optimal_partition`.
     """
+    m = whole("m", m)
     if m < 0:
         raise ValueError("vector size must be non-negative")
     bws = [_as_fraction(b) for b in bandwidths]

@@ -122,7 +122,8 @@ class AllreducePlan:
     # ------------------------------------------------------------ planning
 
     def partition(self, m: int) -> List[int]:
-        """Equation 2: optimal sub-vector sizes for an ``m``-element input."""
+        """Equation 2: optimal sub-vector sizes for an ``m``-element input
+        (``m`` an integer, else a named ``TypeError``)."""
         return optimal_partition(m, self.bandwidths)
 
     def estimated_time(self, m: int, hop_latency: Number = 0) -> Fraction:

@@ -11,9 +11,9 @@ process, not per call. This module provides:
   numerator/denominator pair) plus a version salt, so specs from a
   different release can never alias;
 - :class:`PlanCache` — a bounded in-memory LRU map from key to
-  :class:`~repro.core.plan.AllreducePlan`, with an optional on-disk layer
-  reusing the sweep cache's idiom (self-verifying pickle payloads,
-  atomic-rename writes, ``$REPRO_PLAN_CACHE`` root);
+  :class:`~repro.core.plan.AllreducePlan`, with an opt-in on-disk layer
+  (``$REPRO_PLAN_CACHE``) on the pickle store the sweep cache also uses
+  (:mod:`repro.utils.store`: self-verifying payloads, atomic writes);
 - :func:`get_plan` — the drop-in caching front end to ``build_plan``;
 - :func:`cached_replan` — a memo for recovery re-planning keyed on the
   source plan's fingerprint, the failed links, and the policy (the
@@ -30,15 +30,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
-import tempfile
 import weakref
 from pathlib import Path
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.bandwidth import Number, _as_fraction
 from repro.core.plan import AllreducePlan, build_plan
 from repro.topology.graph import Edge
+from repro.utils.store import MISS, PickleStore, content_key, env_root
 
 __all__ = [
     "CACHE_ENV",
@@ -53,7 +52,6 @@ __all__ = [
 
 CACHE_ENV = "REPRO_PLAN_CACHE"
 MEMORY_CAPACITY = 128
-_MISS = object()
 
 
 def default_cache_dir() -> Optional[Path]:
@@ -62,8 +60,7 @@ def default_cache_dir() -> Optional[Path]:
     Unlike the sweep cache, plans rebuild in milliseconds, so persistence
     across processes is opt-in rather than default.
     """
-    env = os.environ.get(CACHE_ENV)
-    return Path(env) if env else None
+    return env_root(CACHE_ENV)
 
 
 def plan_key(
@@ -85,16 +82,16 @@ def plan_key(
     if salt is None:
         from repro import __version__ as salt
     b = _as_fraction(link_bandwidth)
-    spec = {
-        "q": q,
-        "scheme": scheme,
-        "link_bandwidth": [b.numerator, b.denominator],
-        "starter": starter,
-        "max_trees": max_trees,
-        "salt": salt,
-    }
-    blob = json.dumps(spec, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return content_key(
+        {
+            "q": q,
+            "scheme": scheme,
+            "link_bandwidth": [b.numerator, b.denominator],
+            "starter": starter,
+            "max_trees": max_trees,
+            "salt": salt,
+        }
+    )
 
 
 class PlanCache:
@@ -103,9 +100,9 @@ class PlanCache:
     Parameters
     ----------
     root:
-        Directory for the on-disk layer (``<root>/<key[:2]>/<key>.pkl``,
-        the sweep-cache layout). ``None`` selects ``$REPRO_PLAN_CACHE``
-        when set, else memory-only.
+        Directory for the on-disk layer (a
+        :class:`~repro.utils.store.PickleStore`). ``None`` selects
+        ``$REPRO_PLAN_CACHE`` when set, else memory-only.
     capacity:
         Maximum in-memory entries; the least recently used is evicted.
     version:
@@ -124,12 +121,16 @@ class PlanCache:
         if version is None:
             from repro import __version__ as version
         self.root = Path(root) if root is not None else default_cache_dir()
+        self.store = PickleStore(self.root) if self.root is not None else None
         self.capacity = capacity
         self.version = version
         self.hits = 0
         self.misses = 0
-        self.corrupt = 0
         self._memory: Dict[str, AllreducePlan] = {}
+
+    @property
+    def corrupt(self) -> int:
+        return self.store.corrupt if self.store is not None else 0
 
     # ------------------------------------------------------------- keying
 
@@ -146,23 +147,24 @@ class PlanCache:
         )
 
     def path(self, key: str) -> Optional[Path]:
-        if self.root is None:
-            return None
-        return self.root / key[:2] / f"{key}.pkl"
+        return self.store.path(key) if self.store is not None else None
 
     # ------------------------------------------------------------ get/put
 
     def get(self, key: str) -> Tuple[bool, Optional[AllreducePlan]]:
         """Return ``(hit, plan)``; any unreadable disk entry is a miss."""
-        plan = self._memory.get(key, _MISS)
-        if plan is not _MISS:
+        plan = self._memory.get(key, MISS)
+        if plan is not MISS:
             # LRU touch: re-insertion moves the key to the young end
             del self._memory[key]
             self._memory[key] = plan
             self.hits += 1
             return True, plan
-        plan = self._load_disk(key)
-        if plan is _MISS:
+        if self.store is None:
+            plan = MISS
+        else:
+            plan = self.store.load(key, accept=_is_plan)
+        if plan is MISS:
             self.misses += 1
             return False, None
         self._remember(key, plan)
@@ -171,23 +173,8 @@ class PlanCache:
 
     def put(self, key: str, plan: AllreducePlan) -> None:
         self._remember(key, plan)
-        path = self.path(key)
-        if path is None:
-            return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {"key": key, "value": plan}
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                f.write(blob)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        if self.store is not None:
+            self.store.save(key, plan)
 
     def get_plan(
         self,
@@ -221,47 +208,13 @@ class PlanCache:
             self._memory.pop(next(iter(self._memory)))
         self._memory[key] = plan
 
-    def _load_disk(self, key: str) -> Any:
-        path = self.path(key)
-        if path is None:
-            return _MISS
-        try:
-            with open(path, "rb") as f:
-                payload = pickle.load(f)
-        except FileNotFoundError:
-            return _MISS
-        except Exception:
-            self.corrupt += 1
-            return _MISS
-        if (
-            not isinstance(payload, dict)
-            or payload.get("key") != key
-            or not isinstance(payload.get("value"), AllreducePlan)
-        ):
-            self.corrupt += 1
-            return _MISS
-        return payload["value"]
-
     # ----------------------------------------------------------- maintenance
 
     def clear(self) -> int:
         """Drop the memory layer and delete every disk entry; returns the
         number of disk entries removed."""
         self._memory.clear()
-        removed = 0
-        if self.root is None or not self.root.exists():
-            return removed
-        for sub in sorted(self.root.iterdir()):
-            if not sub.is_dir():
-                continue
-            for entry in sorted(sub.glob("*.pkl")):
-                entry.unlink()
-                removed += 1
-            try:
-                sub.rmdir()
-            except OSError:
-                pass
-        return removed
+        return self.store.clear() if self.store is not None else 0
 
     def stats(self) -> dict:
         return {
@@ -277,6 +230,10 @@ class PlanCache:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         root = str(self.root) if self.root is not None else None
         return f"PlanCache(root={root!r}, entries={len(self._memory)})"
+
+
+def _is_plan(value: object) -> bool:
+    return isinstance(value, AllreducePlan)
 
 
 _GLOBAL: Optional[PlanCache] = None

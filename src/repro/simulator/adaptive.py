@@ -54,6 +54,7 @@ from repro.simulator.recovery import (
     run_replan_loop,
 )
 from repro.topology.graph import Edge, canonical_edge
+from repro.utils.errors import whole
 
 __all__ = [
     "ADAPTIVE_ENGINES",
@@ -345,11 +346,12 @@ def run_adaptive(
     if (m is None) == (m_per_tree is None):
         raise ValueError("pass exactly one of m or m_per_tree")
     if m_per_tree is None:
+        m = whole("m", m)
         if m < 0:
             raise ValueError("m must be >= 0")
         cur_m = plan.partition(m)
     else:
-        cur_m = [int(x) for x in m_per_tree]
+        cur_m = [whole(f"m_per_tree[{i}]", x) for i, x in enumerate(m_per_tree)]
         if len(cur_m) != plan.num_trees:
             raise ValueError(
                 f"m_per_tree has {len(cur_m)} entries for {plan.num_trees} trees"

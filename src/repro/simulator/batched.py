@@ -333,18 +333,18 @@ class BatchedCycleSimulator:
         self._refresh_agg()
 
         # 2. per-flow budgets from the start-of-cycle snapshot
-        avail = self._flat2[lay.avail_idx] - self._sent
+        sent = self._sent  # nothing writes it until arbitration
+        avail = self._flat2[lay.avail_idx] - sent
         if self._any_buffered:
-            snap = self._sent.copy()
             self._flat2[lay.grp_bcm_idx] = np.minimum.reduceat(
-                snap[lay.child_bcfid], lay.grp_off, axis=0
+                sent[lay.child_bcfid], lay.grp_off, axis=0
             )
             cons = np.where(
                 lay.cons_from_sent[:, None],
-                snap[lay.cons_sent_fid],
+                sent[lay.cons_sent_fid],
                 self._flat2[lay.cons_state_idx],
             )
-            credit = self._buf[None, :] - (snap - cons)
+            credit = self._buf[None, :] - (sent - cons)
             budget = np.minimum(avail, credit)
         else:
             budget = avail

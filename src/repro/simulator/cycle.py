@@ -46,7 +46,6 @@ counters and per-channel round-robin pointers.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -55,6 +54,7 @@ import numpy as np
 from repro.simulator.faultsched import FaultSchedule
 from repro.topology.graph import Graph, canonical_edge
 from repro.trees.tree import SpanningTree
+from repro.utils.errors import whole
 
 __all__ = [
     "FlowKind",
@@ -212,13 +212,6 @@ class CycleStats:
 _INT64_MAX = (1 << 63) - 1
 
 
-def _whole(name: str, x) -> int:
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer; got {x!r}") from None
-
-
 def check_engine_args(
     g: Graph,
     trees: Sequence[SpanningTree],
@@ -240,12 +233,12 @@ def check_engine_args(
     """
     if len(trees) != len(flits_per_tree):
         raise ValueError("flits_per_tree must align with trees")
-    m = [_whole(f"flits_per_tree[{i}]", x) for i, x in enumerate(flits_per_tree)]
-    link_capacity = _whole("link_capacity", link_capacity)
+    m = [whole(f"flits_per_tree[{i}]", x) for i, x in enumerate(flits_per_tree)]
+    link_capacity = whole("link_capacity", link_capacity)
     if link_capacity < 1:
         raise ValueError("link capacity must be >= 1 flit/cycle")
     if buffer_size is not None:
-        buffer_size = _whole("buffer_size", buffer_size)
+        buffer_size = whole("buffer_size", buffer_size)
         if buffer_size < 1:
             raise ValueError("buffer size must be >= 1 slot (or None for infinite)")
     for t in trees:

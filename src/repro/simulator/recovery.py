@@ -44,6 +44,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from repro.simulator.cycle import CycleLimitExceeded, CycleStats, SimulationStalled
 from repro.simulator.faultsched import FaultSchedule
 from repro.topology.graph import Edge
+from repro.utils.errors import whole
 
 __all__ = [
     "EpisodeInterrupt",
@@ -210,7 +211,7 @@ def run_replan_loop(
     from repro.simulator.engine import make_engine
 
     cur_plan = plan
-    cur_m: List[int] = [int(x) for x in m_per_tree]
+    cur_m = [whole(f"m_per_tree[{i}]", x) for i, x in enumerate(m_per_tree)]
     flits_total = sum(cur_m)
     cur_faults = faults if faults else None
     episodes: List[ReplanEpisode] = []
@@ -397,6 +398,7 @@ def run_with_recovery(
         raise ValueError(
             f"unknown policy {policy!r}; choose from {RECOVERY_POLICIES}"
         )
+    m = whole("m", m)
     if m < 0:
         raise ValueError("m must be >= 0")
     if faults is not None:

@@ -7,14 +7,15 @@ package turns those sweeps into a first-class engine:
 - :mod:`repro.sweep.spec` — declarative :class:`SweepSpec` grids of
   :class:`Cell`\\ s with stable content addresses;
 - :mod:`repro.sweep.cache` — a content-addressed on-disk result cache
-  (version-salted keys, corruption-tolerant, atomic writes);
+  (version-salted cell keys over the shared pickle store
+  :mod:`repro.utils.store`: corruption-tolerant, atomic writes);
 - :mod:`repro.sweep.engine` — a process-pool executor with a
   deterministic ordered merge (parallel output is bit-identical to
-  serial) and hit/miss/timing summaries;
+  serial) and hit/miss/timing summaries; compatible ``sim_point``
+  misses run as single batched-lane calls (:func:`plan_groups`),
+  bit-identical to the serial path;
 - :mod:`repro.sweep.tasks` — the registry mapping cell task names to
   importable functions;
-- :mod:`repro.sweep.batching` — routing compatible cache misses through
-  single batched-engine calls, bit-identical to the serial path;
 - :mod:`repro.sweep.artifacts` — the ``results/`` regeneration pipeline
   on top of the engine, including the CI drift check.
 
@@ -28,13 +29,13 @@ from repro.sweep.artifacts import (
     generate_artifacts,
     write_artifacts,
 )
-from repro.sweep.batching import BATCHERS, Batcher, plan_groups, register_batcher
 from repro.sweep.cache import CACHE_ENV, SweepCache, default_cache_dir
 from repro.sweep.engine import (
     WORKERS_ENV,
     SweepRunner,
     SweepSummary,
     default_runner,
+    plan_groups,
     resolve_workers,
     run_sweep,
 )
@@ -58,9 +59,6 @@ __all__ = [
     "BUILTIN_TASKS",
     "register",
     "run_cell",
-    "Batcher",
-    "BATCHERS",
-    "register_batcher",
     "plan_groups",
     "ARTIFACT_NAMES",
     "generate_artifacts",

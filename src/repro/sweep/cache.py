@@ -1,19 +1,10 @@
 """Content-addressed on-disk cache for sweep cell results.
 
-Layout: ``<root>/<key[:2]>/<key>.pkl`` where ``key = sha256(canonical
-cell JSON + package version)``. Values are arbitrary picklable Python
-objects (plan metrics, figure rows, rendered JSON, ...). The design
-invariants:
-
-- **content-addressed**: the key covers the task name, every parameter
-  and the package version, so a different spec — or the same spec under a
-  different release — can never alias an entry;
-- **self-verifying**: each entry embeds its own key; a corrupted,
-  truncated or foreign file fails closed (counted as a miss, recomputed,
-  then overwritten);
-- **concurrent-safe writes**: entries are written to a temporary file in
-  the same directory and atomically renamed, so parallel writers and
-  readers never observe a half-written entry.
+Cell keying over the shared pickle store (:mod:`repro.utils.store`, which
+owns the layout, the atomic writes and the self-verifying load): an
+entry's key is ``cell_key(cell, salt=version)``, covering the task name,
+every parameter and the package version, and its payload is ``{"key",
+"cell", "value"}`` with any picklable value.
 
 The default root is ``$REPRO_SWEEP_CACHE`` when set, else
 ``~/.cache/repro-sweep``.
@@ -22,25 +13,21 @@ The default root is ``$REPRO_SWEEP_CACHE`` when set, else
 from __future__ import annotations
 
 import os
-import pickle
-import tempfile
 from pathlib import Path
 from typing import Any, Optional, Tuple
 
 from repro.sweep.spec import Cell, cell_key
+from repro.utils.store import MISS, PickleStore, env_root
 
 __all__ = ["SweepCache", "default_cache_dir", "CACHE_ENV"]
 
 CACHE_ENV = "REPRO_SWEEP_CACHE"
-_MISS = object()
 
 
 def default_cache_dir() -> Path:
     """``$REPRO_SWEEP_CACHE`` if set, else ``~/.cache/repro-sweep``."""
-    env = os.environ.get(CACHE_ENV)
-    if env:
-        return Path(env)
-    return Path(os.path.expanduser("~")) / ".cache" / "repro-sweep"
+    home = Path(os.path.expanduser("~"))
+    return env_root(CACHE_ENV) or home / ".cache" / "repro-sweep"
 
 
 class SweepCache:
@@ -57,96 +44,46 @@ class SweepCache:
         construction (they simply never hit).
     """
 
-    def __init__(self, root: Optional[os.PathLike] = None, version: Optional[str] = None):
+    def __init__(
+        self, root: Optional[os.PathLike] = None, version: Optional[str] = None
+    ):
         if version is None:
             from repro import __version__ as version
-        self.root = Path(root) if root is not None else default_cache_dir()
+        self.store = PickleStore(root if root is not None else default_cache_dir())
+        self.root = self.store.root
         self.version = version
         self.hits = 0
         self.misses = 0
-        self.corrupt = 0
 
-    # ------------------------------------------------------------- keying
+    @property
+    def corrupt(self) -> int:
+        return self.store.corrupt
 
     def key(self, c: Cell) -> str:
         return cell_key(c, salt=self.version)
 
     def path(self, c: Cell) -> Path:
-        k = self.key(c)
-        return self.root / k[:2] / f"{k}.pkl"
-
-    # ------------------------------------------------------------ get/put
+        return self.store.path(self.key(c))
 
     def get(self, c: Cell) -> Tuple[bool, Any]:
         """Return ``(hit, value)``; any unreadable entry is a miss."""
-        path = self.path(c)
-        value = self._load(path, self.key(c))
-        if value is _MISS:
+        value = self.store.load(self.key(c))
+        if value is MISS:
             self.misses += 1
             return False, None
         self.hits += 1
         return True, value
 
     def put(self, c: Cell, value: Any) -> None:
-        path = self.path(c)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {"key": self.key(c), "cell": c.canonical(), "value": value}
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                f.write(blob)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def _load(self, path: Path, key: str) -> Any:
-        try:
-            with open(path, "rb") as f:
-                payload = pickle.load(f)
-        except FileNotFoundError:
-            return _MISS
-        except Exception:
-            # truncated, garbage, or wrong pickle protocol: recompute
-            self.corrupt += 1
-            return _MISS
-        if not isinstance(payload, dict) or payload.get("key") != key or "value" not in payload:
-            # a foreign or stale-format file squatting on our address
-            self.corrupt += 1
-            return _MISS
-        return payload["value"]
-
-    # ----------------------------------------------------------- maintenance
+        self.store.save(self.key(c), value, cell=c.canonical())
 
     def clear(self) -> int:
         """Delete every entry under the root; returns the number removed."""
-        removed = 0
-        if not self.root.exists():
-            return removed
-        for sub in sorted(self.root.iterdir()):
-            if not sub.is_dir():
-                continue
-            for entry in sorted(sub.glob("*.pkl")):
-                entry.unlink()
-                removed += 1
-            try:
-                sub.rmdir()
-            except OSError:
-                pass
-        return removed
+        return self.store.clear()
 
     def stats(self) -> dict:
         """Counters plus on-disk entry count / byte size."""
-        entries = 0
-        size = 0
-        if self.root.exists():
-            for entry in self.root.glob("*/*.pkl"):
-                entries += 1
-                size += entry.stat().st_size
+        entries, size = self.store.tally()
         return {
             "root": str(self.root),
             "version": self.version,

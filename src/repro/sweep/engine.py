@@ -6,10 +6,11 @@ SweepSpec` with a ``concurrent.futures`` process pool and an optional
 
 1. every cell is first probed against the cache in the parent process
    (so a warm run never pays pool startup for work it will not do);
-2. misses whose task has a registered batcher
-   (:mod:`repro.sweep.batching`) are grouped by compatibility key and
-   evaluated inline as single batched-engine calls — the batch *is* the
-   parallelism — with results guaranteed bit-identical to the serial
+2. ``sim_point`` misses are grouped by
+   :func:`~repro.analysis.simgrid.sim_point_group_key` (:func:`plan_groups`)
+   and each group of two or more is evaluated inline as one
+   :func:`~repro.analysis.simgrid.sim_point_batch` call — the batch *is*
+   the parallelism — with results guaranteed bit-identical to the serial
    path, so cache entries are byte-identical either way;
 3. the remaining misses fan out over the pool — or run inline when
    ``workers <= 1`` or only one cell missed;
@@ -32,7 +33,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from repro.sweep.cache import SweepCache
 from repro.sweep.spec import Cell, SweepSpec, cell
@@ -40,6 +41,7 @@ from repro.sweep.tasks import run_cell
 
 __all__ = [
     "SweepRunner",
+    "plan_groups",
     "SweepSummary",
     "run_sweep",
     "default_runner",
@@ -107,6 +109,42 @@ class SweepSummary:
         return line
 
 
+def plan_groups(
+    missing: Sequence[Tuple[int, Cell]],
+) -> Tuple[List[List[Tuple[int, Cell]]], List[Tuple[int, Cell]]]:
+    """Split cache misses into batched ``sim_point`` groups and serial
+    leftovers.
+
+    Cells with equal :func:`~repro.analysis.simgrid.sim_point_group_key`
+    share one group; a ``None`` key, another task, or a group of one (a
+    batch of one is just serial with overhead) stays serial. Input order
+    is preserved within every group and within the leftover list, and
+    results are merged back by cell index either way, so routing never
+    reorders a sweep's output.
+    """
+    groups: Dict[Hashable, List[Tuple[int, Cell]]] = {}
+    serial: List[Tuple[int, Cell]] = []
+    for i, c in missing:
+        key = None
+        if c.task == "sim_point":
+            # imported here: the simulator stays out of `import repro.sweep`
+            from repro.analysis.simgrid import sim_point_group_key
+
+            key = sim_point_group_key(c.kwargs)
+        if key is None:
+            serial.append((i, c))
+        else:
+            groups.setdefault(key, []).append((i, c))
+    batched: List[List[Tuple[int, Cell]]] = []
+    for members in groups.values():
+        if len(members) < 2:
+            serial.extend(members)
+        else:
+            batched.append(members)
+    serial.sort(key=lambda pair: pair[0])
+    return batched, serial
+
+
 def _timed_cell(c: Cell) -> Tuple[Any, float]:
     """Pool worker: run one cell, returning (value, compute seconds)."""
     t0 = time.perf_counter()
@@ -126,25 +164,23 @@ class SweepRunner:
         ``None`` disables caching; a path-like creates a
         :class:`SweepCache` rooted there; a :class:`SweepCache` is used
         as-is.
-    release_caches:
-        After every batch that computed at least one cell, drop the
-        process-wide topology memos
-        (:func:`repro.topology.clear_polarfly_cache`) so a long-lived
-        runner's memory stays bounded by the largest single batch, not by
-        every radix ever visited. On by default; pass ``False`` to keep
-        topologies warm across batches.
     batching:
-        Route compatible cache misses through grouped batched-engine
-        calls (:mod:`repro.sweep.batching`). On by default — the routes
-        are bit-identical, so this is purely a speed knob; pass ``False``
-        to force every miss down the serial/pool path.
+        Route compatible ``sim_point`` misses through grouped batched-lane
+        calls (:func:`plan_groups`). On by default — the routes are
+        bit-identical, so this is purely a speed knob; pass ``False`` to
+        force every miss down the serial/pool path.
+
+    After every ``run()`` that computed at least one cell the runner drops
+    the process-wide topology memos
+    (:func:`repro.topology.clear_polarfly_cache`), so a long-lived
+    runner's memory stays bounded by the largest single batch, not by
+    every radix ever visited.
     """
 
     def __init__(
         self,
         workers: Optional[int] = None,
         cache: Union[None, str, os.PathLike, SweepCache] = None,
-        release_caches: bool = True,
         batching: bool = True,
     ):
         self.workers = resolve_workers(workers)
@@ -152,7 +188,6 @@ class SweepRunner:
             self.cache = cache
         else:
             self.cache = SweepCache(cache)
-        self.release_caches = release_caches
         self.batching = batching
         self.last_summary = SweepSummary()
         self.total = SweepSummary()
@@ -181,12 +216,12 @@ class SweepRunner:
         n_missed = len(missing)
         batched_cells = 0
         if missing and self.batching:
-            from repro.sweep.batching import plan_groups
-
             groups, missing = plan_groups(missing)
-            for batcher, members in groups:
+            for members in groups:
+                from repro.analysis.simgrid import sim_point_batch
+
                 t1 = time.perf_counter()
-                values = batcher.run_group([c.kwargs for _, c in members])
+                values = sim_point_batch([c.kwargs for _, c in members])
                 compute_s += time.perf_counter() - t1
                 for (i, c), value in zip(members, values):
                     results[i] = value
@@ -214,15 +249,14 @@ class SweepRunner:
                     if self.cache is not None:
                         self.cache.put(c, value)
         if n_missed:
-            if self.release_caches:
-                # Computing cells may have populated the process-wide
-                # topology memos (directly in the serial path, or in the
-                # parent while probing); drop them so batches don't pin
-                # one graph per radix ever visited. Hit-only batches
-                # build nothing and skip the clear.
-                from repro.topology import clear_polarfly_cache
+            # Computing cells may have populated the process-wide
+            # topology memos (directly in the serial path, or in the
+            # parent while probing); drop them so batches don't pin one
+            # graph per radix ever visited. Hit-only batches build
+            # nothing and skip the clear.
+            from repro.topology import clear_polarfly_cache
 
-                clear_polarfly_cache()
+            clear_polarfly_cache()
 
         self.last_summary = SweepSummary(
             cells=len(cells),

@@ -16,11 +16,11 @@ are canonicalized to lists for hashing.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, Tuple
+
+from repro.utils.store import content_key
 
 __all__ = ["Cell", "cell", "cell_key", "SweepSpec"]
 
@@ -88,8 +88,7 @@ def cell_key(c: Cell, salt: str = "") -> str:
     doc = c.canonical()
     if salt:
         doc["salt"] = salt
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return content_key(doc)
 
 
 @dataclass(frozen=True)

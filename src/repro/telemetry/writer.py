@@ -47,6 +47,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.telemetry.collector import CounterSet
+from repro.utils.store import canonical_json
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -61,10 +62,9 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 
-def dumps_record(rec: Dict[str, Any]) -> str:
-    """Canonical JSON: sorted keys, compact separators — equal dicts give
-    equal bytes, which the differential guarantees build on."""
-    return json.dumps(rec, sort_keys=True, separators=(",", ":"))
+# canonical JSON — equal dicts give equal bytes, which the differential
+# guarantees build on
+dumps_record = canonical_json
 
 
 class TelemetryWriter:

@@ -1,6 +1,9 @@
-"""Exception hierarchy for the repro library."""
+"""Exception hierarchy for the repro library, and the integer-argument
+check the public boundaries share."""
 
-__all__ = ["ReproError", "UnsupportedRadixError", "ConstructionError"]
+import operator
+
+__all__ = ["ReproError", "UnsupportedRadixError", "ConstructionError", "whole"]
 
 
 class ReproError(Exception):
@@ -17,3 +20,13 @@ class UnsupportedRadixError(ReproError, ValueError):
 class ConstructionError(ReproError, RuntimeError):
     """Raised when a construction's internal invariant fails — indicates a
     bug or an unsupported input that slipped validation."""
+
+
+def whole(name: str, x) -> int:
+    """``x`` as an exact Python ``int`` (``operator.index``): NumPy
+    integers pass, while floats, strings and other non-integers raise a
+    ``TypeError`` naming the argument."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer; got {x!r}") from None

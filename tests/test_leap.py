@@ -314,11 +314,6 @@ class TestTopologyCacheBounds:
         runner.run([cell("figure5_row", q=5)])
         assert polarfly_graph.cache_info().currsize == 0
 
-        warm = SweepRunner(workers=0, cache=None, release_caches=False)
-        warm.run([cell("figure5_row", q=5)])
-        assert polarfly_graph.cache_info().currsize >= 1
-        clear_polarfly_cache()
-
 
 class TestMeasuredAnalysis:
     def test_measured_bandwidth_validates(self):

@@ -146,3 +146,70 @@ class TestMaxTrees:
         from repro.simulator import verify_plan
 
         assert verify_plan(build_plan(5, "low-depth", max_trees=2))
+
+
+class TestVectorSizeBoundary:
+    """The vector size at the partition and re-plan boundary follows the
+    engines' ``operator.index`` rule: NumPy integers become exact Python
+    ints, floats and strings raise a TypeError naming the argument."""
+
+    @pytest.fixture(scope="class")
+    def plan(self):
+        return build_plan(3, "low-depth")
+
+    @pytest.mark.parametrize("bad", [8.0, 7.9, "8"])
+    def test_partition_names_non_integer_m(self, plan, bad):
+        from repro.core import optimal_partition
+        from repro.core.bandwidth import latency_aware_partition
+
+        with pytest.raises(TypeError, match="m must be an integer"):
+            plan.partition(bad)
+        with pytest.raises(TypeError, match="m must be an integer"):
+            optimal_partition(bad, [1, 2, 3])
+        with pytest.raises(TypeError, match="m must be an integer"):
+            latency_aware_partition(bad, [1, 2], [0, 1])
+
+    def test_numpy_m_is_exact(self, plan):
+        import numpy as np
+
+        from repro.core import optimal_partition
+
+        m = 2**62
+        parts = optimal_partition(np.int64(m), [1, 2, 3])
+        assert parts == optimal_partition(m, [1, 2, 3])
+        assert sum(parts) == m and all(type(p) is int and p > 0 for p in parts)
+        assert plan.partition(np.int64(8)) == plan.partition(8)
+
+    @pytest.mark.parametrize("runner", ["recovery", "adaptive"])
+    @pytest.mark.parametrize("bad", [7.9, "8"])
+    def test_runners_name_non_integer_m(self, plan, runner, bad):
+        from repro.simulator.adaptive import run_adaptive
+        from repro.simulator.recovery import run_with_recovery
+
+        run = run_with_recovery if runner == "recovery" else run_adaptive
+        with pytest.raises(TypeError, match="m must be an integer"):
+            run(plan, bad)
+
+    @pytest.mark.parametrize("bad", [2.7, 1.5, "3"])
+    def test_per_tree_split_is_not_truncated(self, plan, bad):
+        from repro.simulator.adaptive import run_adaptive
+        from repro.simulator.recovery import run_replan_loop
+
+        split = [2] * plan.num_trees
+        split[1] = bad
+        with pytest.raises(TypeError, match=r"m_per_tree\[1\] must be an integer"):
+            run_replan_loop(plan, split, lambda *a: None, engine="fast")
+        with pytest.raises(TypeError, match=r"m_per_tree\[1\] must be an integer"):
+            run_adaptive(plan, m_per_tree=split)
+
+    def test_numpy_per_tree_split_runs(self, plan):
+        import numpy as np
+
+        from repro.simulator.recovery import run_replan_loop
+
+        split = [2] * plan.num_trees
+        res = run_replan_loop(
+            plan, np.array(split), lambda *a: None, engine="fast"
+        )
+        ref = run_replan_loop(plan, split, lambda *a: None, engine="fast")
+        assert res.stats == ref.stats
