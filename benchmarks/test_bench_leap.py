@@ -2,9 +2,11 @@
 
 Workload: identical Allreduce simulations on the leap and fast cycle
 engines across a speedup-vs-m curve at q=7 (plus one large-radix q=19
-point). Pass criteria: the engines agree exactly on the resulting
-:class:`CycleStats` everywhere they are both run, and the leap engine is
->= 50x faster than the fast engine at m >= 10^6 flits per tree.
+point, and the low-depth q=25/29 embeddings whose detection rings sit at
+the period floor of 2). Pass criteria: the engines agree exactly on the
+resulting :class:`CycleStats` everywhere they are both run, the leap
+engine is >= 50x faster than the fast engine at m >= 10^6 flits per
+tree, and the floor-of-2 embeddings step <= 50 cycles at m=8000.
 
 Each case's reproduced numbers land in ``benchmark.extra_info`` (for the
 pytest-benchmark JSON) *and* are persisted to ``BENCH_leap.json`` at the
@@ -20,11 +22,20 @@ from conftest import record
 
 from repro.core import build_plan
 from repro.simulator import make_engine, simulate_allreduce
+from repro.telemetry import Collector
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_leap.json"
 SPEEDUP_TARGET = 50.0  # leap vs fast at the largest curve point
 CURVE_M = [1_000, 10_000, 100_000, 1_000_000]
 FAST_M_MAX = 100_000  # largest m the O(cycles) fast engine is timed at
+CLIFF_Q = (25, 29)  # low-depth embeddings whose byte budget leaves period 1
+CLIFF_M = 8_000
+CLIFF_STEPPED_MAX = 50
+# cells whose detectable period sits at the floor of 2
+FLOOR_CELLS = (
+    (25, "low-depth"), (27, "low-depth"), (29, "low-depth"),
+    (31, "low-depth"), (31, "edge-disjoint"),
+)
 
 
 def _persist(case_id, payload):
@@ -153,3 +164,57 @@ def test_leap_large_radix_point(benchmark):
     _persist(f"large-radix-q{q}-m{m}", payload)
     # the whole point: paper-scale m in interactive time
     assert leap_s < 30.0
+
+
+def test_leap_cliff_low_depth(benchmark):
+    """Low-depth q=25/29 at m=8000: the byte budget alone leaves these
+    embeddings a detectable period of 1, but their steady state has
+    period 2 — the floor of 2 must leap it, with and without a collector
+    attached, exactly. Also records the derived ``_p_max`` and ring bytes
+    of every cell at the floor."""
+    runs = {}
+    for q in CLIFF_Q:
+        plan = build_plan(q, "low-depth")
+        parts = plan.partition(CLIFF_M)
+        fast = simulate_allreduce(plan.topology, plan.trees, parts, engine="fast")
+        row = {}
+        for label, tel in (("plain", None), ("collector", Collector(sample_every=8))):
+            sim = make_engine("leap", plan.topology, plan.trees, parts, telemetry=tel)
+            stats, leap_s = _time(sim.run)
+            assert stats == fast, f"leap diverged from fast at q={q} ({label})"
+            assert sim.stepped_cycles <= CLIFF_STEPPED_MAX, (q, label)
+            row[label] = {
+                "cycles": stats.cycles,
+                "stepped_cycles": sim.stepped_cycles,
+                "leaps": len(sim.leap_log),
+                "leap_seconds": round(leap_s, 4),
+            }
+        row["p_max"] = sim._p_max
+        row["ring_bytes"] = sim._rings.nbytes
+        runs[f"q{q}"] = row
+
+    plan = build_plan(CLIFF_Q[-1], "low-depth")
+    parts = plan.partition(CLIFF_M)
+    benchmark.pedantic(
+        lambda: simulate_allreduce(plan.topology, plan.trees, parts, engine="leap"),
+        rounds=3, iterations=1,
+    )
+
+    rings = {}
+    for q, scheme in FLOOR_CELLS:
+        plan = build_plan(q, scheme)
+        sim = make_engine("leap", plan.topology, plan.trees, plan.partition(CLIFF_M))
+        assert sim._p_max == 2, (q, scheme)
+        rings[f"{scheme}-q{q}"] = {
+            "p_max": sim._p_max,
+            "ring_bytes": sim._rings.nbytes,
+        }
+    payload = {
+        "m": CLIFF_M,
+        "runs": runs,
+        "floor_rings": rings,
+        "budget_bytes": sim._VERIFY_BUDGET,
+        "stepped_max": CLIFF_STEPPED_MAX,
+    }
+    record(benchmark, **payload)
+    _persist("cliff-low-depth", payload)

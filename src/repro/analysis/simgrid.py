@@ -40,6 +40,7 @@ from repro.simulator.batched import (
 )
 from repro.simulator.cycle import CycleStats, check_engine_args
 from repro.simulator.faultsched import FaultSchedule
+from repro.utils.errors import whole
 
 __all__ = ["sim_point", "sim_point_batch", "sim_point_group_key", "sim_grid_cells"]
 
@@ -52,9 +53,14 @@ def _fault_schedule(faults: FaultsParam) -> Optional[FaultSchedule]:
     if not faults:
         return None
     events = []
-    for win in faults:
-        (u, v), down, up = win
-        events.append(((int(u), int(v)), int(down), None if up is None else int(up)))
+    for i, ((u, v), down, up) in enumerate(faults):
+        # named, never truncated: 2.9 must not run as cycle 2
+        w = f"faults[{i}]"
+        events.append((
+            (whole(f"{w} u", u), whole(f"{w} v", v)),
+            whole(f"{w} down", down),
+            None if up is None else whole(f"{w} up", up),
+        ))
     return FaultSchedule(events)
 
 

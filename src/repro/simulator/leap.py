@@ -111,8 +111,9 @@ class LeapCycleSimulator(FastCycleSimulator):
     #: hard cap on the detectable period (ring memory is
     #: O(period × state), so the cap shrinks for very large embeddings)
     P_MAX = 64
-    #: ring memory budget, in recorded values
-    _VERIFY_BUDGET = 1 << 19
+    #: ring memory budget, in bytes (the detectable period it leaves
+    #: never drops below 2, see ``__init__``)
+    _VERIFY_BUDGET = 1 << 22
 
     engine_name = "leap"
 
@@ -139,14 +140,15 @@ class LeapCycleSimulator(FastCycleSimulator):
             self._bc_fids = np.nonzero(is_bc)[0].reshape(self._T, n - 1)
         else:
             self._bc_fids = np.zeros((self._T, 0), dtype=np.int64)
-        # ring memory budget: each slot holds a full state/sent/chcum
+        # ring memory budget: each row holds a full state/sent/chcum
         # snapshot plus the signature bytes, and the rings hold two
-        # periods (2*p_max + 1 slots) — so P_MAX-sized candidates can't
-        # over-allocate on large embeddings; the cap shrinks the
-        # detectable period instead (correctness is unaffected, only
-        # detection reach)
-        slot = 2 * (self._flat.size + 2 * self._F + self._C + 1)
-        self._p_max = max(1, min(self.P_MAX, self._VERIFY_BUDGET // max(1, slot)))
+        # periods — so P_MAX-sized candidates can't over-allocate on
+        # large embeddings; the budget shrinks the detectable period
+        # instead (correctness is unaffected, only detection reach), but
+        # never below 2: pipelined steady states repeat with period 2,
+        # and a reach of 1 would never leap them
+        row = 8 * (self._flat.size + 2 * self._F + self._C + 1)
+        self._p_max = min(self.P_MAX, max(2, self._VERIFY_BUDGET // (2 * row)))
         # member counts of the minimum.reduceat groups (flows map to their
         # group through the layout's avail_grp / cons_grp), for principled
         # forward-drift extrapolation of min-planes
@@ -487,9 +489,11 @@ class SteadyRings:
     evidence supports.
 
     Ring length is ``2*p_max + 1`` rows (the confirmation reads back to
-    ``tick - 2P`` inclusively); the rows are counted against the
-    engine's ring memory budget when ``_p_max`` is derived, so large-``q``
-    embeddings shrink the detectable period instead of over-allocating.
+    ``tick - 2P`` inclusively); the rows' bytes are charged against the
+    engine's byte budget (``_VERIFY_BUDGET``) when ``_p_max`` is derived,
+    so large-``q`` embeddings shrink the detectable period instead of
+    over-allocating — down to a floor of 2, the period of a pipelined
+    steady state, where the rings may exceed the budget.
     """
 
     def __init__(self, sim: LeapCycleSimulator) -> None:
@@ -505,6 +509,11 @@ class SteadyRings:
         self.tick = 0
         self.cooldown = 0
         self.last_seen: dict = {}
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the preallocated ring arrays (signatures aside)."""
+        return sum(a.nbytes for a in (self.flat, self.sent, self.chcum, self.moved))
 
     def reset(self, sim: LeapCycleSimulator) -> None:
         """Restart detection (state changed discontinuously: init, leap,

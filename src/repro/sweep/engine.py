@@ -38,6 +38,7 @@ from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 from repro.sweep.cache import SweepCache
 from repro.sweep.spec import Cell, SweepSpec, cell
 from repro.sweep.tasks import run_cell
+from repro.utils.errors import whole
 
 __all__ = [
     "SweepRunner",
@@ -53,15 +54,20 @@ WORKERS_ENV = "REPRO_SWEEP_WORKERS"
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
-    """Explicit value, else ``$REPRO_SWEEP_WORKERS``, else 0 (serial)."""
+    """Explicit value, else ``$REPRO_SWEEP_WORKERS``, else 0 (serial).
+
+    A non-integer argument raises ``TypeError`` and a non-integer setting
+    a ``ValueError`` naming the variable; neither is truncated."""
     if workers is not None:
-        return max(0, int(workers))
+        return max(0, whole("workers", workers))
     env = os.environ.get(WORKERS_ENV)
     if env:
         try:
             return max(0, int(env))
         except ValueError:
-            pass
+            raise ValueError(
+                f"${WORKERS_ENV} must be an integer; got {env!r}"
+            ) from None
     return 0
 
 

@@ -87,6 +87,26 @@ class TestLeaping:
             )
             assert leap == fast, (cap, buf, mode)
 
+    @pytest.mark.parametrize("mode", OBSERVERS)
+    def test_leaps_low_depth_q25(self, mode):
+        """Regression: a detectable period of 1 never leaps the low-depth
+        q >= 25 embeddings, whose steady state has period 2; the floor of
+        2 leaps them, exactly, observed or not."""
+        plan = get_plan(25, "low-depth")
+        parts = plan.partition(1_500)
+        col = observer(mode)
+        sim = make_engine("leap", plan.topology, plan.trees, parts,
+                          telemetry=col)
+        stats = sim.run()
+        assert sim.leap_log
+        assert sim.stepped_cycles <= 50
+        base_col = observer(mode)
+        base = make_engine("fast", plan.topology, plan.trees, parts,
+                           telemetry=base_col).run()
+        assert stats == base
+        if col is not None:
+            assert col.to_jsonl() == base_col.to_jsonl()
+
     def test_leap_exact_at_paper_scale_m(self):
         """At m where per-cycle engines are infeasible, pin the affine
         law cycles(m) = a*m + b that a period-P steady state implies, by
@@ -163,16 +183,28 @@ class TestSteadyRings:
 
 
 class TestRingBudget:
-    """The preallocated rings are charged against ``_VERIFY_BUDGET`` so
-    ``P_MAX``-sized candidates never over-allocate on large embeddings."""
+    """The preallocated rings are charged, in bytes, against
+    ``_VERIFY_BUDGET`` so ``P_MAX``-sized candidates never over-allocate
+    on large embeddings — down to a detectable period of 2, the floor
+    that keeps pipelined (period-2) steady states leapable."""
 
     def test_rings_fit_the_budget(self):
-        plan = get_plan(7, "low-depth")
-        sim = LeapCycleSimulator(plan.topology, plan.trees, plan.partition(20))
-        assert 1 <= sim._p_max <= LeapCycleSimulator.P_MAX
-        slot = 2 * (sim._flat.size + 2 * sim._F + sim._C + 1)
-        assert sim._p_max == 1 or sim._p_max * slot <= sim._VERIFY_BUDGET
-        assert sim._rings.R == 2 * sim._p_max + 1
+        # q=7 keeps the full P_MAX reach, q=19 is budget-bound, and q=25
+        # is held at the floor
+        for q, p_max in ((7, LeapCycleSimulator.P_MAX), (19, 4), (25, 2)):
+            plan = get_plan(q, "low-depth")
+            sim = LeapCycleSimulator(plan.topology, plan.trees,
+                                     plan.partition(20))
+            assert sim._p_max == p_max, q
+            rings = sim._rings
+            assert rings.R == 2 * p_max + 1
+            assert rings.nbytes == 8 * rings.R * (
+                sim._flat.size + sim._F + sim._C + 1
+            )
+            assert p_max == 2 or rings.nbytes <= sim._VERIFY_BUDGET
+        # at q=25 the budget alone leaves room for period 1 only
+        row = 8 * (sim._flat.size + 2 * sim._F + sim._C + 1)
+        assert sim._VERIFY_BUDGET // (2 * row) == 1
 
     def test_small_q_keeps_full_period_cap(self):
         # the budget only bites on large embeddings: q=5 keeps the full
@@ -181,26 +213,42 @@ class TestRingBudget:
         sim = LeapCycleSimulator(plan.topology, plan.trees, plan.partition(10))
         assert sim._p_max == LeapCycleSimulator.P_MAX
 
-    @pytest.mark.parametrize("mode", OBSERVERS)
-    def test_exact_at_p_max_boundary(self, mode):
-        # regression: a tiny budget clamps _p_max to 1; the engine must
-        # degrade to fewer/shorter leaps, never to wrong answers or
-        # over-allocation
-        class TinyBudget(LeapCycleSimulator):
-            _VERIFY_BUDGET = 1
-
-        plan = get_plan(5, "low-depth")
+    @staticmethod
+    def _run_exact(cls, scheme, mode):
+        plan = get_plan(5, scheme)
         parts = plan.partition(900)
-        tiny = TinyBudget(plan.topology, plan.trees, parts,
-                          telemetry=observer(mode))
-        assert tiny._p_max == 1
-        stats = tiny.run()
+        sim = cls(plan.topology, plan.trees, parts, telemetry=observer(mode))
+        stats = sim.run()
         base = simulate_allreduce(plan.topology, plan.trees, parts,
                                   engine="fast")
         assert stats == base
-        leaped = sum(k * p for _, p, k in tiny.leap_log)
-        assert tiny.stepped_cycles + leaped == stats.cycles
-        assert all(p == 1 for _, p, _k in tiny.leap_log)
+        assert sim.leap_log
+        leaped = sum(k * p for _, p, k in sim.leap_log)
+        assert sim.stepped_cycles + leaped == stats.cycles
+        return sim
+
+    @pytest.mark.parametrize("mode", OBSERVERS)
+    def test_exact_at_p_max_boundary(self, mode):
+        # a tiny budget clamps _p_max to the floor of 2, which still
+        # leaps low-depth's period-2 steady state; the engine must
+        # degrade to fewer/shorter leaps, never to wrong answers
+        class TinyBudget(LeapCycleSimulator):
+            _VERIFY_BUDGET = 1
+
+        tiny = self._run_exact(TinyBudget, "low-depth", mode)
+        assert tiny._p_max == 2
+        assert all(p <= 2 for _, p, _k in tiny.leap_log)
+
+    @pytest.mark.parametrize("mode", OBSERVERS)
+    def test_exact_at_period_1(self, mode):
+        # P_MAX still caps below the floor: a reach of 1 leaps the
+        # edge-disjoint period-1 steady state, exactly
+        class PeriodOne(LeapCycleSimulator):
+            P_MAX = 1
+
+        one = self._run_exact(PeriodOne, "edge-disjoint", mode)
+        assert one._p_max == 1
+        assert all(p == 1 for _, p, _k in one.leap_log)
 
 
 # ------------------------------------------------------- compressed traces

@@ -180,9 +180,26 @@ class TestEngine:
         monkeypatch.setenv("REPRO_SWEEP_WORKERS", "5")
         assert resolve_workers() == 5
         monkeypatch.setenv("REPRO_SWEEP_WORKERS", "junk")
-        assert resolve_workers() == 0
+        with pytest.raises(ValueError, match=r"\$REPRO_SWEEP_WORKERS .*'junk'"):
+            resolve_workers()
         monkeypatch.delenv("REPRO_SWEEP_WORKERS")
         assert resolve_workers() == 0
+
+    @pytest.mark.parametrize("bad", [2.7, 2.0, "3"])
+    def test_resolve_workers_names_a_non_integer(self, bad):
+        # never truncated: 2.7 must not run 2 workers
+        with pytest.raises(TypeError, match="workers must be an integer"):
+            resolve_workers(bad)
+        with pytest.raises(TypeError, match="workers must be an integer"):
+            SweepRunner(workers=bad)
+
+    @pytest.mark.parametrize("bad", ["2.7", "abc", "2 workers"])
+    def test_resolve_workers_names_a_bad_setting(self, monkeypatch, bad):
+        monkeypatch.setenv("REPRO_SWEEP_WORKERS", bad)
+        with pytest.raises(ValueError, match="REPRO_SWEEP_WORKERS must be an"):
+            resolve_workers()
+        # an explicit value still wins over the setting
+        assert resolve_workers(2) == 2
 
     def test_run_sweep_helper_and_summary(self, tmp_path):
         results, summary = run_sweep(
@@ -252,6 +269,24 @@ class TestBatching:
         # names the knob instead of running a truncated cell
         kwargs = {"q": 3, "m": 2, knob: bad}
         cells = [cell("sim_point", **kwargs), cell("sim_point", q=3)]
+        runner = SweepRunner(workers=0, batching=batching)
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            runner.run(cells)
+
+    @pytest.mark.parametrize("batching", [True, False], ids=["batched", "serial"])
+    @pytest.mark.parametrize("window,name", [
+        ([[0, 9], 2.9, 5], r"faults\[0\] down"),
+        ([[0, 9], 2, 5.5], r"faults\[0\] up"),
+        ([[0.0, 9], 2, 5], r"faults\[0\] u"),
+        ([[0, "9"], 2, None], r"faults\[0\] v"),
+    ])
+    def test_non_integer_fault_window_named_on_both_routes(
+        self, batching, window, name
+    ):
+        # a fractional window must not run as its truncation
+        # ([[0, 9], 2.9, 5.5] as [[0, 9], 2, 5])
+        cells = [cell("sim_point", q=3, m=2, faults=[window]),
+                 cell("sim_point", q=3)]
         runner = SweepRunner(workers=0, batching=batching)
         with pytest.raises(TypeError, match=f"{name} must be an integer"):
             runner.run(cells)
