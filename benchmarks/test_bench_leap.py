@@ -6,7 +6,9 @@ point, and the low-depth q=25/29 embeddings whose detection rings sit at
 the period floor of 2). Pass criteria: the engines agree exactly on the
 resulting :class:`CycleStats` everywhere they are both run, the leap
 engine is >= 50x faster than the fast engine at m >= 10^6 flits per
-tree, and the floor-of-2 embeddings step <= 50 cycles at m=8000.
+tree, the floor-of-2 embeddings step <= 50 cycles at m=8000, and a
+``sample_every=8`` collector costs those runs at most 1.5x their
+unobserved wall time.
 
 Each case's reproduced numbers land in ``benchmark.extra_info`` (for the
 pytest-benchmark JSON) *and* are persisted to ``BENCH_leap.json`` at the
@@ -31,6 +33,8 @@ FAST_M_MAX = 100_000  # largest m the O(cycles) fast engine is timed at
 CLIFF_Q = (25, 29)  # low-depth embeddings whose byte budget leaves period 1
 CLIFF_M = 8_000
 CLIFF_STEPPED_MAX = 50
+COLLECTOR_OVERHEAD_MAX = 1.5  # collector-on / collector-off leap wall time
+CLIFF_REPEATS = 5  # interleaved best-of: the ratio divides two ~50 ms runs
 # cells whose detectable period sits at the floor of 2
 FLOOR_CELLS = (
     (25, "low-depth"), (27, "low-depth"), (29, "low-depth"),
@@ -170,25 +174,34 @@ def test_leap_cliff_low_depth(benchmark):
     """Low-depth q=25/29 at m=8000: the byte budget alone leaves these
     embeddings a detectable period of 1, but their steady state has
     period 2 — the floor of 2 must leap it, with and without a collector
-    attached, exactly. Also records the derived ``_p_max`` and ring bytes
-    of every cell at the floor."""
+    attached, exactly, and the collector (``sample_every=8``) may cost at
+    most ``COLLECTOR_OVERHEAD_MAX`` times the unobserved wall time. Also
+    records the derived ``_p_max`` and ring bytes of every cell at the
+    floor."""
     runs = {}
     for q in CLIFF_Q:
         plan = build_plan(q, "low-depth")
         parts = plan.partition(CLIFF_M)
         fast = simulate_allreduce(plan.topology, plan.trees, parts, engine="fast")
-        row = {}
-        for label, tel in (("plain", None), ("collector", Collector(sample_every=8))):
-            sim = make_engine("leap", plan.topology, plan.trees, parts, telemetry=tel)
-            stats, leap_s = _time(sim.run)
-            assert stats == fast, f"leap diverged from fast at q={q} ({label})"
-            assert sim.stepped_cycles <= CLIFF_STEPPED_MAX, (q, label)
-            row[label] = {
-                "cycles": stats.cycles,
-                "stepped_cycles": sim.stepped_cycles,
-                "leaps": len(sim.leap_log),
-                "leap_seconds": round(leap_s, 4),
-            }
+        row, best = {}, {}
+        for _ in range(CLIFF_REPEATS):
+            for label in ("plain", "collector"):
+                tel = Collector(sample_every=8) if label == "collector" else None
+                sim = make_engine(
+                    "leap", plan.topology, plan.trees, parts, telemetry=tel
+                )
+                stats, leap_s = _time(sim.run)
+                assert stats == fast, f"leap diverged from fast at q={q} ({label})"
+                assert sim.stepped_cycles <= CLIFF_STEPPED_MAX, (q, label)
+                if leap_s < best.get(label, float("inf")):
+                    best[label] = leap_s
+                    row[label] = {
+                        "cycles": stats.cycles,
+                        "stepped_cycles": sim.stepped_cycles,
+                        "leaps": len(sim.leap_log),
+                        "leap_seconds": round(leap_s, 4),
+                    }
+        row["collector_overhead"] = round(best["collector"] / best["plain"], 3)
         row["p_max"] = sim._p_max
         row["ring_bytes"] = sim._rings.nbytes
         runs[f"q{q}"] = row
@@ -215,6 +228,13 @@ def test_leap_cliff_low_depth(benchmark):
         "floor_rings": rings,
         "budget_bytes": sim._VERIFY_BUDGET,
         "stepped_max": CLIFF_STEPPED_MAX,
+        "collector_overhead_max": COLLECTOR_OVERHEAD_MAX,
     }
     record(benchmark, **payload)
     _persist("cliff-low-depth", payload)
+    for q in CLIFF_Q:
+        overhead = runs[f"q{q}"]["collector_overhead"]
+        assert overhead <= COLLECTOR_OVERHEAD_MAX, (
+            f"a collector costs the q={q} leap run {overhead:.2f}x "
+            f"(bound {COLLECTOR_OVERHEAD_MAX}x)"
+        )

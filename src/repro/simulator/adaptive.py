@@ -9,11 +9,15 @@ planner feedback loop:
 
 - a :class:`CongestionController` subscribes to the live Probe stream as
   a :meth:`~repro.telemetry.Collector.set_tap` tap and watches per-link
-  window utilization (and optionally queue occupancy). A link whose
-  utilization stays at or above ``util_high`` for ``dwell`` consecutive
-  sample windows — *while* the fabric-wide mean utilization is at or
-  below ``spare_low``, i.e. there is actually spare capacity to migrate
-  onto — becomes *hot*;
+  window utilization (and optionally queue occupancy). Each window is
+  classified as array operations: channel utilizations, their maximum
+  per physical link (one ``reduceat`` over a channel-to-link map built
+  once per leg) and the set of links at or above ``util_high``; only
+  the dwell, onset and cooldown bookkeeping of the few tracked links
+  runs per link. A link whose utilization stays at or above
+  ``util_high`` for ``dwell`` consecutive sample windows — *while* the
+  fabric-wide mean utilization is at or below ``spare_low``, i.e. there
+  is actually spare capacity to migrate onto — becomes *hot*;
 - when a hot set ripens the controller raises :class:`ReplanSignal` out
   of the engine's step loop, and :func:`run_adaptive`'s episode handler
   answers it: the hot links are *demoted* (not killed) via
@@ -44,7 +48,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.simulator.cycle import CycleStats
 from repro.simulator.faultsched import FaultSchedule
@@ -53,7 +60,7 @@ from repro.simulator.recovery import (
     ReplanEpisode,
     run_replan_loop,
 )
-from repro.topology.graph import Edge, canonical_edge
+from repro.topology.graph import Edge
 from repro.utils.errors import whole
 
 __all__ = [
@@ -120,6 +127,11 @@ class AdaptivePolicy:
     max_episodes: int = 4
 
     def __post_init__(self) -> None:
+        for name in ("dwell", "cooldown", "sample_every", "max_episodes"):
+            whole(name, getattr(self, name))
+        for name in ("queue_high", "max_demote"):
+            if getattr(self, name) is not None:
+                whole(name, getattr(self, name))
         if not 0 < self.util_high <= 1:
             raise ValueError("util_high must be in (0, 1]")
         if not 0 <= self.util_low < self.util_high:
@@ -163,8 +175,9 @@ class CongestionController:
 
     Attach with ``collector.set_tap(controller)`` (``run_adaptive`` does
     this). Per sample window it classifies every physical link (max of
-    its two directed channels) against the policy's thresholds and
-    advances per-link dwell counters; when any link's dwell reaches
+    its directed channels) against the policy's thresholds in a few
+    array operations, then advances the dwell counters of the hot and
+    already-tracked links; when any link's dwell reaches
     ``policy.dwell`` outside the cooldown shadow, it raises
     :class:`ReplanSignal` with the whole ripe set.
 
@@ -181,8 +194,14 @@ class CongestionController:
         #: every fired decision as (absolute cycle, hot set)
         self.decisions: List[Tuple[int, Tuple[Edge, ...]]] = []
         self._capacity = 1
-        self._edge_dirs: Dict[Edge, Tuple[int, ...]] = {}
-        self._incident: Dict[int, Tuple[Edge, ...]] = {}
+        # the leg's physical links (sorted canonical edges) and the map
+        # from its directed channels to them: channels in link order
+        # (``_order``) reduce to per-link maxima at ``_starts``
+        self._links: List[Edge] = []
+        self._link_index: Dict[Edge, int] = {}
+        self._order = np.zeros(0, dtype=np.intp)
+        self._starts = np.zeros(0, dtype=np.intp)
+        self._incident: Dict[int, Set[Edge]] = {}
         self._dwell: Dict[Edge, int] = {}
         self._onset: Dict[Edge, int] = {}
         self._cooldown_until = -1  # absolute cycle; episodes re-arm this
@@ -195,44 +214,58 @@ class CongestionController:
         its utilization pattern is different by construction — but the
         cooldown shadow is absolute-cycle and deliberately survives."""
         self._capacity = int(engine.capacity)
-        dirs: Dict[Edge, List[int]] = {}
-        for i, (u, v) in enumerate(engine.channels()):
-            dirs.setdefault(canonical_edge(u, v), []).append(i)
-        self._edge_dirs = {e: tuple(ix) for e, ix in dirs.items()}
-        incident: Dict[int, List[Edge]] = {}
-        for t in engine.trees:
-            for e in t.edges:
-                for v in e:
-                    incident.setdefault(v, []).append(e)
-        self._incident = {
-            v: tuple(sorted(set(es))) for v, es in incident.items()
-        }
+        channels = engine.channels()
+        ch = np.fromiter(
+            chain.from_iterable(channels), dtype=np.int64, count=2 * len(channels)
+        ).reshape(-1, 2)
+        lo, hi = np.minimum(ch[:, 0], ch[:, 1]), np.maximum(ch[:, 0], ch[:, 1])
+        span = int(hi.max()) + 1 if len(ch) else 1
+        keys, link, counts = np.unique(
+            lo * span + hi, return_inverse=True, return_counts=True
+        )
+        self._links = list(zip((keys // span).tolist(), (keys % span).tolist()))
+        self._link_index = dict(zip(self._links, range(len(self._links))))
+        self._order = np.argsort(link, kind="stable")
+        self._starts = np.cumsum(counts) - counts
+        self._incident = {}
+        if self.policy.queue_high is not None:
+            for t in engine.trees:
+                for e in t.edges:
+                    for v in e:
+                        self._incident.setdefault(v, set()).add(e)
         self._dwell = {}
         self._onset = {}
 
     def on_sample(self, probe: Any) -> None:
         p = self.policy
         self.windows += 1
-        denom = p.sample_every * self._capacity
-        util = [f / denom for f in probe.link_flits]
-        mean_util = sum(util) / len(util) if util else 0.0
-        edge_util = {
-            e: max(util[i] for i in ix) for e, ix in self._edge_dirs.items()
-        }
+        util = np.array(probe.link_flits, dtype=np.int64) / (
+            p.sample_every * self._capacity
+        )
+        # the builtin float sum, exactly as the migration gate was defined
+        mean_util = sum(util.tolist()) / len(util) if len(util) else 0.0
+        link_util = np.maximum.reduceat(util[self._order], self._starts)
 
-        hot = {e for e, u in edge_util.items() if u >= p.util_high}
-        if mean_util > p.spare_low:
-            hot.clear()  # no spare capacity: saturation is health, not heat
+        hot: Set[Edge] = set()
+        if mean_util <= p.spare_low:  # else saturation is health, not heat
+            hot = {
+                self._links[k]
+                for k in np.flatnonzero(link_util >= p.util_high).tolist()
+            }
         if p.queue_high is not None:
-            for v, occ in enumerate(probe.queue):
-                if occ >= p.queue_high:
-                    hot.update(self._incident.get(v, ()))
+            deep = np.flatnonzero(np.array(probe.queue) >= p.queue_high)
+            for v in deep.tolist():
+                hot.update(self._incident.get(v, ()))
+
+        def utilization(e: Edge) -> float:
+            k = self._link_index.get(e)
+            return 0.0 if k is None else float(link_util[k])
 
         window_start = probe.abs_cycle - p.sample_every + 1
         for e in list(self._dwell):
             if e in hot:
                 continue
-            if edge_util.get(e, 0.0) <= p.util_low:
+            if utilization(e) <= p.util_low:
                 del self._dwell[e]  # low-water release
                 del self._onset[e]
             # between the marks: streak holds, does not grow
@@ -254,7 +287,7 @@ class CongestionController:
             # then edge order — fully deterministic)
             ripe = sorted(
                 ripe,
-                key=lambda e: (-self._dwell[e], -edge_util.get(e, 0.0), e),
+                key=lambda e: (-self._dwell[e], -utilization(e), e),
             )[: p.max_demote]
             ripe.sort()
         onset = min(self._onset[e] for e in ripe)

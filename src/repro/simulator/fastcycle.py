@@ -378,7 +378,7 @@ class FastCycleSimulator:
         return self._lay.channels()
 
     def channel_flit_counts(self) -> List[int]:
-        return [int(x) for x in self._ch_cum]
+        return self._ch_cum.tolist()
 
     def has_in_flight(self) -> bool:
         """Any flits granted last cycle but not yet landed?"""
@@ -427,7 +427,7 @@ class FastCycleSimulator:
     def queue_occupancy(self) -> List[int]:
         """Per-router receiver-side queue occupancy (reference semantics,
         one bincount)."""
-        return [int(x) for x in self._queues(self._flat, self.sent)]
+        return self._queues(self._flat, self.sent).tolist()
 
     def phase_flit_totals(self) -> Tuple[List[int], List[int]]:
         """Cumulative (reduce, broadcast) flit-hops per tree."""

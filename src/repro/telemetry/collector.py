@@ -53,6 +53,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.utils.errors import whole
+
 __all__ = ["Collector", "CounterSet", "Probe"]
 
 
@@ -74,14 +76,26 @@ class Probe:
     queue: Tuple[int, ...]
 
     def to_record(self, leg: int) -> Dict[str, Any]:
-        return {
-            "t": "sample",
-            "leg": leg,
-            "cycle": self.cycle,
-            "abs": self.abs_cycle,
-            "link_flits": list(self.link_flits),
-            "queue": list(self.queue),
-        }
+        return _sample_record(
+            leg,
+            self.cycle,
+            self.abs_cycle,
+            list(self.link_flits),
+            list(self.queue),
+        )
+
+
+def _sample_record(
+    leg: int, cycle: int, abs_cycle: int, link_flits: List[int], queue: List[int]
+) -> Dict[str, Any]:
+    return {
+        "t": "sample",
+        "leg": leg,
+        "cycle": cycle,
+        "abs": abs_cycle,
+        "link_flits": link_flits,
+        "queue": queue,
+    }
 
 
 @dataclass(frozen=True)
@@ -165,9 +179,9 @@ class Collector:
     """
 
     def __init__(self, sample_every: int = 64, include_perf: bool = False):
-        if sample_every < 1:
+        self.sample_every = whole("sample_every", sample_every)
+        if self.sample_every < 1:
             raise ValueError("sample_every must be >= 1 cycle")
-        self.sample_every = int(sample_every)
         self.include_perf = bool(include_perf)
         #: absolute cycles consumed by previous legs (recovery sets this)
         self.offset = 0
@@ -178,6 +192,7 @@ class Collector:
         self._next_sample = 0
         self._last_cum: Optional[np.ndarray] = None
         self._stall_cycles = 0
+        self._episodes = 0
         self._engine_meta: List[Dict[str, Any]] = []
         self._finished = False
         #: optional streaming observer (see :meth:`set_tap`)
@@ -198,19 +213,31 @@ class Collector:
         ``self.records``, so taps can only observe, never rewrite."""
         self.tap = tap
 
-    def _emit_sample(self, cycle: int, cum: np.ndarray, queue: np.ndarray) -> None:
+    def _window(self, cum: np.ndarray) -> List[int]:
+        """Flits per channel since the previous sample; ``cum`` becomes
+        the new reference."""
         assert self._last_cum is not None
         window = cum - self._last_cum
         self._last_cum = cum
-        probe = Probe(
-            cycle=int(cycle),
-            abs_cycle=int(self.offset + cycle),
-            link_flits=tuple(int(x) for x in window),
-            queue=tuple(int(x) for x in queue),
+        return window.tolist()
+
+    def _emit_sample(self, cycle: int, link_flits: List[int], queue: List[int]) -> None:
+        """Record one sample and hand it to the tap as a :class:`Probe`.
+        The record keeps the lists it is given: a reconstructed window
+        that repeats across samples is one list shared by their records."""
+        abs_cycle = int(self.offset + cycle)
+        self.records.append(
+            _sample_record(self._leg, cycle, abs_cycle, link_flits, queue)
         )
-        self.records.append(probe.to_record(self._leg))
         if self.tap is not None:
-            self.tap.on_sample(probe)
+            self.tap.on_sample(
+                Probe(
+                    cycle=cycle,
+                    abs_cycle=abs_cycle,
+                    link_flits=tuple(link_flits),
+                    queue=tuple(queue),
+                )
+            )
 
     # ----------------------------------------------------------- hook calls
 
@@ -238,7 +265,7 @@ class Collector:
                 "trees": len(engine.trees),
                 "m": [int(x) for x in engine.m],
                 "roots": [int(t.root) for t in engine.trees],
-                "channels": [[int(u), int(v)] for u, v in channels],
+                "channels": channels,  # (u, v) tuples: JSONL writes arrays
             }
         )
         self._next_sample = self.sample_every
@@ -257,10 +284,11 @@ class Collector:
         if moved == 0:
             self._stall_cycles += 1
         if cycle == self._next_sample:
+            cum = np.array(engine.channel_flit_counts(), dtype=np.int64)
             self._emit_sample(
-                cycle,
-                np.asarray(engine.channel_flit_counts(), dtype=np.int64),
-                np.asarray(engine.queue_occupancy(), dtype=np.int64),
+                self._next_sample,
+                self._window(cum),
+                engine.queue_occupancy(),
             )
             self._next_sample += self.sample_every
 
@@ -283,17 +311,26 @@ class Collector:
                 "leap steady state carries no telemetry phases; attach the "
                 "collector at engine construction, not mid-run"
             )
+        E = self.sample_every
+        due = np.arange(self._next_sample, end + 1, E)
+        i, j = np.divmod(due - start_cycle - 1, P)
         base = np.asarray(engine.channel_flit_counts(), dtype=np.int64)
-        prefix = np.cumsum(steady.phase_chd, axis=1)  # (C, P)
-        while self._next_sample <= end:
-            off = self._next_sample - start_cycle - 1
-            i, j = divmod(off, P)
-            self._emit_sample(
-                self._next_sample,
-                base + i * steady.r_chcum + prefix[:, j],
-                steady.phase_q[j] + (i + 1) * steady.phase_dq[j],
-            )
-            self._next_sample += self.sample_every
+        prefix = np.cumsum(steady.phase_chd, axis=1).T  # (P, C)
+        windows = [self._window(base + int(i[0]) * steady.r_chcum + prefix[j[0]])]
+        # due samples sit E cycles apart, so each later window depends only
+        # on its predecessor's phase: at most P distinct windows, built once
+        distinct: Dict[int, List[int]] = {}
+        for jp in j[:-1].tolist():
+            if jp not in distinct:
+                di, jn = divmod(jp + E, P)
+                w = di * steady.r_chcum + prefix[jn] - prefix[jp]
+                distinct[jp] = w.tolist()
+            windows.append(distinct[jp])
+        self._last_cum = base + int(i[-1]) * steady.r_chcum + prefix[j[-1]]
+        queues = steady.phase_q[j] + (i + 1)[:, None] * steady.phase_dq[j]
+        for cycle, w, queue in zip(due.tolist(), windows, queues.tolist()):
+            self._emit_sample(cycle, w, queue)
+        self._next_sample = int(due[-1]) + E
 
     def on_idle(self, engine: Any, start_cycle: int, end_cycle: int) -> None:
         """A dead wait was fast-forwarded from ``start_cycle`` to
@@ -302,10 +339,12 @@ class Collector:
         self._stall_cycles += end_cycle - start_cycle
         if self._next_sample > end_cycle:
             return
-        cum = np.asarray(engine.channel_flit_counts(), dtype=np.int64)
-        queue = np.asarray(engine.queue_occupancy(), dtype=np.int64)
+        window = self._window(np.array(engine.channel_flit_counts(), dtype=np.int64))
+        queue = engine.queue_occupancy()
+        idle = [0] * len(window)
         while self._next_sample <= end_cycle:
-            self._emit_sample(self._next_sample, cum, queue)
+            self._emit_sample(self._next_sample, window, queue)
+            window = idle  # nothing moves after the first due sample
             self._next_sample += self.sample_every
 
     def on_run_end(self, engine: Any, cycle: int, completed: bool) -> None:
@@ -322,7 +361,7 @@ class Collector:
         self.records.append(
             {
                 "t": "episode",
-                "index": sum(1 for r in self.records if r["t"] == "episode"),
+                "index": self._episodes,
                 "kind": str(getattr(episode, "kind", "fault")),
                 "fault_cycle": int(episode.fault_cycle),
                 "detect_cycle": int(episode.detect_cycle),
@@ -335,6 +374,7 @@ class Collector:
                 "bandwidth_before": float(episode.bandwidth_before),
             }
         )
+        self._episodes += 1
 
     def finish(self, total_cycles: int, completed: bool = True) -> None:
         if self._finished:

@@ -39,6 +39,7 @@ from repro.simulator.adaptive import (
 from repro.simulator.recovery import RecoveryError
 from repro.telemetry import Collector
 from repro.telemetry.collector import Probe
+from repro.topology.graph import canonical_edge
 
 Q = 7
 M = 600
@@ -61,10 +62,12 @@ PASSIVE = AdaptivePolicy(dwell=10**6)
 # controller state machine on synthetic probes
 
 
-def _stub_engine(capacity=1):
-    """Two physical links 0-1, 1-2; one tree using both."""
-    channels = [(0, 1), (1, 0), (1, 2), (2, 1)]
-    tree = SimpleNamespace(edges={(0, 1), (1, 2)})
+def _stub_engine(capacity=1, channels=None, edges=None):
+    """By default two physical links 0-1, 1-2; one tree using both."""
+    if channels is None:
+        channels = [(0, 1), (1, 0), (1, 2), (2, 1)]
+        edges = {(0, 1), (1, 2)}
+    tree = SimpleNamespace(edges=frozenset(edges))
     return SimpleNamespace(
         capacity=capacity, channels=lambda: list(channels), trees=[tree]
     )
@@ -187,6 +190,220 @@ class TestCongestionController:
         ):
             with pytest.raises(ValueError):
                 AdaptivePolicy(**bad)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("dwell", 2.5),
+            ("max_demote", 1.5),
+            ("sample_every", 16.0),
+            ("cooldown", 256.0),
+            ("queue_high", 4.0),
+            ("max_episodes", 2.5),
+        ],
+    )
+    def test_policy_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            AdaptivePolicy(**{field: value})
+
+
+# --------------------------------------------------------------------------
+# differential: the array controller against the per-link reference
+
+
+class _PerLinkController:
+    """The controller's per-link Python classification, kept verbatim as
+    the oracle of the array one: utilization, link maxima, the hot set
+    and the mean gate one channel and one link at a time."""
+
+    def __init__(self, policy, armed=True):
+        self.policy = policy
+        self.armed = armed
+        self.windows = 0
+        self.decisions = []
+        self._capacity = 1
+        self._edge_dirs = {}
+        self._incident = {}
+        self._dwell = {}
+        self._onset = {}
+        self._cooldown_until = -1
+
+    def on_leg(self, engine, leg):
+        self._capacity = int(engine.capacity)
+        dirs = {}
+        for i, (u, v) in enumerate(engine.channels()):
+            dirs.setdefault(canonical_edge(u, v), []).append(i)
+        self._edge_dirs = {e: tuple(ix) for e, ix in dirs.items()}
+        incident = {}
+        for t in engine.trees:
+            for e in t.edges:
+                for v in e:
+                    incident.setdefault(v, []).append(e)
+        self._incident = {v: tuple(sorted(set(es))) for v, es in incident.items()}
+        self._dwell = {}
+        self._onset = {}
+
+    def on_sample(self, probe):
+        p = self.policy
+        self.windows += 1
+        denom = p.sample_every * self._capacity
+        util = [f / denom for f in probe.link_flits]
+        mean_util = sum(util) / len(util) if util else 0.0
+        edge_util = {
+            e: max(util[i] for i in ix) for e, ix in self._edge_dirs.items()
+        }
+        hot = {e for e, u in edge_util.items() if u >= p.util_high}
+        if mean_util > p.spare_low:
+            hot.clear()
+        if p.queue_high is not None:
+            for v, occ in enumerate(probe.queue):
+                if occ >= p.queue_high:
+                    hot.update(self._incident.get(v, ()))
+        window_start = probe.abs_cycle - p.sample_every + 1
+        for e in list(self._dwell):
+            if e in hot:
+                continue
+            if edge_util.get(e, 0.0) <= p.util_low:
+                del self._dwell[e]
+                del self._onset[e]
+        for e in hot:
+            if e not in self._dwell:
+                self._onset[e] = window_start
+                self._dwell[e] = 0
+            self._dwell[e] += 1
+        if not self.armed:
+            return
+        if probe.abs_cycle <= self._cooldown_until:
+            return
+        ripe = sorted(e for e, d in self._dwell.items() if d >= p.dwell)
+        if not ripe:
+            return
+        if p.max_demote is not None and len(ripe) > p.max_demote:
+            ripe = sorted(
+                ripe,
+                key=lambda e: (-self._dwell[e], -edge_util.get(e, 0.0), e),
+            )[: p.max_demote]
+            ripe.sort()
+        onset = min(self._onset[e] for e in ripe)
+        self._cooldown_until = probe.abs_cycle + p.cooldown
+        self.decisions.append((probe.abs_cycle, tuple(ripe)))
+        raise ReplanSignal(probe.cycle, ripe, onset)
+
+
+@st.composite
+def _controller_case(draw, capacity, sample_every, queue_trigger):
+    # a random tree on up to 8 routers, its channels in shuffled order
+    # (some links carry one direction only)
+    n = draw(st.integers(min_value=2, max_value=8))
+    label = draw(st.permutations(range(n)))
+    edges = {
+        canonical_edge(label[draw(st.integers(0, v - 1))], label[v])
+        for v in range(1, n)
+    }
+    channels = []
+    for u, v in sorted(edges):
+        channels += draw(st.sampled_from([[(u, v), (v, u)], [(u, v)], [(v, u)]]))
+    channels = draw(st.permutations(channels))
+    denom = capacity * sample_every
+    # windows: per-channel flits, per-router queues, and whether a new
+    # leg (a fresh on_leg) starts before the window
+    windows = draw(
+        st.lists(
+            st.tuples(
+                st.lists(
+                    st.integers(0, denom),
+                    min_size=len(channels),
+                    max_size=len(channels),
+                ),
+                st.lists(st.integers(0, 6), min_size=n, max_size=n),
+                st.booleans() if draw(st.booleans()) else st.just(False),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    # thresholds on the utilization grid, often on a utilization some
+    # channel really reaches, so the marks' ties happen; the spare gate
+    # sometimes sits exactly on one window's fabric mean (the sequential
+    # float sum)
+    levels = [k / denom for k in range(denom + 1)]
+    seen = sorted({f / denom for w in windows for f in w[0]} - {0.0})
+    marks = [0.0] + seen if seen and draw(st.booleans()) else levels
+    util_high = draw(st.sampled_from([u for u in marks if u > 0]))
+    util_low = draw(st.sampled_from([u for u in marks if u < util_high]))
+    means = [sum(f / denom for f in w[0]) / len(w[0]) for w in windows]
+    means = [m for m in means if 0 < m <= 1]
+    if means and draw(st.booleans()):
+        spare_low = draw(st.sampled_from(means))
+    else:
+        spare_low = draw(st.sampled_from([0.25, 0.5, 0.75, 1.0]))
+    policy = AdaptivePolicy(
+        util_high=util_high,
+        util_low=util_low,
+        spare_low=spare_low,
+        queue_high=draw(st.integers(1, 6)) if queue_trigger else None,
+        dwell=draw(st.integers(1, 3)),
+        max_demote=draw(st.sampled_from([None, 1, 2])),
+        cooldown=draw(st.integers(0, 3 * sample_every)),
+        sample_every=sample_every,
+    )
+    engine = _stub_engine(capacity, channels, edges)
+    return policy, engine, windows, draw(st.booleans())
+
+
+def _replay(controller, engine, windows, sample_every):
+    """Feed the windows; -> each window's ReplanSignal fields (or None)."""
+    out = []
+    leg = 0
+    controller.on_leg(engine, leg)
+    for i, (flits, queue, new_leg) in enumerate(windows):
+        if new_leg:
+            leg += 1
+            controller.on_leg(engine, leg)
+        try:
+            controller.on_sample(_probe(i, flits, queue, sample_every))
+            out.append(None)
+        except ReplanSignal as sig:
+            out.append((sig.cycle, sig.hot_links, sig.onset_cycle))
+    return out
+
+
+class TestArrayControllerDifferential:
+    """The array controller decides exactly as the per-link reference on
+    random probe streams: every signal, decision and window count."""
+
+    # (1, 16) makes every utilization dyadic; (3, 10) does not, so only
+    # there does the mean gate's summation order show
+    @pytest.mark.parametrize("capacity,sample_every", [(1, 16), (3, 10)])
+    @pytest.mark.parametrize("queue_trigger", [False, True])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_per_link_reference(
+        self, capacity, sample_every, queue_trigger, data
+    ):
+        policy, engine, windows, armed = data.draw(
+            _controller_case(capacity, sample_every, queue_trigger)
+        )
+        ctl = CongestionController(policy, armed=armed)
+        ref = _PerLinkController(policy, armed=armed)
+        got = _replay(ctl, engine, windows, sample_every)
+        assert got == _replay(ref, engine, windows, sample_every)
+        assert ctl.decisions == ref.decisions
+        assert ctl.windows == ref.windows == len(windows)
+
+    def test_mean_gate_sums_like_the_reference(self):
+        # 14 channels at a denominator of 30: NumPy's pairwise sum of
+        # these utilizations lands one ulp above the sequential sum, so a
+        # gate set exactly at the builtin mean separates the two
+        channels = [c for v in range(7) for c in ((v, v + 1), (v + 1, v))]
+        engine = _stub_engine(3, channels, {(v, v + 1) for v in range(7)})
+        flits = [30, 30, 27, 25, 24, 2, 8, 3, 15, 24, 14, 15, 20, 12]
+        mean = sum(f / 30 for f in flits) / len(flits)
+        policy = AdaptivePolicy(dwell=1, spare_low=mean, sample_every=10)
+        windows = [(flits, [0] * 8, False)]
+        ref = _replay(_PerLinkController(policy), engine, windows, 10)
+        got = _replay(CongestionController(policy), engine, windows, 10)
+        assert got == ref == [(10, ((0, 1), (1, 2)), 1)]
 
 
 # --------------------------------------------------------------------------

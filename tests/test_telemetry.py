@@ -194,6 +194,12 @@ class TestRecords:
         with pytest.raises(ValueError):
             Collector(sample_every=0)
 
+    def test_collector_rejects_fractional_sample_period(self):
+        # a float period never silently truncates to a whole one
+        with pytest.raises(TypeError, match="sample_every must be an integer"):
+            Collector(sample_every=2.5)
+        assert Collector(sample_every=np.int64(4)).sample_every == 4
+
     def test_finish_is_idempotent(self):
         col, stats = _collect(get_plan(3, "low-depth"), 20)
         col.finish(stats.cycles)  # simulate_allreduce already finished it
@@ -285,6 +291,19 @@ class TestMultiLeg:
         abs_cycles = np.concatenate([leg.abs_cycles for leg in run.legs])
         assert np.all(np.diff(abs_cycles) > 0)
         assert run.legs[1].offset == res.episodes[0].detect_cycle
+
+    def test_episode_records_count_up(self):
+        from repro.simulator.adaptive import run_adaptive
+
+        plan = get_plan(7, "low-depth")
+        col = Collector(sample_every=16)
+        skewed = [2000] + [0] * (plan.num_trees - 1)
+        res = run_adaptive(plan, m_per_tree=skewed, engine="fast", telemetry=col)
+        run = loads_telemetry(col.to_jsonl())
+        assert len(res.episodes) >= 2
+        assert [ep["index"] for ep in run.episodes] == list(
+            range(len(res.episodes))
+        )
 
     def test_hot_links_and_queue_peaks_deterministic(self):
         col, _ = _collect(get_plan(5, "low-depth"), 120, sample_every=4)
