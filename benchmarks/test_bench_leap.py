@@ -1,12 +1,14 @@
 """E-A7 — leap engine: O(events) simulation at paper-scale message sizes.
 
 Workload: identical Allreduce simulations on the leap and fast cycle
-engines across a speedup-vs-m curve at q=7 (plus one large-radix q=19
-point, and the low-depth q=25/29 embeddings whose detection rings sit at
-the period floor of 2). Pass criteria: the engines agree exactly on the
-resulting :class:`CycleStats` everywhere they are both run, the leap
-engine is >= 50x faster than the fast engine at m >= 10^6 flits per
-tree, the floor-of-2 embeddings step <= 50 cycles at m=8000, and a
+engines across a speedup-vs-m curve at q=7 (plus two large-radix
+edge-disjoint points at q=19 and q=23, and the low-depth q=25/29
+embeddings whose detection rings sit at the period floor of 2). Pass
+criteria: the engines agree exactly on the resulting :class:`CycleStats`
+everywhere they are both run, the leap engine is >= 50x faster than the
+fast engine at m >= 10^6 flits per tree, the edge-disjoint points (whose
+fill and drain the contention-free wavefront jump leaps) step <= 100
+cycles, the floor-of-2 embeddings step <= 50 cycles at m=8000, and a
 ``sample_every=8`` collector costs those runs at most 1.5x their
 unobserved wall time.
 
@@ -33,6 +35,7 @@ FAST_M_MAX = 100_000  # largest m the O(cycles) fast engine is timed at
 CLIFF_Q = (25, 29)  # low-depth embeddings whose byte budget leaves period 1
 CLIFF_M = 8_000
 CLIFF_STEPPED_MAX = 50
+LARGE_RADIX_STEPPED_MAX = 100  # edge-disjoint depth ~N/2: 4*depth is ~760 at q=19
 COLLECTOR_OVERHEAD_MAX = 1.5  # collector-on / collector-off leap wall time
 CLIFF_REPEATS = 5  # interleaved best-of: the ratio divides two ~50 ms runs
 # cells whose detectable period sits at the floor of 2
@@ -135,10 +138,15 @@ def test_leap_speedup_curve(benchmark):
     )
 
 
-def test_leap_large_radix_point(benchmark):
-    """One q=19 point (N=381 routers, 9 disjoint trees): the radixes the
-    paper sweeps stay tractable because runtime does not scale with m."""
-    q, scheme, m = 19, "edge-disjoint", 1_000_000
+@pytest.mark.parametrize("q", [19, 23])
+def test_leap_large_radix_point(benchmark, q):
+    """Edge-disjoint q=19 (N=381 routers, 10 trees) and q=23 (N=553, 12
+    trees) at m=10^6 flits per tree: every channel carries one flow, so
+    the leap engine jumps the depth-~N/2 fill and drain in closed form
+    and steps one cycle per distinct tree completion — the radixes the
+    paper sweeps stay tractable because runtime does not scale with m or
+    with tree depth."""
+    scheme, m = "edge-disjoint", 1_000_000
     plan = build_plan(q, scheme)
     flits = [m] * plan.num_trees
 
@@ -147,7 +155,7 @@ def test_leap_large_radix_point(benchmark):
         stats = sim.run()
         return sim, stats
 
-    sim, stats = benchmark.pedantic(run, rounds=1, iterations=1)
+    sim, stats = benchmark.pedantic(run, rounds=3, iterations=1)
     leap_s = benchmark.stats.stats.min
     # exactness spot-check at a fast-affordable size on the same plan
     small = plan.partition(400)
@@ -159,13 +167,16 @@ def test_leap_large_radix_point(benchmark):
         "q": q,
         "m": m,
         "num_trees": plan.num_trees,
+        "depth": max(t.depth for t in plan.trees),
         "cycles": stats.cycles,
         "stepped_cycles": sim.stepped_cycles,
         "leaps": len(sim.leap_log),
         "leap_seconds": round(leap_s, 4),
+        "stepped_max": LARGE_RADIX_STEPPED_MAX,
     }
     record(benchmark, **payload)
     _persist(f"large-radix-q{q}-m{m}", payload)
+    assert sim.stepped_cycles <= LARGE_RADIX_STEPPED_MAX, (q, sim.stepped_cycles)
     # the whole point: paper-scale m in interactive time
     assert leap_s < 30.0
 

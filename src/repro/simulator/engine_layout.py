@@ -35,6 +35,7 @@ aggregation frontier.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import AbstractSet, List, Sequence, Tuple
 
 import numpy as np
@@ -118,9 +119,14 @@ class EngineLayout:
     def num_channels(self) -> int:
         return len(self.ch_k)
 
-    def channels(self) -> List[Tuple[int, int]]:
-        """Directed channels ``(src, dst)`` in index order."""
+    @cached_property
+    def _channel_list(self) -> List[Tuple[int, int]]:
         return list(zip(self.ch_src.tolist(), self.ch_dst.tolist()))
+
+    def channels(self) -> List[Tuple[int, int]]:
+        """Directed channels ``(src, dst)`` in index order (a fresh copy
+        of a list built once per layout)."""
+        return list(self._channel_list)
 
     def flows_on(self, edges: AbstractSet[Tuple[int, int]]) -> np.ndarray:
         """Boolean flow mask: which flows cross one of the canonical

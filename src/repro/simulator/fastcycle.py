@@ -380,6 +380,11 @@ class FastCycleSimulator:
     def channel_flit_counts(self) -> List[int]:
         return self._ch_cum.tolist()
 
+    def channel_flit_array(self) -> np.ndarray:
+        """:meth:`channel_flit_counts` as a fresh int64 array, for
+        observers that do arithmetic on it."""
+        return self._ch_cum.copy()
+
     def has_in_flight(self) -> bool:
         """Any flits granted last cycle but not yet landed?"""
         return bool(len(self._pending_fids))

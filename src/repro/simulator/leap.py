@@ -32,9 +32,20 @@ boundary, a tree finishing — the simulator can therefore jump
    of leapt periods ``k``, as is "no tree completes mid-leap" (a tree
    cannot finish while any of its broadcast flows has ``sent < m_i``) and
    the ``max_cycles`` guard. The engine takes the minimum, applies
-   ``state += k·R`` in one shot, and resumes stepping — so warm-up,
-   drains, credit stalls and completions are always *stepped* through,
+   ``state += k·R`` in one shot, and resumes stepping — so on this path
+   warm-up, drains, credit stalls and completions are *stepped* through,
    which is what keeps every observable cycle-exact.
+
+**Contention-free plans** skip the detector altogether.  When every
+directed channel carries exactly one flow (any single spanning tree, and
+every edge-disjoint plan), at capacity 1 with unbounded buffers, no fault
+schedule and no collector, nothing is ever arbitrated and every flow's
+``sent`` counter has a closed form (derived in :func:`_wavefront_starts`).
+``run()`` then jumps straight to the cycle before each tree completes,
+sets the whole state there in closed form, and steps that one cycle for
+real — so a deep tree's ``4·depth`` fill and drain cycles cost one or
+two stepped cycles, not ``4·depth``.  Every stepped cycle is checked
+against the closed form; a mismatch raises instead of continuing.
 
 ``step()`` remains an honest single-cycle step (the engine is a drop-in
 :class:`~repro.simulator.engine.CycleEngine`; generic tracers work
@@ -53,6 +64,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.simulator.cycle import CycleStats, EngineRun
+from repro.simulator.engine_layout import EngineLayout
 from repro.simulator.fastcycle import FastCycleSimulator
 from repro.simulator.faultsched import FaultSchedule
 from repro.topology.graph import Graph
@@ -62,6 +74,69 @@ __all__ = ["LeapCycleSimulator", "SteadyRings"]
 
 _INF_K = 1 << 60  # "no constraint" leap bound
 _BIG = 1 << 62
+
+
+def _wavefront_starts(lay: EngineLayout) -> np.ndarray:
+    """Start cycle ``a_f`` of every flow of a contention-free embedding.
+
+    Preconditions: capacity 1, one flow per directed channel, unbounded
+    buffers, no faults.  Then a flow with a positive budget is always
+    granted its one flit, and every flow follows
+
+        ``sent_f(t) = clip(t - a_f + 1, 0, m_i)``   (``m_i`` its tree's),
+
+    i.e. it sends one flit per cycle from cycle ``a_f`` until done, with
+
+    - ``a_f = 1 + height(src)`` for a reduce flow, and
+    - ``a_f = 1 + height(root) + depth(src)`` for a broadcast flow.
+
+    Derivation, by induction up and then down the tree.  Flits sent in
+    cycle ``t`` land at the start of cycle ``t + 1``, and a flow's budget
+    in cycle ``t`` is its availability minus its ``sent`` after ``t - 1``.
+    A leaf's aggregation frontier is pinned at ``m_i``, so its reduce
+    flow sends from cycle 1 (``height 0``).  An interior node's frontier
+    in cycle ``t`` is the min over its children ``c`` of their landed
+    counts, ``min_c clip(t - a_c, 0, m_i) = clip(t - max_c a_c, 0, m_i)``,
+    so its reduce flow starts one cycle after its latest child:
+    ``a = 1 + max_c a_c = 1 + height``.  The root's broadcast flows read
+    the root's frontier ``clip(t - height(root), 0, m_i)`` and start at
+    ``1 + height(root)``; an interior broadcast flow reads its source's
+    landed broadcast count and starts one cycle after its parent's
+    broadcast flow, adding ``depth(src)``.
+
+    Depths and heights both come from pointer doubling over all trees
+    at once, ``ceil(log2 n)`` rounds each, so path-like trees (depth
+    about ``n/2``) cost no per-level Python loop.
+    """
+    n = lay.n
+    size = lay.num_trees * n
+    red = lay.flow_is_reduce
+    child = lay.flow_tree[red] * n + lay.flow_src[red]
+    parent = np.arange(size, dtype=np.int64)  # roots point at themselves
+    parent[child] = lay.flow_tree[red] * n + lay.flow_dst[red]
+    # depth: each round adds the distance to the current ancestor pointer
+    # and doubles the pointer's reach (saturating at the root)
+    depth = np.zeros(size, dtype=np.int64)
+    depth[child] = 1
+    anc, span = parent, 1
+    while span < n:
+        depth += depth[anc]
+        anc = anc[anc]
+        span <<= 1
+    # deepest descendant: each round hands every node's value to its
+    # 2^k-th ancestor, so after round k a node has seen all descendants
+    # within 2^(k+1) - 1 levels (a saturated pointer hands it to the
+    # root, an ancestor too)
+    deepest = depth.copy()
+    anc, span = parent, 1
+    while span < n:
+        np.maximum.at(deepest, anc, deepest.copy())
+        anc = anc[anc]
+        span <<= 1
+    height = deepest - depth
+    src = lay.flow_tree * n + lay.flow_src
+    root_h = height[np.arange(lay.num_trees, dtype=np.int64) * n + lay.roots]
+    return np.where(red, 1 + height[src], 1 + root_h[lay.flow_tree] + depth[src])
 
 
 class _Steady:
@@ -92,12 +167,18 @@ class LeapCycleSimulator(FastCycleSimulator):
     Identical observables to :class:`CycleSimulator` /
     :class:`FastCycleSimulator` — same per-channel per-cycle flit counts,
     per-tree completion cycles, :class:`CycleStats`, stall and
-    ``max_cycles`` semantics — but ``run()`` wall-clock is
-    O(depth + #events), independent of the flits-per-tree message size in
-    the steady-state-dominated regime.
+    ``max_cycles`` semantics — but ``run()`` wall-clock is independent of
+    the flits-per-tree message size in the steady-state-dominated regime.
+    It steps the warm-up and the drain (about ``4·depth`` cycles) plus a
+    few cycles per event, except on contention-free plans (one flow per
+    channel, capacity 1, unbounded buffers, no faults, no collector),
+    where it steps one cycle per distinct tree-completion cycle and jumps
+    the fill and drain in closed form.
 
     Introspection: ``leap_log`` records ``(start_cycle, period, k)`` for
-    every jump taken; ``stepped_cycles`` counts cycles actually stepped.
+    every jump taken (a closed-form wavefront jump of ``d`` cycles is
+    logged as ``(start_cycle, 1, d)``); ``stepped_cycles`` counts cycles
+    actually stepped, and ``stepped_cycles + sum(period * k) == cycles``.
 
     Under a :class:`~repro.simulator.faultsched.FaultSchedule` every
     scheduled event cycle is a *leap barrier*: no jump crosses a cycle at
@@ -160,6 +241,21 @@ class LeapCycleSimulator(FastCycleSimulator):
         self.idle_skipped = 0  # dead-wait cycles fast-forwarded, not stepped
         self._rings = SteadyRings(self)
         self._reset_detector()
+        # contention-free plans: closed-form start cycle of every flow and
+        # completion cycle of every tree (a tree with m_i > 0 is done once
+        # its last flow, started at max a_f, has landed m_i flits)
+        self._wave_a: Optional[np.ndarray] = None
+        if (
+            self._F
+            and self.capacity == 1
+            and self.buffer_size is None
+            and self.faults is None
+            and telemetry is None
+            and int(self._lay.ch_k.max()) == 1
+        ):
+            a = self._wave_a = _wavefront_starts(self._lay)
+            self._wave_m = self._m_arr[self._lay.flow_tree]
+            self._wave_done = a.reshape(self._T, -1).max(axis=1) + self._m_arr
 
     # ------------------------------------------------------- detector state
 
@@ -383,6 +479,51 @@ class LeapCycleSimulator(FastCycleSimulator):
         self._reset_detector()
         return leapt, st
 
+    # ---------------------------------------------------- wavefront jumps
+
+    def _wave_sent(self, t: int) -> np.ndarray:
+        """Closed-form per-flow ``sent`` after cycle ``t`` (see
+        :func:`_wavefront_starts`)."""
+        return np.clip(t + 1 - self._wave_a, 0, self._wave_m)
+
+    def _wave_jump(self, run: EngineRun) -> None:
+        """Jump to the cycle before the next tree completion (never past
+        ``max_cycles``) and set the state there in closed form: ``sent``,
+        landed counters (``sent`` less this cycle's grants), the
+        aggregation plane, channel totals, the flits granted this cycle as
+        in flight (in channel order, as a stepped cycle leaves them), and
+        the per-tree landed totals.  Round-robin pointers stay 0: a
+        channel with one flow always points back at it."""
+        nxt = int(self._wave_done[~run.done].min()) - 1
+        t = nxt if nxt <= run.max_cycles else int(run.max_cycles)
+        start = run.cycle
+        if t <= start:
+            return
+        lay = self._lay
+        sent = self._wave_sent(t)
+        grant = sent - self._wave_sent(t - 1)
+        self.sent[:] = sent
+        self._flat[lay.land_idx] = sent - grant
+        self._refresh_agg()
+        self._ch_cum[lay.flow_ch] = sent
+        self.flits_moved = int(sent.sum())
+        self._pending_fids = lay.gr_fid[grant[lay.gr_fid] > 0]
+        self._pending_cnt = np.ones(len(self._pending_fids), dtype=np.int64)
+        self._sync_done()
+        self.cycle = run.cycle = t
+        self.leap_log.append((start, 1, t - start))
+        self._reset_detector()
+
+    def _wave_check(self) -> None:
+        """A stepped cycle must agree with the closed form exactly."""
+        expect = self._wave_sent(self.cycle)
+        if not np.array_equal(self.sent, expect):
+            bad = np.flatnonzero(self.sent != expect)
+            raise RuntimeError(
+                f"wavefront closed form diverged at cycle {self.cycle}: "
+                f"{len(bad)} flows differ (first fid {int(bad[0])})"
+            )
+
     # ----------------------------------------------------- engine protocol
 
     def _skip_idle(self, run: EngineRun) -> int:
@@ -410,9 +551,16 @@ class LeapCycleSimulator(FastCycleSimulator):
         """Run to completion under the :class:`EngineRun` contract,
         leaping over steady-state stretches and fast-forwarding dead
         waits — same stop cycle, stall and partial state as the
-        per-cycle engines."""
+        per-cycle engines.  A fresh contention-free engine instead jumps
+        to the cycle before each tree completion and steps that cycle."""
         run = EngineRun(self, max_cycles)
         self._reset_detector()
+        if self._wave_a is not None and self.cycle == 0:
+            while not run.finished:
+                self._wave_jump(run)
+                run.tick(self.step())
+                self._wave_check()
+            return run.stats()
         while not run.finished:
             if self._take_leap(run)[0]:
                 continue

@@ -98,6 +98,16 @@ def _sample_record(
     }
 
 
+def _flit_array(engine: Any) -> np.ndarray:
+    """The engine's cumulative per-channel flit counts as a fresh int64
+    array: the vectorized engines hand theirs over directly, the
+    reference engine's list is converted."""
+    get = getattr(engine, "channel_flit_array", None)
+    if get is not None:
+        return get()
+    return np.array(engine.channel_flit_counts(), dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class CounterSet:
     """End-of-leg counters, identical across engines for the same run.
@@ -284,10 +294,9 @@ class Collector:
         if moved == 0:
             self._stall_cycles += 1
         if cycle == self._next_sample:
-            cum = np.array(engine.channel_flit_counts(), dtype=np.int64)
             self._emit_sample(
                 self._next_sample,
-                self._window(cum),
+                self._window(_flit_array(engine)),
                 engine.queue_occupancy(),
             )
             self._next_sample += self.sample_every
@@ -314,7 +323,7 @@ class Collector:
         E = self.sample_every
         due = np.arange(self._next_sample, end + 1, E)
         i, j = np.divmod(due - start_cycle - 1, P)
-        base = np.asarray(engine.channel_flit_counts(), dtype=np.int64)
+        base = _flit_array(engine)
         prefix = np.cumsum(steady.phase_chd, axis=1).T  # (P, C)
         windows = [self._window(base + int(i[0]) * steady.r_chcum + prefix[j[0]])]
         # due samples sit E cycles apart, so each later window depends only
@@ -339,7 +348,7 @@ class Collector:
         self._stall_cycles += end_cycle - start_cycle
         if self._next_sample > end_cycle:
             return
-        window = self._window(np.array(engine.channel_flit_counts(), dtype=np.int64))
+        window = self._window(_flit_array(engine))
         queue = engine.queue_occupancy()
         idle = [0] * len(window)
         while self._next_sample <= end_cycle:

@@ -17,12 +17,17 @@ single-stepper would also pass:
   rows) behave as documented.
 """
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.collectives import Transcript, transcript_link_loads
 from repro.simulator import (
     CompressedTrace,
+    CycleLimitExceeded,
     FaultSchedule,
     LeapCycleSimulator,
     make_engine,
@@ -32,6 +37,7 @@ from repro.simulator import (
 from repro.simulator.engine import ENGINES
 from repro.topology import clear_polarfly_cache, polarfly_graph
 from repro.topology.routing import route_edges
+from repro.trees import random_spanning_trees
 
 from tests.strategies import (
     CYCLE_ENGINES,
@@ -39,6 +45,7 @@ from tests.strategies import (
     get_plan,
     observer,
     plan_used_links,
+    seeds,
 )
 
 
@@ -214,13 +221,14 @@ class TestRingBudget:
         assert sim._p_max == LeapCycleSimulator.P_MAX
 
     @staticmethod
-    def _run_exact(cls, scheme, mode):
+    def _run_exact(cls, scheme, mode, buffer_size=None):
         plan = get_plan(5, scheme)
         parts = plan.partition(900)
-        sim = cls(plan.topology, plan.trees, parts, telemetry=observer(mode))
+        sim = cls(plan.topology, plan.trees, parts, buffer_size=buffer_size,
+                  telemetry=observer(mode))
         stats = sim.run()
         base = simulate_allreduce(plan.topology, plan.trees, parts,
-                                  engine="fast")
+                                  buffer_size=buffer_size, engine="fast")
         assert stats == base
         assert sim.leap_log
         leaped = sum(k * p for _, p, k in sim.leap_log)
@@ -242,13 +250,128 @@ class TestRingBudget:
     @pytest.mark.parametrize("mode", OBSERVERS)
     def test_exact_at_period_1(self, mode):
         # P_MAX still caps below the floor: a reach of 1 leaps the
-        # edge-disjoint period-1 steady state, exactly
+        # edge-disjoint period-1 steady state, exactly.  A finite buffer
+        # keeps the plan off the contention-free wavefront jump, so the
+        # rings do the leaping
         class PeriodOne(LeapCycleSimulator):
             P_MAX = 1
 
-        one = self._run_exact(PeriodOne, "edge-disjoint", mode)
+        one = self._run_exact(PeriodOne, "edge-disjoint", mode, buffer_size=4)
         assert one._p_max == 1
         assert all(p == 1 for _, p, _k in one.leap_log)
+
+
+# --------------------------------------------------- wavefront jumps
+
+
+def _outcome(sim, max_cycles=None):
+    """Pickled stats of a run, or its guard error and the partial state
+    it stopped in."""
+    try:
+        return pickle.dumps(sim.run(max_cycles))
+    except CycleLimitExceeded as exc:
+        return ("limit", str(exc), sim.cycle, sim.flits_moved,
+                sim.channel_flit_counts())
+
+
+class TestWavefrontJump:
+    """Contention-free runs (one flow per channel, capacity 1, unbounded
+    buffers, no faults, no collector) jump the fill and drain in closed
+    form and step one cycle per tree completion; they must stay
+    pickle-equal to the fast engine, stop at the same ``max_cycles``
+    cycle, and account for every cycle as stepped or leapt."""
+
+    @staticmethod
+    def _check(g, trees, parts, max_cycles=None):
+        fast = make_engine("fast", g, trees, parts)
+        leap = make_engine("leap", g, trees, parts)
+        assert _outcome(leap, max_cycles) == _outcome(fast, max_cycles)
+        leapt = sum(k * p for _, p, k in leap.leap_log)
+        assert leap.stepped_cycles + leapt == leap.cycle
+        return leap
+
+    @given(q=st.sampled_from((3, 5, 7)), k=st.integers(1, 3), seed=seeds(),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_spanning_trees(self, q, k, seed, data):
+        # one random tree is always contention-free; two or three random
+        # trees usually share a channel and must take the stepping path
+        g = polarfly_graph(q).graph
+        trees = random_spanning_trees(g, k, seed=seed)
+        parts = data.draw(st.lists(st.integers(0, 60), min_size=k, max_size=k))
+        leap = self._check(g, trees, parts)
+        free = int(leap._lay.ch_k.max()) == 1
+        assert (leap._wave_a is not None) == free
+        if free:  # one stepped cycle per distinct completion at most
+            assert leap.stepped_cycles <= sum(map(bool, parts))
+
+    @given(q=st.sampled_from((3, 4, 5, 7, 8, 9, 11)), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_edge_disjoint_random_partitions(self, q, data):
+        plan = get_plan(q, "edge-disjoint")
+        T = plan.num_trees
+        parts = data.draw(st.lists(st.integers(0, 400), min_size=T, max_size=T))
+        leap = self._check(plan.topology, plan.trees, parts)
+        assert leap._wave_a is not None
+        assert leap.stepped_cycles <= T
+
+    @given(q=st.sampled_from((3, 5, 7, 9)), m=st.integers(1, 2_000),
+           frac=st.floats(0, 1))
+    @settings(max_examples=60, deadline=None)
+    def test_max_cycles_below_completion(self, q, m, frac):
+        plan = get_plan(q, "edge-disjoint")
+        parts = plan.partition(m)
+        cycles = make_engine("fast", plan.topology, plan.trees, parts).run().cycles
+        limit = int(frac * (cycles - 1))
+        leap = self._check(plan.topology, plan.trees, parts, max_cycles=limit)
+        assert leap.cycle == limit + 1
+
+    def test_collector_output_unchanged(self):
+        # a collector keeps the run on the stepping path; its JSONL equals
+        # the fast engine's byte for byte
+        plan = get_plan(7, "edge-disjoint")
+        parts = plan.partition(900)
+        out = {}
+        for engine in ("fast", "leap"):
+            col = observer("python")
+            sim = make_engine(engine, plan.topology, plan.trees, parts,
+                              telemetry=col)
+            out[engine] = (pickle.dumps(sim.run()), col.to_jsonl())
+        assert sim._wave_a is None
+        assert out["leap"] == out["fast"]
+
+    def test_precondition_gates_the_jump(self):
+        plan = get_plan(5, "edge-disjoint")
+        g, trees, parts = plan.topology, plan.trees, plan.partition(300)
+        assert LeapCycleSimulator(g, trees, parts)._wave_a is not None
+        faults = FaultSchedule([(plan_used_links(plan)[0], 5, 10)])
+        for kw in ({"link_capacity": 2}, {"buffer_size": 8}, {"faults": faults}):
+            assert LeapCycleSimulator(g, trees, parts, **kw)._wave_a is None, kw
+        low = get_plan(5, "low-depth")
+        sim = LeapCycleSimulator(low.topology, low.trees, low.partition(300))
+        assert sim._wave_a is None
+
+    def test_divergence_raises(self):
+        # the post-step check compares every stepped cycle with the
+        # closed form.  Start tree 1's interior reduce flows one cycle
+        # early: they outrun their children, so the first real step,
+        # with tree 1 mid-stream, grants them nothing and must raise
+        plan = get_plan(5, "edge-disjoint")
+        parts = [50] + [5_000] * (plan.num_trees - 1)
+        sim = LeapCycleSimulator(plan.topology, plan.trees, parts)
+        lay, a = sim._lay, sim._wave_a
+        a[(lay.flow_tree == 1) & lay.flow_is_reduce & (a > 1)] -= 1
+        with pytest.raises(RuntimeError, match="wavefront closed form diverged"):
+            sim.run()
+
+    def test_deep_trees_step_once_per_completion(self):
+        plan = get_plan(19, "edge-disjoint")
+        sim = LeapCycleSimulator(plan.topology, plan.trees,
+                                 plan.partition(400_000))
+        stats = sim.run()
+        done = sorted(set(stats.tree_completion))
+        assert sim.stepped_cycles == len(done)
+        assert [s + d + 1 for s, _, d in sim.leap_log] == done
 
 
 # ------------------------------------------------------- compressed traces
