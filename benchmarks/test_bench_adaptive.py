@@ -18,7 +18,7 @@ import json
 import time
 from pathlib import Path
 
-from conftest import record
+from conftest import record, timed_pedantic
 
 from repro.core import build_plan
 from repro.simulator import simulate_allreduce
@@ -79,8 +79,7 @@ def test_adaptive_vs_static_congestion_storm(benchmark):
     def run():
         return run_adaptive(plan, m_per_tree=parts, policy=POLICY, engine="fast")
 
-    benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
-    wall = benchmark.stats.stats.min
+    _, wall = timed_pedantic(benchmark, run, rounds=3, iterations=1, warmup_rounds=1)
     ep = res.episodes[0]
     payload = {
         "q": 7,
@@ -139,8 +138,9 @@ def test_controller_decision_latency(benchmark):
             ctl.on_sample(p)
         return ctl
 
-    ctl = benchmark.pedantic(classify, rounds=5, iterations=1, warmup_rounds=1)
-    wall = benchmark.stats.stats.min
+    ctl, wall = timed_pedantic(
+        benchmark, classify, rounds=5, iterations=1, warmup_rounds=1
+    )
     us_per_window = wall / len(probes) * 1e6
     assert ctl.windows == len(probes) and not ctl.decisions
     payload = {

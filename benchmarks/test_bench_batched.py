@@ -17,7 +17,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from conftest import record
+from conftest import record, timed_pedantic
 
 from repro.analysis import fault_monte_carlo, sim_grid_cells
 from repro.core import build_plan
@@ -87,8 +87,9 @@ def test_sim_grid_cold_batched_vs_serial(benchmark):
     def run():
         return SweepRunner(workers=0, cache=None).run(cells)
 
-    batched = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
-    batched_s = benchmark.stats.stats.min
+    batched, batched_s = timed_pedantic(
+        benchmark, run, rounds=3, iterations=1, warmup_rounds=1
+    )
     assert batched == serial  # byte-identical report output
     speedup = serial_s / batched_s
     payload = {
@@ -118,8 +119,7 @@ def test_fault_monte_carlo_10k_lanes(benchmark):
     def run():
         return fault_monte_carlo(7, m=8, k=MC_LANES, seed=0, engine="batched")
 
-    res = benchmark.pedantic(run, rounds=1, iterations=1)
-    mc_s = benchmark.stats.stats.min
+    res, mc_s = timed_pedantic(benchmark, run, rounds=1, iterations=1)
     assert len(res.lanes) == MC_LANES
     # spot-check bit-identity against the serial evaluator on a slice of
     # the same ensemble (full 10k serial would dominate the job's budget)

@@ -20,7 +20,7 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import record
+from conftest import record, timed_pedantic
 
 from repro.core import build_plan
 from repro.simulator import (
@@ -81,8 +81,9 @@ def test_fastcycle_speedup(benchmark, scheme, q, m, buf):
         )
 
     # warm NumPy dispatch paths, then time the benchmarked (fast) engine
-    fast_stats = benchmark.pedantic(run_fast, rounds=3, iterations=1, warmup_rounds=1)
-    fast_time = benchmark.stats.stats.min
+    fast_stats, fast_time = timed_pedantic(
+        benchmark, run_fast, rounds=3, iterations=1, warmup_rounds=1
+    )
 
     t0 = time.perf_counter()
     ref_stats = simulate_allreduce(
@@ -128,7 +129,7 @@ def test_fastcycle_scaling_headroom(benchmark):
     def run():
         return simulate_allreduce(plan.topology, plan.trees, parts, engine="fast")
 
-    stats = benchmark.pedantic(run, rounds=1, iterations=1)
+    stats, seconds = timed_pedantic(benchmark, run, rounds=1, iterations=1)
     predicted = float(plan.aggregate_bandwidth)
     measured = stats.aggregate_bandwidth
     # steady state dominates at this length: measured ~ sum B_i
@@ -139,7 +140,7 @@ def test_fastcycle_scaling_headroom(benchmark):
         "q": 7,
         "m": m,
         "cycles": stats.cycles,
-        "seconds": round(benchmark.stats.stats.min, 4),
+        "seconds": round(seconds, 4),
         "measured_bandwidth": round(measured, 4),
         "theoretical_bandwidth": predicted,
     }

@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import record
+from conftest import record, timed_pedantic
 
 from repro.analysis.recovery import used_links
 from repro.core import build_plan
@@ -106,8 +106,7 @@ def test_recovery_paper_scale_leap(benchmark):
     def run():
         return run_with_recovery(plan, m, fs, policy="repaired")
 
-    res = benchmark.pedantic(run, rounds=1, iterations=1)
-    wall = benchmark.stats.stats.min
+    res, wall = timed_pedantic(benchmark, run, rounds=1, iterations=1)
     ep = res.episodes[0]
     payload = {
         "q": 7,

@@ -1,7 +1,7 @@
 """E-A15 — the serial hot paths batching cannot reach, on their one step.
 
 Workload: the fast engine's fused per-cycle step (land, budgets,
-unwrapped-key row-minima arbitration) across a q=7/q=11 clean/faulted
+pointer-bit round-robin arbitration) across a q=7/q=11 clean/faulted
 grid, the leap engine's ring confirmation under a transient-fault storm
 (every fault window is a leap barrier followed by re-detection, so
 confirmation cost dominates), and the fused step's cold-vs-warm start.
@@ -16,7 +16,7 @@ import json
 import time
 from pathlib import Path
 
-from conftest import record
+from conftest import record, timed_pedantic
 
 from repro.core import build_plan
 from repro.simulator import (
@@ -150,14 +150,13 @@ def test_leap_verification_windows(benchmark):
     LeapCycleSimulator._completion_bound = timed_completion
     SteadyRings._confirm = timed_confirm
     try:
-        ring_sim, ring_stats = benchmark.pedantic(
-            run, rounds=3, iterations=1, warmup_rounds=1
+        (ring_sim, ring_stats), ring_s = timed_pedantic(
+            benchmark, run, rounds=3, iterations=1, warmup_rounds=1
         )
     finally:
         LeapCycleSimulator._license_bounds = orig_license
         LeapCycleSimulator._completion_bound = orig_completion
         SteadyRings._confirm = orig_confirm
-    ring_s = benchmark.stats.stats.min
     rounds_timed = 4  # pedantic rounds + warmup all hit the wrapper
 
     fast_stats = simulate_allreduce(
@@ -230,8 +229,7 @@ def test_kernel_cold_vs_warm(benchmark):
         return make_engine("fast", plan.topology, plan.trees, parts).run()
 
     _, cold_s = _time(run)               # includes per-engine prep
-    benchmark.pedantic(run, rounds=5, iterations=1, warmup_rounds=1)
-    warm_s = benchmark.stats.stats.min
+    _, warm_s = timed_pedantic(benchmark, run, rounds=5, iterations=1, warmup_rounds=1)
     payload = {
         "q": 7,
         "m": 200,

@@ -22,7 +22,7 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import record
+from conftest import record, timed_pedantic
 
 from repro.core import build_plan
 from repro.simulator import make_engine, simulate_allreduce
@@ -155,8 +155,7 @@ def test_leap_large_radix_point(benchmark, q):
         stats = sim.run()
         return sim, stats
 
-    sim, stats = benchmark.pedantic(run, rounds=3, iterations=1)
-    leap_s = benchmark.stats.stats.min
+    (sim, stats), leap_s = timed_pedantic(benchmark, run, rounds=3, iterations=1)
     # exactness spot-check at a fast-affordable size on the same plan
     small = plan.partition(400)
     fast = simulate_allreduce(plan.topology, plan.trees, small, engine="fast")

@@ -25,7 +25,7 @@ import time
 from functools import partial
 from pathlib import Path
 
-from conftest import record
+from conftest import record, timed_pedantic
 
 from repro.core.bandwidth import (
     _progressive_fill_reference,
@@ -129,10 +129,11 @@ def test_plan_cache_warm_vs_cold(benchmark):
     q, scheme = 23, "low-depth"
     _, cold_s = _time(lambda: build_plan(q, scheme), rounds=1)
     first = get_plan(q, scheme)
-    warm = benchmark.pedantic(
-        lambda: get_plan(q, scheme), rounds=20, iterations=5, warmup_rounds=1
+    warm, warm_s = timed_pedantic(
+        benchmark, lambda: get_plan(q, scheme), rounds=20, iterations=5,
+        warmup_rounds=1,
     )
-    warm_s = benchmark.stats.stats.min / 5
+    warm_s /= 5
     assert warm is first  # the cache hands back the shared object
     speedup = cold_s / warm_s
     payload = {
@@ -164,13 +165,14 @@ def test_recovery_replan_latency(benchmark):
     t0 = time.perf_counter()
     cold_out = cached_replan(plan, failed, "auto", _replan)
     cold_s = time.perf_counter() - t0
-    warm_out = benchmark.pedantic(
+    warm_out, warm_s = timed_pedantic(
+        benchmark,
         lambda: cached_replan(plan, failed, "auto", _replan),
         rounds=10,
         iterations=10,
         warmup_rounds=1,
     )
-    warm_s = benchmark.stats.stats.min / 10
+    warm_s /= 10
     assert warm_out is cold_out
     payload = {
         "cell": "q19-edge-disjoint",

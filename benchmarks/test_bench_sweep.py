@@ -19,7 +19,7 @@ import json
 import time
 from pathlib import Path
 
-from conftest import record
+from conftest import record, timed_pedantic
 
 from repro.sweep import SweepRunner, generate_artifacts
 
@@ -54,10 +54,9 @@ def test_sweep_engine_speedup(benchmark, tmp_path):
     cold_s = time.perf_counter() - t0
 
     warm_runner = SweepRunner(workers=WORKERS, cache=cache_dir)
-    warm = benchmark.pedantic(
-        lambda: generate_artifacts(warm_runner), rounds=3, iterations=1
+    warm, warm_s = timed_pedantic(
+        benchmark, lambda: generate_artifacts(warm_runner), rounds=3, iterations=1
     )
-    warm_s = benchmark.stats.stats.min
 
     # identical output is the precondition for the speedup to mean anything
     assert serial == cold == warm

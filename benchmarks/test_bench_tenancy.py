@@ -25,7 +25,7 @@ import pickle
 import time
 from pathlib import Path
 
-from conftest import record
+from conftest import record, timed_pedantic
 
 from repro.core import build_plan
 from repro.simulator import make_engine
@@ -96,8 +96,9 @@ def test_k_tenant_throughput_vs_serial_solo(benchmark):
     def run():
         return FabricSimulator(fplan, 1, 2, policy="fair-share").run()
 
-    stats = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
-    fabric_s = benchmark.stats.stats.min
+    stats, fabric_s = timed_pedantic(
+        benchmark, run, rounds=3, iterations=1, warmup_rounds=1
+    )
     assert all(o.status == "completed" for o in stats.outcomes)
     cycle_speedup = serial_cycles / stats.cycles
     payload = {

@@ -187,10 +187,7 @@ def test_random_heterogeneous_batches_match_fast(key, batch):
 
 def _serial_in_flight(fast) -> np.ndarray:
     """The fast engine's in-flight flits as a dense per-flow vector."""
-    out = np.zeros(len(fast.sent), dtype=np.int64)
-    if fast.has_in_flight():  # the counts of an empty cycle are stale
-        out[fast._pending_fids] = fast._pending_cnt
-    return out
+    return fast._grant.astype(np.int64)
 
 
 class TestSingleLaneProtocol:
@@ -234,10 +231,10 @@ class TestSingleLaneProtocol:
         )
         channels = make_engine("fast", plan.topology, plan.trees, parts).channels()
         series = [[] for _ in channels]
-        prev = batch._ch_cum[:, 0].copy()
+        prev = batch.lane_channel_flits(0)
         while not batch._done_mask().all():
             batch.step()
-            now = batch._ch_cum[:, 0].copy()
+            now = batch.lane_channel_flits(0)
             for i, delta in enumerate((now - prev).tolist()):
                 series[i].append(delta)
             prev = now
@@ -277,10 +274,12 @@ class TestSingleLaneProtocol:
             for b, fast in enumerate(serial):
                 fast.step()
                 where = (lanes[b].link_capacity, cycle, b)
-                assert batch._ch_cum[:, b].tolist() == fast.channel_flit_counts(), where
+                assert (
+                    batch.lane_channel_flits(b).tolist() == fast.channel_flit_counts()
+                ), where
                 assert np.array_equal(batch._sent[:, b], fast.sent), where
                 assert np.array_equal(
-                    batch._pending[:, b], _serial_in_flight(fast)
+                    batch._grant[:, b], _serial_in_flight(fast)
                 ), where
         # the window covers every completion and the permanent stall
         assert [fast.done() for fast in serial] == [True, True, True, False, True]
