@@ -100,10 +100,14 @@ def test_channel_order_and_slots_match_the_reference(emb):
     ref = CycleSimulator(g, trees, m)
     lay = EngineLayout.build(g.n, trees)
     assert _layout_channel_flows(lay) == _reference_channel_flows(ref)
-    # the grouped views agree with the padded matrix and the flow -> channel map
-    assert np.array_equal(lay.gr_fid, lay.ch_fid[lay.ch_valid])
-    assert np.array_equal(lay.flow_ch[lay.gr_fid], lay.gr_ch)
-    assert np.array_equal(lay.ch_fid[lay.gr_ch, lay.gr_slot], lay.gr_fid)
+    # the per-flow slots agree with the padded matrix and the flow -> channel map
+    F = lay.num_flows
+    assert np.array_equal(lay.ch_fid[lay.flow_ch, lay.flow_slot], np.arange(F))
+    assert lay.ch_valid.sum() == F and lay.ch_valid[lay.flow_ch, lay.flow_slot].all()
+    assert np.array_equal(
+        lay.flow_ch[lay.ch_fid[lay.ch_valid]],
+        np.repeat(np.arange(lay.num_channels), lay.ch_k),
+    )
     # flows alternate reduce/broadcast per tree edge, in reference fid order
     assert [(fl.tree, fl.src, fl.dst) for fl in ref.flows] == list(
         zip(lay.flow_tree.tolist(), lay.flow_src.tolist(), lay.flow_dst.tolist())
