@@ -1,6 +1,6 @@
 """E-A16 — planner performance: integer Algorithm 1 + the plan cache.
 
-Workload: the three planner hot paths this PR rewrote —
+Workload: the planner and re-plan hot paths —
 
 1. Algorithm 1 progressive filling: the retained exact-``Fraction`` heap
    reference (``_progressive_fill_reference``) versus the production
@@ -13,6 +13,11 @@ Workload: the three planner hot paths this PR rewrote —
 3. Recovery re-planning: the first (cold) ``cached_replan`` of a failure
    scenario versus replaying the identical scenario (warm memo hit) —
    the latency a fault Monte Carlo ensemble pays per repeated scenario.
+4. Re-plan surgery: the trees ``repaired_plan`` regrows for one failed
+   link, grown by the lazy-deletion heap ``greedy_tree`` versus the
+   covered-set rescan it replaced (``_greedy_tree_reference``), at q in
+   {7, 11, 13} for both paper schemes.  Pass criterion: identical trees
+   and usage, and >= 5x per cell at q >= 11.
 
 Cold whole-``build_plan`` wall times are recorded as columns (not gated:
 they depend on machine load and on caches of *other* layers; the
@@ -31,6 +36,7 @@ from repro.core.bandwidth import (
     _progressive_fill_reference,
     _progressive_fill_scaled,
 )
+from repro.core.faults import affected_trees, remove_links, repaired_plan
 from repro.core.plan import build_plan
 from repro.core.plancache import (
     cached_replan,
@@ -39,10 +45,12 @@ from repro.core.plancache import (
     reset_global_plan_cache,
 )
 from repro.simulator.recovery import _replan
+from repro.trees.greedy import _greedy_tree_reference, greedy_tree
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_planner.json"
 FILL_SPEEDUP_TARGET = 10.0    # scaled vs reference Algorithm 1, each q>=19 cell
 CACHE_SPEEDUP_TARGET = 100.0  # warm get_plan vs cold build_plan
+SURGERY_SPEEDUP_TARGET = 5.0  # heap vs rescan greedy regrowth, each q>=11 cell
 
 #: the q >= 19 cells the ISSUE gates (both schemes; low-depth needs odd q)
 FILL_CELLS = (
@@ -133,7 +141,6 @@ def test_plan_cache_warm_vs_cold(benchmark):
         benchmark, lambda: get_plan(q, scheme), rounds=20, iterations=5,
         warmup_rounds=1,
     )
-    warm_s /= 5
     assert warm is first  # the cache hands back the shared object
     speedup = cold_s / warm_s
     payload = {
@@ -172,7 +179,6 @@ def test_recovery_replan_latency(benchmark):
         iterations=10,
         warmup_rounds=1,
     )
-    warm_s /= 10
     assert warm_out is cold_out
     payload = {
         "cell": "q19-edge-disjoint",
@@ -184,3 +190,70 @@ def test_recovery_replan_latency(benchmark):
     record(benchmark, **payload)
     _persist("recovery-replan", payload)
     assert cold_s / warm_s > 1.0
+
+
+#: the re-plan surgery cells (both schemes; low-depth needs odd q)
+SURGERY_CELLS = tuple(
+    (q, scheme) for q in (7, 11, 13) for scheme in ("low-depth", "edge-disjoint")
+)
+
+
+def _surgery(plan, failed):
+    """The residual graph, the pre-charged usage and the severed trees
+    that ``repaired_plan`` regrows for ``failed``."""
+    g = remove_links(plan.topology, failed)
+    dead = affected_trees(plan.trees, failed)
+    usage = {}
+    for i, t in enumerate(plan.trees):
+        if i not in dead:
+            for e in t.edges:
+                usage[e] = usage.get(e, 0) + 1
+    return g, usage, [plan.trees[i] for i in dead]
+
+
+def _regrow(grow, g, usage, dead):
+    usage = dict(usage)
+    trees = [grow(g, t.root, usage, tree_id=t.tree_id) for t in dead]
+    return [(t.root, t.tree_id, list(t.parent.items())) for t in trees], usage
+
+
+def test_replan_surgery_greedy(benchmark):
+    """Re-plan surgery: the heap greedy against the rescan it replaced on
+    the trees one failed link severs.  Identity first, then the >= 5x
+    gate on the q >= 11 cells; the whole ``repaired_plan`` wall time is
+    an ungated column."""
+    from repro.analysis.recovery import used_links
+
+    rows = {}
+    worst = (float("inf"), None)
+    for q, scheme in SURGERY_CELLS:
+        plan = build_plan(q, scheme)
+        failed = [used_links(plan)[0]]
+        g, usage, dead = _surgery(plan, failed)
+        heap_out, heap_s = _time(partial(_regrow, greedy_tree, g, usage, dead))
+        ref_out, ref_s = _time(partial(_regrow, _greedy_tree_reference, g, usage, dead))
+        assert heap_out == ref_out, (q, scheme)
+        _, repair_s = _time(partial(repaired_plan, plan, failed))
+        speedup = ref_s / heap_s
+        rows[f"q{q}-{scheme}"] = {
+            "trees_regrown": len(dead),
+            "heap_ms": round(heap_s * 1e3, 3),
+            "reference_ms": round(ref_s * 1e3, 2),
+            "speedup": round(speedup, 1),
+            "repaired_plan_ms": round(repair_s * 1e3, 2),
+        }
+        if q >= 11 and speedup < worst[0]:
+            worst = (speedup, (q, scheme))
+    plan = build_plan(13, "low-depth")
+    g, usage, dead = _surgery(plan, [used_links(plan)[0]])
+    benchmark.pedantic(
+        partial(_regrow, greedy_tree, g, usage, dead), rounds=5, iterations=1
+    )
+    payload = {"cells": rows, "target": SURGERY_SPEEDUP_TARGET,
+               "worst_speedup": round(worst[0], 1), "worst_cell": str(worst[1])}
+    record(benchmark, **payload)
+    _persist("replan-surgery", payload)
+    assert worst[0] >= SURGERY_SPEEDUP_TARGET, (
+        f"cell {worst[1]} only {worst[0]:.1f}x faster "
+        f"(target {SURGERY_SPEEDUP_TARGET}x per q>=11 cell)"
+    )

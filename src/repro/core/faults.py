@@ -71,13 +71,7 @@ def remove_links(g: Graph, failed: Iterable[Edge]) -> Graph:
     for e in bad:
         if e[0] == e[1] or not g.has_edge(*e):
             raise ValueError(f"{e} is not a physical link of this topology")
-    out = Graph(g.n)
-    for e in g.edges:
-        if e not in bad:
-            out.add_edge(*e)
-    for v in g.self_loops:
-        out.add_self_loop(v)
-    return out
+    return g.without_edges(bad)
 
 
 def _rebuild(plan: AllreducePlan, g: Graph, trees: Sequence[SpanningTree]) -> AllreducePlan:

@@ -110,6 +110,31 @@ class Graph:
             self._adj[v].update(dst[a:b].tolist())
         self._csr = self._ekeys = None
 
+    def without_edges(self, edges: Iterable[Edge]) -> "Graph":
+        """A new graph with the canonical ``edges`` removed (self-loops
+        kept); edges that are not links of this graph are ignored.
+
+        The surviving links are inserted in :attr:`edges` order with bare
+        set operations, the same insertion sequence as one
+        :meth:`add_edge` per link without its checks, so the result
+        pickles byte-identically to that build. (Copying the adjacency
+        rows would be faster but keeps this graph's set layouts, and the
+        layout is visible in the pickle of every tree validated against
+        the result.)
+        """
+        bad = set(edges)
+        out = Graph(self.n)
+        adj, kept = out._adj, out._edges
+        for e in self.edges:
+            if e not in bad:
+                u, v = e
+                adj[u].add(v)
+                adj[v].add(u)
+                kept.add(e)
+        for v in self.self_loops:
+            out.self_loops.add(v)
+        return out
+
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range [0, {self.n})")

@@ -16,10 +16,23 @@ level, which is precisely the depth-3 slack Algorithm 3 uses. The default
 slack, the greedy heuristic does not match Algorithm 3's provable
 congestion-2 (quantified in the E-A5 benchmark) — the algebraic
 construction is doing real work.
+
+Growth runs as Prim's algorithm over a lazy-deletion heap of
+``(usage, parent depth, u, v)`` candidate links. Each vertex covered at
+depth ``< max_depth`` pushes its uncovered neighbours once, and stale
+entries (whose ``v`` was covered since) are skipped on pop, so one tree
+costs O(E log E) instead of a rescan of the covered set per attached
+vertex. The heap picks the same link as that rescan (kept as
+:func:`_greedy_tree_reference`, the differential oracle): a candidate's
+key never changes while it is one, because ``usage`` grows only on the
+chosen link, whose far end is then covered, and ``u``'s depth is fixed
+once ``u`` is covered; and the key is a total order over the distinct
+``(u, v)`` pairs.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.topology.graph import Graph, canonical_edge
@@ -69,6 +82,38 @@ def _bfs_layered_tree(
     return SpanningTree(root, parent, tree_id=tree_id)
 
 
+def _depth_bound(g: Graph, root: int, max_depth: Optional[int]) -> Tuple[int, int]:
+    """``(max_depth, eccentricity of root)``, the bound defaulting to
+    eccentricity + 1; raises if the graph is disconnected or the bound
+    cannot span it."""
+    ecc = g.eccentricity(root)  # raises if disconnected
+    if max_depth is None:
+        max_depth = ecc + 1
+    if max_depth < 1:
+        raise ValueError("max_depth must be >= 1")
+    if max_depth < ecc:
+        raise ValueError(
+            f"cannot span the graph from root {root} within depth {max_depth} "
+            f"(eccentricity {ecc})"
+        )
+    return max_depth, ecc
+
+
+def _stranded(
+    g: Graph,
+    root: int,
+    usage: Dict[Tuple[int, int], int],
+    parent: Dict[int, int],
+    tree_id: Optional[int],
+) -> SpanningTree:
+    """Depth-slack growth stranded a vertex: un-charge the partial tree's
+    links (usage for this tree has been partially charged) and rebuild
+    with the always-feasible layered construction."""
+    for e in (canonical_edge(v, p) for v, p in parent.items()):
+        usage[e] -= 1
+    return _bfs_layered_tree(g, root, usage, tree_id)
+
+
 def greedy_tree(
     g: Graph,
     root: int,
@@ -84,26 +129,68 @@ def greedy_tree(
     ``< max_depth`` (default: the root's eccentricity + 1, the minimum
     slack that creates any choice on a unique-shortest-path topology).
 
+    The eligible links sit in a heap: a vertex covered at depth
+    ``< max_depth`` pushes one ``(usage, depth, u, v)`` entry per
+    uncovered neighbour ``v``, and an entry whose ``v`` was covered since
+    is dropped when it surfaces. An entry's key is static while ``v`` is
+    uncovered and the keys are totally ordered, so the attach sequence
+    (hence ``parent``'s insertion order and ``usage``) equals the
+    covered-set rescan of :func:`_greedy_tree_reference`, in O(E log E)
+    instead of O(n^2 d).
+
     When ``max_depth`` equals the root's eccentricity (no slack), greedy
     growth could strand vertices, so the construction switches to the
     always-feasible BFS-layered form (each vertex at its BFS depth, picking
-    the least-used link to the previous layer).
+    the least-used link to the previous layer). If growth strands a vertex
+    anyway (the heap runs dry first), this tree's charges are rolled back
+    and the same form is built.
 
     ``usage`` maps canonical edges to how many earlier trees used them; it
     is updated in place with this tree's edges.
     """
     if usage is None:
         usage = {}
-    ecc = g.eccentricity(root)  # raises if disconnected
-    if max_depth is None:
-        max_depth = ecc + 1
-    if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
-    if max_depth < ecc:
-        raise ValueError(
-            f"cannot span the graph from root {root} within depth {max_depth} "
-            f"(eccentricity {ecc})"
-        )
+    max_depth, ecc = _depth_bound(g, root, max_depth)
+    if max_depth == ecc:
+        return _bfs_layered_tree(g, root, usage, tree_id)
+
+    get, push, pop = usage.get, heapq.heappush, heapq.heappop
+    depth = {root: 0}
+    parent: Dict[int, int] = {}
+    heap: List[Tuple[int, int, int, int]] = []
+    for v in g.neighbors(root):
+        push(heap, (get((root, v) if root < v else (v, root), 0), 0, root, v))
+    while len(depth) < g.n:
+        while heap:
+            _, d_u, u, v = pop(heap)
+            if v not in depth:
+                break
+        else:
+            return _stranded(g, root, usage, parent, tree_id)
+        parent[v] = u
+        depth[v] = d_v = d_u + 1
+        e = (u, v) if u < v else (v, u)
+        usage[e] = get(e, 0) + 1
+        if d_v < max_depth:
+            for w in g.neighbors(v):
+                if w not in depth:
+                    push(heap, (get((v, w) if v < w else (w, v), 0), d_v, v, w))
+    return SpanningTree(root, parent, tree_id=tree_id)
+
+
+def _greedy_tree_reference(
+    g: Graph,
+    root: int,
+    usage: Optional[Dict[Tuple[int, int], int]] = None,
+    max_depth: Optional[int] = None,
+    tree_id: Optional[int] = None,
+) -> SpanningTree:
+    """:func:`greedy_tree` by a rescan of every covered vertex's
+    neighbours per attach step, O(n^2 d) per tree. Kept as the
+    differential oracle of the heap; no runtime caller."""
+    if usage is None:
+        usage = {}
+    max_depth, ecc = _depth_bound(g, root, max_depth)
     if max_depth == ecc:
         return _bfs_layered_tree(g, root, usage, tree_id)
 
@@ -124,12 +211,7 @@ def greedy_tree(
                 if best_key is None or key < best_key:
                     best_key, best = key, (u, v)
         if best is None:
-            # depth-slack growth stranded a vertex; fall back to the
-            # feasible layered construction (rolls back nothing: usage for
-            # this tree has been partially charged, so rebuild cleanly)
-            for e in (canonical_edge(v, p) for v, p in parent.items()):
-                usage[e] -= 1
-            return _bfs_layered_tree(g, root, usage, tree_id)
+            return _stranded(g, root, usage, parent, tree_id)
         u, v = best
         parent[v] = u
         depth[v] = depth[u] + 1

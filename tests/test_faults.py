@@ -1,5 +1,7 @@
 """Tests for link-failure handling (degraded/repaired plans)."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from repro.core.faults import (
     repaired_plan,
 )
 from repro.simulator import execute_plan, verify_plan
+from repro.topology.graph import Graph, canonical_edge
 
 from tests.strategies import PLANS, plan_keys, plan_used_links
 
@@ -84,6 +87,31 @@ class TestRemoveLinks:
         assert plan.topology.self_loops  # the regression's precondition
         g = remove_links(plan.topology, [pick_tree_edge(plan)])
         assert g.self_loops == plan.topology.self_loops
+
+    @pytest.mark.parametrize("q", [3, 7])
+    def test_residual_equals_edge_by_edge_build(self, q):
+        # the residual must equal the graph built one add_edge per
+        # surviving link, down to its pickle (repaired trees carry the
+        # residual they validated against), and leave the source untouched
+        topo = build_plan(q, "low-depth").topology
+        before = {v: topo.neighbors(v) for v in range(topo.n)}
+        links = sorted(topo.edges)
+        for failed in (links[:1], links[::7], [(v, u) for u, v in links[3:9]]):
+            g = remove_links(topo, failed)
+            bad = {canonical_edge(*e) for e in failed}
+            want = Graph(topo.n)
+            for e in topo.edges:
+                if e not in bad:
+                    want.add_edge(*e)
+            for v in topo.self_loops:
+                want.add_self_loop(v)
+            assert g.edges == want.edges
+            assert g.self_loops == want.self_loops
+            assert all(g.neighbors(v) == want.neighbors(v) for v in range(topo.n))
+            assert g.num_edges == want.num_edges
+            assert pickle.dumps(g) == pickle.dumps(want)
+        assert {v: topo.neighbors(v) for v in range(topo.n)} == before
+        assert topo.num_edges == len(links)
 
 
 class TestDegradedPlan:

@@ -1,9 +1,14 @@
 """Tests for the generic greedy multi-tree embedder and random-tree strawman."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import aggregate_bandwidth
+from repro.core import aggregate_bandwidth, build_plan
+from repro.core.faults import remove_links
 from repro.topology import (
     hypercube_graph,
     hyperx_graph,
@@ -18,6 +23,8 @@ from repro.trees import (
     random_spanning_trees,
 )
 from repro.topology.graph import Graph
+from repro.trees import greedy as greedy_mod
+from repro.trees.greedy import _greedy_tree_reference
 
 
 class TestGreedyTree:
@@ -70,6 +77,111 @@ class TestGreedyTree:
         g.add_edge(0, 1)
         with pytest.raises(ValueError):
             greedy_tree(g, 0)
+
+
+@lru_cache(maxsize=None)
+def _plan(q, scheme):
+    return build_plan(q, scheme)
+
+
+def _grow_both(g, root, usage, max_depth, tree_id):
+    """Grow one tree with the heap and with the reference scan, each on
+    its own copy of ``usage``; returns both trees and both usages."""
+    u_heap, u_ref = dict(usage), dict(usage)
+    heap = greedy_tree(g, root, u_heap, max_depth=max_depth, tree_id=tree_id)
+    ref = _greedy_tree_reference(g, root, u_ref, max_depth=max_depth, tree_id=tree_id)
+    return heap, ref, u_heap, u_ref
+
+
+class TestHeapMatchesReference:
+    """The lazy-deletion heap against the covered-set rescan it replaced:
+    same attach sequence, so the same ``parent`` insertion order (which
+    fixes the engines' flow order) and the same ``usage`` dict."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        q=st.sampled_from([3, 5, 7]),
+        scheme=st.sampled_from(["low-depth", "edge-disjoint"]),
+        data=st.data(),
+    )
+    def test_residual_graphs(self, q, scheme, data):
+        plan = _plan(q, scheme)
+        links = sorted(plan.topology.edges)
+        picks = data.draw(
+            st.lists(st.integers(0, len(links) - 1), max_size=5, unique=True),
+            label="failed",
+        )
+        failed = [links[i] for i in picks]
+        g = remove_links(plan.topology, failed)
+        if not g.is_connected():
+            failed, g = [], plan.topology
+        # pre-charge like a re-plan (surviving trees' links), plus noise
+        usage = {}
+        bad = set(failed)
+        for t in plan.trees:
+            if not t.edges & bad:
+                for e in t.edges:
+                    usage[e] = usage.get(e, 0) + 1
+        survivors = sorted(g.edges)
+        extra = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, len(survivors) - 1), st.integers(0, 3)),
+                max_size=12,
+            ),
+            label="extra usage",
+        )
+        for i, k in extra:
+            e = survivors[i]
+            usage[e] = usage.get(e, 0) + k
+        root = data.draw(st.integers(0, g.n - 1), label="root")
+        ecc = g.eccentricity(root)
+        max_depth = data.draw(
+            st.sampled_from([None, ecc, ecc + 1, ecc + 2]), label="max_depth"
+        )
+        heap, ref, u_heap, u_ref = _grow_both(g, root, usage, max_depth, 4)
+        assert (heap.root, heap.tree_id) == (ref.root, ref.tree_id) == (root, 4)
+        assert list(heap.parent.items()) == list(ref.parent.items())
+        assert list(u_heap.items()) == list(u_ref.items())
+        heap.validate(g)
+
+    def test_sequential_trees_share_usage(self):
+        # greedy_trees threads one usage dict through k trees: each tree
+        # must see exactly the charges the reference would have left
+        g = polarfly_graph(7).graph
+        u_heap, u_ref = {}, {}
+        for i, root in enumerate(greedy_mod._spread_roots(g, 7)):
+            a = greedy_tree(g, root, u_heap, tree_id=i)
+            b = _greedy_tree_reference(g, root, u_ref, tree_id=i)
+            assert list(a.parent.items()) == list(b.parent.items())
+        assert list(u_heap.items()) == list(u_ref.items())
+
+    def test_stranded_vertex_falls_back_identically(self, monkeypatch):
+        # root 2 with one level of slack: the least-used links reach 1
+        # last, at depth 3 through 4 and 3, where it may take no child, so
+        # 0 is stranded; both implementations must roll the partial tree
+        # back (leaving (1, 3) charged 0) and build the layered tree
+        g = Graph.from_edges(
+            6, [(0, 1), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (4, 5)]
+        )
+        layered = greedy_mod._bfs_layered_tree
+        outs = []
+        for grow in (greedy_tree, _greedy_tree_reference):
+            calls = []
+
+            def spy(*args, **kwargs):
+                calls.append(args[1])
+                return layered(*args, **kwargs)
+
+            monkeypatch.setattr(greedy_mod, "_bfs_layered_tree", spy)
+            usage = {(0, 1): 1, (1, 2): 3, (3, 4): 0, (2, 3): 1}
+            t = grow(g, 2, usage, max_depth=3)
+            assert calls == [2], grow.__name__  # took the fallback, once
+            outs.append((list(t.parent.items()), list(usage.items())))
+        assert outs[0] == outs[1]
+        usage = dict(outs[0][1])
+        assert usage[(1, 3)] == 0  # charged by the stranded growth, rolled back
+        assert usage == {(0, 1): 2, (1, 2): 4, (3, 4): 0, (2, 3): 2,
+                         (2, 4): 1, (4, 5): 1, (1, 3): 0}
 
 
 class TestGreedyTrees:
