@@ -5,7 +5,9 @@ index), asserts it matches the paper, and reports the reproduced values in
 ``benchmark.extra_info`` so they land in the saved benchmark JSON.
 """
 
+import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -27,3 +29,20 @@ def timed_pedantic(benchmark, target, **pedantic):
     if benchmark.disabled:
         return result, time.perf_counter() - t0
     return result, benchmark.stats.stats.min
+
+
+def persist(bench_json: Path, case_id: str, payload) -> None:
+    """Store ``payload`` under ``case_id`` in the ``BENCH_*.json`` file
+    ``bench_json``, keeping its other rows (a missing or unreadable file
+    starts empty); written with sorted keys, two-space indents and a
+    trailing newline."""
+    data = {}
+    if bench_json.exists():
+        try:
+            data = json.loads(bench_json.read_text())
+        except (ValueError, OSError):
+            data = {}
+        if not isinstance(data, dict):
+            data = {}
+    data[case_id] = payload
+    bench_json.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")

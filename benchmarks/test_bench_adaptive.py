@@ -14,11 +14,10 @@ pattern as ``BENCH_faults.json``) so the adaptive win and the decision
 latency are tracked across PRs by the ``bench-trend`` CI gate.
 """
 
-import json
 import time
 from pathlib import Path
 
-from conftest import record, timed_pedantic
+from conftest import persist, record, timed_pedantic
 
 from repro.core import build_plan
 from repro.simulator import simulate_allreduce
@@ -31,19 +30,6 @@ from repro.simulator.adaptive import (
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_adaptive.json"
 
 POLICY = AdaptivePolicy()  # the calibrated defaults the docs quote
-
-
-def _persist(case_id, payload):
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except (ValueError, OSError):
-            data = {}
-        if not isinstance(data, dict):
-            data = {}
-    data[case_id] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _time(fn):
@@ -98,7 +84,7 @@ def test_adaptive_vs_static_congestion_storm(benchmark):
         "wall_seconds": round(wall, 5),
     }
     record(benchmark, **payload)
-    _persist("congestion-storm-q7", payload)
+    persist(BENCH_JSON, "congestion-storm-q7", payload)
 
 
 def test_controller_decision_latency(benchmark):
@@ -151,5 +137,5 @@ def test_controller_decision_latency(benchmark):
         "us_per_window": round(us_per_window, 2),
     }
     record(benchmark, **payload)
-    _persist("decision-latency-q7", payload)
+    persist(BENCH_JSON, "decision-latency-q7", payload)
     assert us_per_window < 2_000  # well under a sample window's cost

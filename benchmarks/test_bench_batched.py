@@ -12,12 +12,11 @@ are persisted to ``BENCH_batched.json`` at the repo root so the perf
 trajectory is tracked across PRs.
 """
 
-import json
 import time
 from dataclasses import replace
 from pathlib import Path
 
-from conftest import record, timed_pedantic
+from conftest import persist, record, timed_pedantic
 
 from repro.analysis import fault_monte_carlo, sim_grid_cells
 from repro.core import build_plan
@@ -31,19 +30,6 @@ GRID_SPEEDUP_TARGET = 2.0
 GRID_COLD_BUDGET_S = 1.0
 MC_LANES = 10_000
 MC_BUDGET_S = 30.0  # single-digit locally; generous for shared CI runners
-
-
-def _persist(case_id, payload):
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except (ValueError, OSError):
-            data = {}
-        if not isinstance(data, dict):
-            data = {}
-    data[case_id] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _time(fn):
@@ -102,7 +88,7 @@ def test_sim_grid_cold_batched_vs_serial(benchmark):
         "cold_budget_seconds": GRID_COLD_BUDGET_S,
     }
     record(benchmark, **payload)
-    _persist("sim-grid-121-q7", payload)
+    persist(BENCH_JSON, "sim-grid-121-q7", payload)
     assert batched_s < GRID_COLD_BUDGET_S, (
         f"cold 121-cell grid took {batched_s:.3f}s (budget {GRID_COLD_BUDGET_S}s)"
     )
@@ -137,7 +123,7 @@ def test_fault_monte_carlo_10k_lanes(benchmark):
         "budget_seconds": MC_BUDGET_S,
     }
     record(benchmark, **payload)
-    _persist("fault-monte-carlo-10k-q7", payload)
+    persist(BENCH_JSON, "fault-monte-carlo-10k-q7", payload)
     assert mc_s < MC_BUDGET_S, (
         f"10k-lane Monte Carlo took {mc_s:.2f}s (budget {MC_BUDGET_S}s)"
     )

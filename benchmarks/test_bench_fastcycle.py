@@ -14,13 +14,12 @@ pytest-benchmark JSON) *and* are persisted to ``BENCH_fastcycle.json`` at
 the repo root so the perf trajectory is tracked across PRs.
 """
 
-import json
 import statistics
 import time
 from pathlib import Path
 
 import pytest
-from conftest import record, timed_pedantic
+from conftest import persist, record, timed_pedantic
 
 from repro.core import build_plan
 from repro.simulator import (
@@ -51,19 +50,6 @@ CASES = [
     ("low-depth", 7, 2800, 2),
     ("edge-disjoint", 7, 6000, None),
 ]
-
-
-def _persist(case_id, payload):
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except (ValueError, OSError):
-            data = {}
-        if not isinstance(data, dict):
-            data = {}
-    data[case_id] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 @pytest.mark.parametrize(
@@ -109,7 +95,7 @@ def test_fastcycle_speedup(benchmark, scheme, q, m, buf):
     }
     record(benchmark, **payload)
     case_id = f"{scheme}-q{q}-m{m}-buf{buf}"
-    _persist(case_id, payload)
+    persist(BENCH_JSON, case_id, payload)
     assert speedup >= SPEEDUP_TARGET, (
         f"fast engine only {speedup:.1f}x faster than reference "
         f"(target {SPEEDUP_TARGET}x) on {case_id}"
@@ -145,7 +131,7 @@ def test_fastcycle_scaling_headroom(benchmark):
         "theoretical_bandwidth": predicted,
     }
     record(benchmark, **payload)
-    _persist(f"scaling-headroom-q7-m{m}", payload)
+    persist(BENCH_JSON, f"scaling-headroom-q7-m{m}", payload)
 
 
 def _cold_build_ms(q, engine):
@@ -186,7 +172,7 @@ def test_engine_build_cold(benchmark):
             "parent_ms": PARENT_BUILD_MS[q],
         }
     record(benchmark, **payload)
-    _persist("engine-build-low-depth", payload)
+    persist(BENCH_JSON, "engine-build-low-depth", payload)
     assert cells[29]["leap"] <= LEAP_BUILD_GATE_MS, (
         f"cold leap build at q=29 took {cells[29]['leap']} ms "
         f"(gate {LEAP_BUILD_GATE_MS} ms)"

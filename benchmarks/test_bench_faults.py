@@ -12,31 +12,17 @@ persisted to ``BENCH_faults.json`` at the repo root (the same pattern as
 ``BENCH_leap.json``) so recovery-latency trends are tracked across PRs.
 """
 
-import json
 import time
 from pathlib import Path
 
 import pytest
-from conftest import record, timed_pedantic
+from conftest import persist, record, timed_pedantic
 
 from repro.analysis.recovery import used_links
 from repro.core import build_plan
 from repro.simulator import FaultSchedule, run_with_recovery
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_faults.json"
-
-
-def _persist(case_id, payload):
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except (ValueError, OSError):
-            data = {}
-        if not isinstance(data, dict):
-            data = {}
-    data[case_id] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _time(fn):
@@ -91,7 +77,7 @@ def test_recovery_latency_q7(benchmark):
     payload = {"q": 7, "scheme": "low-depth", "m": m, "down_cycle": 50,
                "failed_link": list(edge), "cases": cases}
     record(benchmark, q=7, scheme="low-depth", **cases["repaired"])
-    _persist("recovery-latency-q7", payload)
+    persist(BENCH_JSON, "recovery-latency-q7", payload)
 
 
 def test_recovery_paper_scale_leap(benchmark):
@@ -120,6 +106,6 @@ def test_recovery_paper_scale_leap(benchmark):
         "wall_seconds": round(wall, 4),
     }
     record(benchmark, **payload)
-    _persist(f"paper-scale-q7-m{m}", payload)
+    persist(BENCH_JSON, f"paper-scale-q7-m{m}", payload)
     assert res.recovered
     assert wall < 30.0

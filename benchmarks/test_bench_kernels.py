@@ -16,7 +16,7 @@ import json
 import time
 from pathlib import Path
 
-from conftest import record, timed_pedantic
+from conftest import persist, record, timed_pedantic
 
 from repro.core import build_plan
 from repro.simulator import (
@@ -28,19 +28,6 @@ from repro.simulator import (
 from repro.simulator.leap import SteadyRings
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
-
-
-def _persist(case_id, payload):
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except (ValueError, OSError):
-            data = {}
-        if not isinstance(data, dict):
-            data = {}
-    data[case_id] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _time(fn, rounds=1):
@@ -179,7 +166,7 @@ def test_leap_verification_windows(benchmark):
         "ring_run_seconds": round(ring_s, 4),
     }
     record(benchmark, **payload)
-    _persist("leap-verification-q7", payload)
+    persist(BENCH_JSON, "leap-verification-q7", payload)
 
 
 def test_fast_kernel_step_grid(benchmark):
@@ -216,7 +203,7 @@ def test_fast_kernel_step_grid(benchmark):
         rounds=3, iterations=1, warmup_rounds=1,
     )
     record(benchmark, grid=json.dumps(grid))
-    _persist("fast-step-grid", {"grid": grid})
+    persist(BENCH_JSON, "fast-step-grid", {"grid": grid})
 
 
 def test_kernel_cold_vs_warm(benchmark):
@@ -238,4 +225,4 @@ def test_kernel_cold_vs_warm(benchmark):
         "cold_over_warm": round(cold_s / warm_s, 2),
     }
     record(benchmark, **payload)
-    _persist("cold-vs-warm", payload)
+    persist(BENCH_JSON, "cold-vs-warm", payload)

@@ -17,12 +17,11 @@ pytest-benchmark JSON) *and* are persisted to ``BENCH_leap.json`` at the
 repo root so the perf trajectory is tracked across PRs.
 """
 
-import json
 import time
 from pathlib import Path
 
 import pytest
-from conftest import record, timed_pedantic
+from conftest import persist, record, timed_pedantic
 
 from repro.core import build_plan
 from repro.simulator import make_engine, simulate_allreduce
@@ -43,19 +42,6 @@ FLOOR_CELLS = (
     (25, "low-depth"), (27, "low-depth"), (29, "low-depth"),
     (31, "low-depth"), (31, "edge-disjoint"),
 )
-
-
-def _persist(case_id, payload):
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except (ValueError, OSError):
-            data = {}
-        if not isinstance(data, dict):
-            data = {}
-    data[case_id] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _time(fn):
@@ -131,7 +117,7 @@ def test_leap_speedup_curve(benchmark):
         "target": SPEEDUP_TARGET,
     }
     record(benchmark, q=7, scheme="low-depth", speedup=top["speedup_vs_fast"])
-    _persist("speedup-curve-q7", payload)
+    persist(BENCH_JSON, "speedup-curve-q7", payload)
     assert top["speedup_vs_fast"] >= SPEEDUP_TARGET, (
         f"leap only {top['speedup_vs_fast']:.1f}x faster than fast at "
         f"m={top['m']} (target {SPEEDUP_TARGET}x)"
@@ -174,7 +160,7 @@ def test_leap_large_radix_point(benchmark, q):
         "stepped_max": LARGE_RADIX_STEPPED_MAX,
     }
     record(benchmark, **payload)
-    _persist(f"large-radix-q{q}-m{m}", payload)
+    persist(BENCH_JSON, f"large-radix-q{q}-m{m}", payload)
     assert sim.stepped_cycles <= LARGE_RADIX_STEPPED_MAX, (q, sim.stepped_cycles)
     # the whole point: paper-scale m in interactive time
     assert leap_s < 30.0
@@ -241,7 +227,7 @@ def test_leap_cliff_low_depth(benchmark):
         "collector_overhead_max": COLLECTOR_OVERHEAD_MAX,
     }
     record(benchmark, **payload)
-    _persist("cliff-low-depth", payload)
+    persist(BENCH_JSON, "cliff-low-depth", payload)
     for q in CLIFF_Q:
         overhead = runs[f"q{q}"]["collector_overhead"]
         assert overhead <= COLLECTOR_OVERHEAD_MAX, (

@@ -25,12 +25,11 @@ ref-vs-scaled and cold-vs-warm ratios are same-process and robust).
 Everything lands in ``benchmark.extra_info`` and ``BENCH_planner.json``.
 """
 
-import json
 import time
 from functools import partial
 from pathlib import Path
 
-from conftest import record, timed_pedantic
+from conftest import persist, record, timed_pedantic
 
 from repro.core.bandwidth import (
     _progressive_fill_reference,
@@ -61,19 +60,6 @@ FILL_CELLS = (
     (31, "low-depth"),
     (31, "edge-disjoint"),
 )
-
-
-def _persist(case_id, payload):
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except (ValueError, OSError):
-            data = {}
-        if not isinstance(data, dict):
-            data = {}
-    data[case_id] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _time(fn, rounds=3):
@@ -118,7 +104,7 @@ def test_fill_scaled_vs_reference(benchmark):
     payload = {"cells": rows, "target": FILL_SPEEDUP_TARGET,
                "worst_speedup": round(worst[0], 1), "worst_cell": str(worst[1])}
     record(benchmark, **payload)
-    _persist("fill-scaled-vs-reference", payload)
+    persist(BENCH_JSON, "fill-scaled-vs-reference", payload)
     assert worst[0] >= FILL_SPEEDUP_TARGET, (
         f"cell {worst[1]} only {worst[0]:.1f}x faster "
         f"(target {FILL_SPEEDUP_TARGET}x per q>=19 cell)"
@@ -153,7 +139,7 @@ def test_plan_cache_warm_vs_cold(benchmark):
         "cache_stats": global_plan_cache().stats(),
     }
     record(benchmark, **payload)
-    _persist("plan-cache-warm-vs-cold", payload)
+    persist(BENCH_JSON, "plan-cache-warm-vs-cold", payload)
     assert speedup >= CACHE_SPEEDUP_TARGET, (
         f"warm lookup only {speedup:.1f}x faster than cold build "
         f"(target {CACHE_SPEEDUP_TARGET}x)"
@@ -188,7 +174,7 @@ def test_recovery_replan_latency(benchmark):
         "speedup": round(cold_s / warm_s, 1),
     }
     record(benchmark, **payload)
-    _persist("recovery-replan", payload)
+    persist(BENCH_JSON, "recovery-replan", payload)
     assert cold_s / warm_s > 1.0
 
 
@@ -252,7 +238,7 @@ def test_replan_surgery_greedy(benchmark):
     payload = {"cells": rows, "target": SURGERY_SPEEDUP_TARGET,
                "worst_speedup": round(worst[0], 1), "worst_cell": str(worst[1])}
     record(benchmark, **payload)
-    _persist("replan-surgery", payload)
+    persist(BENCH_JSON, "replan-surgery", payload)
     assert worst[0] >= SURGERY_SPEEDUP_TARGET, (
         f"cell {worst[1]} only {worst[0]:.1f}x faster "
         f"(target {SURGERY_SPEEDUP_TARGET}x per q>=11 cell)"

@@ -15,30 +15,16 @@ persisted to ``BENCH_sweep.json`` at the repo root so the perf
 trajectory is tracked across PRs.
 """
 
-import json
 import time
 from pathlib import Path
 
-from conftest import record, timed_pedantic
+from conftest import persist, record, timed_pedantic
 
 from repro.sweep import SweepRunner, generate_artifacts
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
 SPEEDUP_TARGET = 3.0
 WORKERS = 4
-
-
-def _persist(payload):
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except (ValueError, OSError):
-            data = {}
-        if not isinstance(data, dict):
-            data = {}
-    data["regenerate_results"] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def test_sweep_engine_speedup(benchmark, tmp_path):
@@ -77,7 +63,7 @@ def test_sweep_engine_speedup(benchmark, tmp_path):
         "byte_identical": True,
     }
     record(benchmark, **payload)
-    _persist(payload)
+    persist(BENCH_JSON, "regenerate_results", payload)
     assert speedup_warm >= SPEEDUP_TARGET, (
         f"warm-cache sweep only {speedup_warm:.1f}x faster than serial "
         f"(target {SPEEDUP_TARGET}x): serial {serial_s:.2f}s vs warm {warm_s:.2f}s"

@@ -20,12 +20,11 @@ to ``BENCH_tenancy.json`` at the repo root so the trajectory is tracked
 across PRs.
 """
 
-import json
 import pickle
 import time
 from pathlib import Path
 
-from conftest import record, timed_pedantic
+from conftest import persist, record, timed_pedantic
 
 from repro.core import build_plan
 from repro.simulator import make_engine
@@ -37,19 +36,6 @@ M = 64
 TENANTS = 4
 TREES_EACH = 1  # partitioned: distinct trees, overlapping links (cong. 2)
 BUDGET_S = 30.0  # shared-CI generous; single-digit locally
-
-
-def _persist(case_id, payload):
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except (ValueError, OSError):
-            data = {}
-        if not isinstance(data, dict):
-            data = {}
-    data[case_id] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def test_k1_fabric_bit_identical_to_solo():
@@ -117,7 +103,7 @@ def test_k_tenant_throughput_vs_serial_solo(benchmark):
         "budget_seconds": BUDGET_S,
     }
     record(benchmark, **payload)
-    _persist("tenancy-throughput-q7-k4", payload)
+    persist(BENCH_JSON, "tenancy-throughput-q7-k4", payload)
     assert cycle_speedup > 1.0, (
         f"shared fabric makespan {stats.cycles} not better than "
         f"{serial_cycles} serialized cycles"
@@ -180,5 +166,5 @@ def test_k_curve_fabric_vs_serial_solo(benchmark):
         iterations=1,
     )
     record(benchmark, **curve)
-    _persist("tenancy-k-curve", curve)
+    persist(BENCH_JSON, "tenancy-k-curve", curve)
     assert curve["q11-k32-shared"]["fabric_seconds"] < BUDGET_S

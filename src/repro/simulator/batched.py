@@ -15,15 +15,18 @@ stacks the lanes along a batch axis and advances *all* of them per cycle:
   axis is stored **last** (``(4*T*n, B)``, flow-major), so those
   gathers/scatters move whole contiguous lane-rows instead of strided
   elements — the step is memory-bound and this is worth ~5x;
-- budgets (availability minus credit debt) are computed from the same
-  start-of-cycle snapshot the serial engines use; lanes without credit
-  flow control ride along with an effectively-infinite buffer sentinel;
+- landing and budgets (availability minus credit debt, from the
+  start-of-cycle snapshot) are the fast engine's
+  :func:`~repro.simulator.fastcycle.land_and_budget` over the lane axis;
+  lanes without credit flow control ride along with an
+  effectively-infinite buffer sentinel;
 - arbitration is the fast engine's closed forms with a lane axis: an
   ``(F, B)`` pointer bit per flow and lane, the capacity-1 round robin
   :func:`~repro.simulator.fastcycle.round_robin` when every lane has
-  capacity 1, and :func:`~repro.simulator.fastcycle.water_fill` over all
-  lanes otherwise.  The ``(F, B)`` grants are the in-flight state, and
-  channel totals are derived from ``sent`` only when a lane finishes;
+  capacity 1, and :func:`~repro.simulator.fastcycle.water_fill` with
+  per-lane capacities otherwise.  The ``(F, B)`` grants are the
+  in-flight state, and channel totals are derived from ``sent`` only
+  when a lane finishes;
 - per-lane :class:`~repro.simulator.faultsched.FaultSchedule` masks are
   rebuilt lazily, only at lanes whose schedule changes at this cycle;
 - per-lane completion / stall / max-cycles detection freezes finished
@@ -46,7 +49,7 @@ cycle and pending set, same
 by ``tests/test_batched_equivalence.py`` and the differential suite.
 
 This is not a single-run engine (``make_engine`` does not know it): one
-lane steps about 2.5x slower than ``engine="fast"``, so it earns its
+lane steps 1.4-1.8x slower than ``engine="fast"``, so it earns its
 keep only through :meth:`BatchedCycleSimulator.run_batch` over many
 lanes, and it takes no telemetry collector.
 """
@@ -68,7 +71,12 @@ from repro.simulator.cycle import (
 from repro.simulator.engine_layout import AGG as _AGG
 from repro.simulator.engine_layout import BCD as _BCD
 from repro.simulator.engine_layout import EngineLayout
-from repro.simulator.fastcycle import round_robin, water_fill
+from repro.simulator.fastcycle import (
+    land_and_budget,
+    refresh_agg,
+    round_robin,
+    water_fill,
+)
 from repro.simulator.faultsched import FaultSchedule
 from repro.topology.graph import Graph
 from repro.trees.tree import SpanningTree
@@ -256,16 +264,9 @@ class BatchedCycleSimulator:
                     cycles = sched.event_cycles()
                     self._next_change[b] = cycles[0] if cycles else _NO_EVENT
 
-        self._refresh_agg()
+        refresh_agg(lay, self._flat2)
 
     # ------------------------------------------------------------ frontiers
-
-    def _refresh_agg(self) -> None:
-        lay = self._lay
-        if len(lay.grp_off):
-            self._flat2[lay.grp_agg_idx] = np.minimum.reduceat(
-                self._flat2[lay.child_up_idx], lay.grp_off, axis=0
-            )
 
     def _done_mask(self) -> np.ndarray:
         """(T, B) — which trees of which lanes are complete (landed flits
@@ -296,26 +297,12 @@ class BatchedCycleSimulator:
         self.cycle += 1
         if self._have_faults:
             self._refresh_fault_masks()
-        # 1. land last cycle's in-flight flits (one-cycle hop latency):
-        # each flow's landing cell trails its ``sent`` by exactly the
-        # flits in flight, so landing is an assignment
         if self._F == 0:
             return 0
         lay = self._lay
-        self._flat2[lay.land_idx] = self._sent
-        self._refresh_agg()
-
-        # 2. per-flow budgets from the start-of-cycle snapshot
-        sent = self._sent  # nothing writes it until arbitration
-        avail = self._flat2[lay.avail_idx] - sent
-        if self._any_buffered:
-            bcm = np.minimum.reduceat(sent[lay.child_bcfid], lay.grp_off, axis=0)
-            self._flat2[lay.grp_bcm_idx] = bcm
-            cons = lay.consumed(sent, bcm, self._flat2)
-            credit = self._buf[None, :] - (sent - cons)
-            budget = np.minimum(avail, credit)
-        else:
-            budget = avail
+        budget = land_and_budget(
+            lay, self._flat2, self._sent, self._buf if self._any_buffered else None
+        )
         if self._dead_mask is not None:
             budget[self._dead_mask] = 0  # dead flows arbitrate with 0 budget
         if not self._alive.all():
@@ -323,34 +310,19 @@ class BatchedCycleSimulator:
             # counters and channel totals hold still
             budget[:, ~self._alive] = 0
 
-        # 3. arbitration
+        # arbitrate: grants per flow and lane, in flight until the next
+        # boundary
         if self._cap1:
-            self._arbitrate_single(budget)
+            grant, self._ptr = round_robin(lay, budget > 0, self._ptr)
+            moved = np.count_nonzero(grant, axis=0)
         else:
-            self._arbitrate_general(budget)
-        return int(self._last_moved.sum())
-
-    def _arbitrate_single(self, budget: np.ndarray) -> None:
-        """All-lanes-capacity-1 round robin: :func:`round_robin` over the
-        lane axis."""
-        grant, self._ptr = round_robin(self._lay, budget > 0, self._ptr)
-        self._send(grant, np.count_nonzero(grant, axis=0))
-
-    def _arbitrate_general(self, budget: np.ndarray) -> None:
-        """Per-lane-capacity :func:`water_fill`, all lanes at once,
-        through the pointers the bits encode."""
-        lay = self._lay
-        grants, rr = water_fill(lay, budget, self._cap, lay.pointers(self._ptr))
-        self._ptr = lay.pointer_bits(rr)
-        grant = grants[lay.flow_ch, lay.flow_slot]  # (F, B)
-        self._send(grant, grant.sum(axis=0))
-
-    def _send(self, grant: np.ndarray, moved: np.ndarray) -> None:
-        """Send this cycle's grants (they land at the next boundary)."""
+            grant, self._ptr = water_fill(lay, budget, self._cap, self._ptr)
+            moved = grant.sum(axis=0)
         self._grant = grant
         self._sent += grant
         self._last_moved = moved
         self._flits_moved += moved
+        return int(moved.sum())
 
     def lane_channel_flits(self, b: int) -> np.ndarray:
         """Cumulative per-channel flit counts of lane column ``b`` (in

@@ -40,15 +40,7 @@ completion cycles, the stall rule and the
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
-
-try:  # Protocol is typing-only; keep 3.7-compatible fallback cheap
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
+from typing import List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 from repro.simulator.cycle import CycleSimulator, CycleStats
 from repro.simulator.fastcycle import FastCycleSimulator

@@ -19,8 +19,9 @@ creates its flows in, and it fixes everything the round robin observes:
   so :meth:`EngineLayout.channels` equals the reference's
   ``channel_flows`` key order;
 - a channel's flows occupy its arbitration slots in ascending flow id,
-  so slot ``j`` of a channel is the reference's ``channel_flows[ch][j]``
-  and the rotating pointer visits flows in the same sequence.
+  so slot ``j`` of channel ``c`` (``slot_fid[j, c]``) holds the
+  reference's ``channel_flows[ch][j]`` and the rotating pointer visits
+  flows in the same sequence.
 
 ``tests/test_engine_layout.py`` pins both against the reference engine on
 shuffled parent dicts and repeated trees.  Every tree spans the graph, so
@@ -106,11 +107,8 @@ class EngineLayout:
     ch_k: np.ndarray
     #: channel of each flow, shape (F,)
     flow_ch: np.ndarray
-    # ---- padded (C, K) channel x slot matrix of flow ids
-    ch_fid: np.ndarray
-    ch_valid: np.ndarray
-    #: its transpose, (K, C), with ``F`` (one past the last flow) in
-    #: empty slots
+    #: padded (K, C) slot x channel matrix of flow ids, ``K = max(ch_k)``,
+    #: with ``F`` (one past the last flow) in empty slots
     slot_fid: np.ndarray
     # ---- round-robin arbitration in flow space, shape (F,)
     #: arbitration slot of each flow on its channel
@@ -167,12 +165,6 @@ class EngineLayout:
         rr = np.zeros((self.num_channels,) + ptr.shape[1:], dtype=np.int64)
         rr[(self.flow_ch[fid], *lane)] = self.flow_slot[fid]
         return rr
-
-    def pointer_bits(self, rr: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`pointers`: ``ptr[f]`` is set iff the pointer
-        of ``f``'s channel is at ``f``'s slot."""
-        slot = self.flow_slot.reshape((-1,) + (1,) * (rr.ndim - 1))
-        return rr[self.flow_ch] == slot
 
     def flows_on(self, edges: AbstractSet[Tuple[int, int]]) -> np.ndarray:
         """Boolean flow mask: which flows cross one of the canonical
@@ -284,13 +276,11 @@ class EngineLayout:
         gr_ch = flow_ch[gr_fid]
         gr_slot = np.arange(F, dtype=np.int64) - (np.cumsum(ch_k) - ch_k)[gr_ch]
         K = int(ch_k.max()) if C else 1
-        ch_fid = np.zeros((C, K), dtype=np.int64)
-        ch_valid = np.zeros((C, K), dtype=bool)
-        ch_fid[gr_ch, gr_slot] = gr_fid
-        ch_valid[gr_ch, gr_slot] = True
+        slot_fid = np.full((K, C), F, dtype=np.int64)
+        slot_fid[gr_slot, gr_ch] = gr_fid
         flow_slot = np.empty(F, dtype=np.int64)
         flow_slot[gr_fid] = gr_slot
-        flow_prev = ch_fid[flow_ch, (flow_slot - 1) % ch_k[flow_ch]]
+        flow_prev = slot_fid[(flow_slot - 1) % ch_k[flow_ch], flow_ch]
 
         return cls(
             n=n,
@@ -314,9 +304,7 @@ class EngineLayout:
             ch_dst=ch_key % n,
             ch_k=ch_k,
             flow_ch=flow_ch,
-            ch_fid=ch_fid,
-            ch_valid=ch_valid,
-            slot_fid=np.where(ch_valid, ch_fid, F).T.copy(),
+            slot_fid=slot_fid,
             flow_slot=flow_slot,
             flow_prev=flow_prev,
             rr_hops=K - 1,

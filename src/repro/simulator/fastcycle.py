@@ -19,10 +19,12 @@ cycle with array operations and produces bit-identical results:
   common case), and for larger capacities :func:`water_fill`, where
   ``T`` complete passes hand flow ``i`` exactly ``min(b_i, T)`` flits
   and the remaining ``R`` go to the first ``R`` flows with ``b_i > T``
-  in cyclic order.  Both take a trailing lane axis and are shared with
-  the batched lane evaluator.  The per-flow grants are the in-flight
-  state: they land one cycle later as an assignment of ``sent`` to each
-  flow's own landing cell, and channel totals are derived from ``sent``.
+  in cyclic order.  The per-flow grants are the in-flight state: they
+  land one cycle later as an assignment of ``sent`` to each flow's own
+  landing cell (:func:`land_and_budget`, which also computes the
+  budgets), and channel totals are derived from ``sent``.  All three
+  functions take a trailing lane axis and are shared with the batched
+  lane evaluator.
 
 Cycle-exactness (same per-channel per-cycle flit counts, same completion
 cycles, same round-robin pointer trajectory, same :class:`CycleStats`) is
@@ -36,7 +38,7 @@ solo, under telemetry, or gated by the multi-tenant fabric.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -48,7 +50,13 @@ from repro.simulator.faultsched import FaultSchedule
 from repro.topology.graph import Graph
 from repro.trees.tree import SpanningTree
 
-__all__ = ["FastCycleSimulator", "round_robin", "water_fill"]
+__all__ = [
+    "FastCycleSimulator",
+    "land_and_budget",
+    "refresh_agg",
+    "round_robin",
+    "water_fill",
+]
 
 _INF = 1 << 62  # root pin: above any flit count the int64 headroom check admits
 
@@ -100,61 +108,90 @@ def round_robin(
 
 
 def water_fill(
-    lay: EngineLayout, budget: np.ndarray, capacity: np.ndarray, rr: np.ndarray
+    lay: EngineLayout,
+    budget: np.ndarray,
+    capacity: Union[int, np.ndarray],
+    ptr: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Closed form of the one-flit-per-visit round robin at any capacity.
+    """Closed form of the one-flit-per-visit round robin at any capacity,
+    in flow space.
 
-    Arrays carry a trailing lane axis of length L: ``budget`` is (F, L)
-    per-flow budgets, ``capacity`` (L,) link capacities and ``rr`` (C, L)
-    round-robin pointers.  On each channel, ``T`` complete passes hand
-    flow ``i`` exactly ``min(b_i, T)`` flits and the remaining ``R`` go to
-    the first ``R`` flows with ``b_i > T`` in cyclic order from the
-    pointer; the pointer moves one past the cycle's last grant.  Returns
-    the (C, K, L) grants in :attr:`EngineLayout.ch_fid` slots and the new
-    pointers (``rr``'s dtype).
+    ``budget`` holds per-flow budgets and ``ptr`` the pointer bits, both
+    (F,) or (F, L) as in :func:`round_robin`; ``capacity`` is a scalar or
+    one per lane, (L,).  Returns the per-flow grants (``budget``'s shape,
+    int64) and the new pointer bits.
+
+    A channel sends ``S = min(sum b_i, capacity)`` flits.  Let ``T`` be
+    the most complete passes that leave a flit to send, the largest ``T``
+    with ``sum min(b_i, T) < S``: they hand flow ``i`` ``min(b_i, T)``
+    flits, and the other ``R`` (at least one, at most the number of flows
+    with ``b_i > T``) go to the first ``R`` flows with ``b_i > T`` in
+    cyclic order from the pointer — the cycle's last, partial pass.  The
+    rank ``r`` of a flow among those, counted from the pointer, comes
+    from the predecessor walk of :func:`round_robin`,
+
+        r = where(ptr, 0, (r + (b > T))[p])
+
+    repeated ``lay.rr_hops`` times.  The pointer moves to the slot after
+    the cycle's last grant, the one ranked ``R - 1``, and holds on a
+    channel that sends nothing (``R == 0``).
     """
-    valid = lay.ch_valid[:, :, None]
-    B = np.where(valid, budget[lay.ch_fid], 0).astype(np.int64, copy=False)
-    np.maximum(B, 0, out=B)
-    cap = capacity.astype(np.int64, copy=False)
-    S = np.minimum(B.sum(axis=1), cap)  # (C, L) flits sent this cycle
+    b = np.maximum(budget, 0)
+    S = np.minimum(lay.channel_totals(b), capacity)
+    # T < S: a pass within the largest budget grants at least one flit,
+    # and past it sum min(b, T) = sum b >= S; so the search stops below
+    # max(S), or sooner, once no channel has a flit left over
+    T = np.zeros_like(S)
+    for p in range(1, int(S.max(initial=0))):
+        below = lay.channel_totals(np.minimum(b, p)) < S
+        if not below.any():
+            break
+        T += below
+    T = T[lay.flow_ch]
+    grant = np.minimum(b, T)
+    R = (S - lay.channel_totals(grant))[lay.flow_ch]
+    want = b > T
+    prev = lay.flow_prev
+    r = np.zeros_like(grant)
+    for _ in range(lay.rr_hops):
+        r = np.where(ptr, 0, (r + want)[prev])
+    grant += want & (r < R)
+    last = want & (r == R - 1)
+    return grant, np.where(R > 0, last[prev], ptr)
 
-    # T = the most complete passes that fit in S.  Pass p costs at least
-    # p flits unless every budget is below p, and passes past the largest
-    # budget grant nothing more, so the search can stop at max(S)
-    T_arr = np.zeros_like(S)
-    base = np.zeros_like(S)
-    for p in range(1, int(S.max(initial=0)) + 1):
-        s = np.minimum(B, p).sum(axis=1)
-        ok = (s <= S) & (p <= cap)
-        T_arr[ok] = p
-        base[ok] = s[ok]
-    R = S - base
 
-    grants = np.minimum(B, T_arr[:, None, :])
-    pos = np.arange(B.shape[1]).reshape(1, -1, 1)
-    jpos = (pos - rr[:, None, :]) % lay.ch_k[:, None, None]
-    want_extra = (B > T_arr[:, None, :]) & valid
-    if want_extra.any():
-        # rank of each candidate among candidates, in cyclic order
-        rank = (
-            want_extra[:, None] & (jpos[:, None] < jpos[:, :, None])
-        ).sum(axis=2)
-        extra = want_extra & (rank < R[:, None, :])
-        grants += extra
-    else:
-        extra = want_extra
+def refresh_agg(lay: EngineLayout, flat: np.ndarray) -> None:
+    """Recompute every streaming-aggregation frontier of the flat state
+    ``flat`` ((4*T*n,) or (4*T*n, L)) from its up-delivered counters."""
+    if len(lay.grp_off):
+        flat[lay.grp_agg_idx] = np.minimum.reduceat(
+            flat[lay.child_up_idx], lay.grp_off
+        )
 
-    # rotating pointer: one past the last grant of the cycle
-    has_extra = extra.any(axis=1)
-    j_extra = np.where(extra, jpos, -1).max(axis=1, initial=-1)
-    last_pass = grants.max(axis=1, initial=0)[:, None, :]
-    j_pass = np.where(
-        (B >= last_pass) & valid & (last_pass > 0), jpos, -1
-    ).max(axis=1, initial=-1)
-    j_last = np.where(has_extra, j_extra, j_pass)
-    new_rr = np.where(S > 0, (rr + j_last + 1) % lay.ch_k[:, None], rr)
-    return grants, new_rr.astype(rr.dtype, copy=False)
+
+def land_and_budget(
+    lay: EngineLayout,
+    flat: np.ndarray,
+    sent: np.ndarray,
+    buffer: Optional[Union[int, np.ndarray]],
+) -> np.ndarray:
+    """Phases 1–2 of a cycle, over the flat state ``flat`` and the
+    per-flow ``sent`` counters ((F,) or (F, L)): land last cycle's
+    in-flight flits, refresh the aggregation frontiers and return the
+    per-flow budgets of the start-of-cycle snapshot — availability less
+    ``sent``, capped by the credit ``buffer - (sent - consumed)`` unless
+    ``buffer`` (a scalar or one per lane) is ``None``."""
+    # one-cycle hop latency: each flow's landing cell is its own and
+    # trails its ``sent`` by exactly the flits in flight
+    flat[lay.land_idx] = sent
+    refresh_agg(lay, flat)
+    budget = flat[lay.avail_idx] - sent
+    if buffer is not None:
+        bcm = np.minimum.reduceat(sent[lay.child_bcfid], lay.grp_off)
+        flat[lay.grp_bcm_idx] = bcm
+        cons = lay.consumed(sent, bcm, flat)
+        np.minimum(budget, buffer - (sent - cons), out=budget)
+    return budget
 
 
 class FastCycleSimulator:
@@ -223,7 +260,7 @@ class FastCycleSimulator:
         # event cycles)
         self._dead_now: FrozenSet[Tuple[int, int]] = frozenset()
         self._dead_mask: Optional[np.ndarray] = None
-        self._refresh_agg()
+        refresh_agg(lay, self._flat)
 
         # per-tree landed-flit totals: a tree is done exactly when every
         # one of its flows has delivered m_i flits (each is bounded by
@@ -234,13 +271,6 @@ class FastCycleSimulator:
         self._done_cnt = np.zeros(T, dtype=np.int64)
 
     # ------------------------------------------------------------ frontiers
-
-    def _refresh_agg(self) -> None:
-        lay = self._lay
-        if len(lay.grp_off):
-            self._flat[lay.grp_agg_idx] = np.minimum.reduceat(
-                self._flat[lay.child_up_idx], lay.grp_off
-            )
 
     def _done_mask(self) -> np.ndarray:
         return self._done_cnt >= self._done_target
@@ -285,24 +315,10 @@ class FastCycleSimulator:
         self.cycle += 1
         if self.faults is not None:
             self._refresh_fault_mask()
-        lay = self._lay
         if self._F == 0:
             return None
-        # 1. land last cycle's in-flight flits (one-cycle hop latency):
-        # each flow's landing cell is its own and trails its ``sent`` by
-        # exactly the flits in flight, so landing is an assignment
-        self._flat[lay.land_idx] = self.sent
+        budget = land_and_budget(self._lay, self._flat, self.sent, self.buffer_size)
         self._sync_done(self.sent)
-        self._refresh_agg()
-
-        # 2. per-flow budgets from the start-of-cycle snapshot
-        budget = self._flat[lay.avail_idx] - self.sent
-        if self.buffer_size is not None:
-            snap = self.sent
-            bcm = np.minimum.reduceat(snap[lay.child_bcfid], lay.grp_off)
-            self._flat[lay.grp_bcm_idx] = bcm
-            cons = lay.consumed(snap, bcm, self._flat)
-            np.minimum(budget, self.buffer_size - (snap - cons), out=budget)
         if self._dead_mask is not None:
             # flows on down links arbitrate with zero budget; availability
             # and credit state keep evolving underneath
@@ -332,7 +348,7 @@ class FastCycleSimulator:
             grant, self._ptr = round_robin(lay, budget > 0, self._ptr)
             moved = int(np.count_nonzero(grant))
         else:
-            grant = self._arbitrate_general(budget)
+            grant, self._ptr = water_fill(lay, budget, self.capacity, self._ptr)
             moved = int(grant.sum())
         self._grant = grant
         self.sent += grant
@@ -348,17 +364,6 @@ class FastCycleSimulator:
         return np.bincount(
             self._lay.flow_ch, weights=budget > 0, minlength=self._C
         ).astype(np.int64)
-
-    def _arbitrate_general(self, budget: np.ndarray) -> np.ndarray:
-        """Capacity > 1: :func:`water_fill` with one lane, through the
-        pointers the bits encode; returns the per-flow grants."""
-        lay = self._lay
-        grants, rr = water_fill(
-            lay, budget[:, None], np.asarray([self.capacity]),
-            lay.pointers(self._ptr)[:, None],
-        )
-        self._ptr = lay.pointer_bits(rr[:, 0])
-        return grants[lay.flow_ch, lay.flow_slot, 0]
 
     # ----------------------------------------------------- engine protocol
 

@@ -65,7 +65,7 @@ import numpy as np
 
 from repro.simulator.cycle import CycleStats, EngineRun
 from repro.simulator.engine_layout import EngineLayout
-from repro.simulator.fastcycle import FastCycleSimulator
+from repro.simulator.fastcycle import FastCycleSimulator, refresh_agg
 from repro.simulator.faultsched import FaultSchedule
 from repro.topology.graph import Graph
 from repro.trees.tree import SpanningTree
@@ -445,7 +445,7 @@ class LeapCycleSimulator(FastCycleSimulator):
         # the AGG plane is min-derived, not a linear counter: rebuild it
         # exactly from the leapt UPD counters (matches the post-step
         # invariant AGG == min over children's UPD)
-        self._refresh_agg()
+        refresh_agg(self._lay, self._flat)
         # the jump moved state without landing events: rebuild the
         # per-tree landed totals the done check reads
         self._sync_done(self._flat[self._lay.land_idx])
@@ -483,7 +483,7 @@ class LeapCycleSimulator(FastCycleSimulator):
         self.sent[:] = sent
         landed = sent - grant
         self._flat[lay.land_idx] = landed
-        self._refresh_agg()
+        refresh_agg(self._lay, self._flat)
         self.flits_moved = int(sent.sum())
         self._grant = grant > 0
         self._sync_done(landed)

@@ -70,7 +70,7 @@ def embeddings(draw):
 def _layout_channel_flows(lay: EngineLayout):
     out = []
     for c, ch in enumerate(lay.channels()):
-        fids = lay.ch_fid[c, : lay.ch_k[c]]
+        fids = lay.slot_fid[: lay.ch_k[c], c]
         out.append(
             (
                 ch,
@@ -100,12 +100,16 @@ def test_channel_order_and_slots_match_the_reference(emb):
     ref = CycleSimulator(g, trees, m)
     lay = EngineLayout.build(g.n, trees)
     assert _layout_channel_flows(lay) == _reference_channel_flows(ref)
-    # the per-flow slots agree with the padded matrix and the flow -> channel map
+    # the per-flow slots agree with the padded matrix and the flow -> channel
+    # map; a channel's flows fill its first ch_k slots, the rest hold F
     F = lay.num_flows
-    assert np.array_equal(lay.ch_fid[lay.flow_ch, lay.flow_slot], np.arange(F))
-    assert lay.ch_valid.sum() == F and lay.ch_valid[lay.flow_ch, lay.flow_slot].all()
+    assert np.array_equal(lay.slot_fid[lay.flow_slot, lay.flow_ch], np.arange(F))
+    filled = lay.slot_fid < F
     assert np.array_equal(
-        lay.flow_ch[lay.ch_fid[lay.ch_valid]],
+        filled, np.arange(len(lay.slot_fid))[:, None] < lay.ch_k[None, :]
+    )
+    assert np.array_equal(
+        lay.flow_ch[lay.slot_fid.T[filled.T]],
         np.repeat(np.arange(lay.num_channels), lay.ch_k),
     )
     # flows alternate reduce/broadcast per tree edge, in reference fid order

@@ -310,10 +310,11 @@ class TestFusedStep:
 # ------------------------------------------------- K >= 3 round robin
 
 #: a lane's draw: per-tree flits (zeros included; sliced to the tree
-#: count) and a credit buffer
+#: count), a credit buffer and a link capacity (above 1: water filling)
 _LANE = st.tuples(
     st.lists(st.integers(min_value=0, max_value=12), min_size=8, max_size=8),
     st.sampled_from([None, 1, 2, 4]),
+    st.integers(min_value=1, max_value=4),
 )
 
 
@@ -325,8 +326,9 @@ def _pointers(sim):
 class TestManyFlowChannels:
     """PolarFly plans put at most two flows on a channel, so only random
     overlapping embeddings (3-8 random spanning trees of PolarFly q = 3,
-    5) drive the pointer-bit round robin through more than one
-    predecessor hop.  Each cycle, the fast engine's observables and the
+    5) drive the pointer-bit arbitration through more than one
+    predecessor hop: the round robin at capacity 1, water filling at
+    capacities 2-4.  Each cycle, the fast engine's observables and the
     pointers its bits encode must equal the per-flit reference's, and
     every lane of a batch must equal a serial fast engine."""
 
@@ -346,9 +348,9 @@ class TestManyFlowChannels:
     @settings(max_examples=60, deadline=None)
     def test_stepwise_against_reference(self, name, k, seed, lane):
         g, trees = self._embedding(name, k, seed)
-        flits, buf = lane[0][:k], lane[1]
-        ref = CycleSimulator(g, trees, flits, buffer_size=buf)
-        fast = FastCycleSimulator(g, trees, flits, buffer_size=buf)
+        flits, buf, cap = lane[0][:k], lane[1], lane[2]
+        ref = CycleSimulator(g, trees, flits, link_capacity=cap, buffer_size=buf)
+        fast = FastCycleSimulator(g, trees, flits, link_capacity=cap, buffer_size=buf)
         assert _pointers(fast) == list(ref._rr.values())
         while not ref.done():
             moved = ref.step()
@@ -370,10 +372,15 @@ class TestManyFlowChannels:
     @settings(max_examples=40, deadline=None)
     def test_batched_lanes_against_fast(self, name, k, seed, lanes):
         g, trees = self._embedding(name, k, seed)
-        specs = [LaneSpec(flits[:k], buffer_size=buf) for flits, buf in lanes]
+        specs = [
+            LaneSpec(flits[:k], link_capacity=cap, buffer_size=buf)
+            for flits, buf, cap in lanes
+        ]
         batch = BatchedCycleSimulator(g, trees, lanes=specs)
         serial = [
-            FastCycleSimulator(g, trees, s.flits_per_tree, buffer_size=s.buffer_size)
+            FastCycleSimulator(
+                g, trees, s.flits_per_tree, s.link_capacity, s.buffer_size
+            )
             for s in specs
         ]
         while not all(f.done() for f in serial):

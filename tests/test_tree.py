@@ -1,5 +1,7 @@
 """Tests for the SpanningTree structure and congestion accounting."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -140,6 +142,34 @@ class TestValidation:
         for _ in range(2):  # still raises on every retry
             with pytest.raises(ConstructionError):
                 t.validate(g)
+
+    @staticmethod
+    def _pickled_pair():
+        """Two equal trees, each validated against its own copy of the
+        q = 7 PolarFly graph, the copies built in opposite edge orders."""
+        edges = sorted(polarfly_graph(7).graph.edges)
+        g1 = Graph.from_edges(57, edges)
+        g2 = Graph.from_edges(57, edges[::-1])
+        t1 = bfs_spanning_tree(g1)
+        t2 = SpanningTree(t1.root, dict(t1.parent), t1.tree_id)
+        t1.validate(g1)
+        t2.validate(g2)
+        return t1, t2, g1
+
+    def test_pickle_leaves_out_the_validated_graph(self):
+        t1, t2, g = self._pickled_pair()
+        assert pickle.dumps(t1) == pickle.dumps(t2)
+        assert len(pickle.dumps(t1)) < len(pickle.dumps(g))
+
+    def test_unpickled_tree_validates_afresh(self):
+        t1, _, g = self._pickled_pair()
+        t = pickle.loads(pickle.dumps(t1))
+        assert t.root == t1.root and t.parent == t1.parent
+        t.validate(g)
+        dropped = sorted(t.edges)[0]
+        lacking = Graph.from_edges(g.n, [e for e in g.edges if e != dropped])
+        with pytest.raises(ConstructionError, match="is not a physical link"):
+            t.validate(lacking)
 
     def test_cycle_detected_at_construction(self):
         with pytest.raises(ConstructionError):
