@@ -46,6 +46,7 @@ from repro.trees.disjoint import edge_disjoint_hamiltonian_trees
 from repro.trees.lowdepth import low_depth_trees
 from repro.trees.single import single_tree
 from repro.trees.tree import SpanningTree, max_congestion
+from repro.utils.errors import whole
 
 __all__ = ["AllreducePlan", "build_plan", "SCHEMES"]
 
@@ -153,6 +154,22 @@ class AllreducePlan:
         )
 
 
+def check_plan_args(
+    q, starter=None, max_trees=None
+) -> Tuple[int, Optional[int], Optional[int]]:
+    """``build_plan``'s integer arguments as exact ints — NumPy integers
+    pass, anything else raises a ``TypeError`` naming the argument — with
+    ``max_trees >= 1``."""
+    q = whole("q", q)
+    if starter is not None:
+        starter = whole("starter", starter)
+    if max_trees is not None:
+        max_trees = whole("max_trees", max_trees)
+        if max_trees < 1:
+            raise ValueError("max_trees must be >= 1")
+    return q, starter, max_trees
+
+
 def build_plan(
     q: int,
     scheme: str = "low-depth",
@@ -177,8 +194,7 @@ def build_plan(
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
-    if max_trees is not None and max_trees < 1:
-        raise ValueError("max_trees must be >= 1")
+    q, starter, max_trees = check_plan_args(q, starter, max_trees)
     if timer is None:
         from repro.utils.profiling import StageTimer
 

@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.bandwidth import Number, _as_fraction
-from repro.core.plan import AllreducePlan, build_plan
+from repro.core.plan import AllreducePlan, build_plan, check_plan_args
 from repro.topology.graph import Edge
 from repro.utils.store import MISS, PickleStore, content_key, env_root
 
@@ -74,13 +74,16 @@ def plan_key(
 ) -> str:
     """Content address of a plan spec (hex sha256).
 
-    Covers every ``build_plan`` argument — ``link_bandwidth`` reduced to
-    an exact numerator/denominator pair so ``1``, ``1.0`` and
-    ``Fraction(1)`` address the same plan — plus the package version as a
-    salt, so entries written by another release are stale by construction.
+    Covers every ``build_plan`` argument — the integer ones as exact ints
+    (a NumPy integer addresses the plan its ``int`` does), and
+    ``link_bandwidth`` reduced to an exact numerator/denominator pair so
+    ``1``, ``1.0`` and ``Fraction(1)`` address the same plan — plus the
+    package version as a salt, so entries written by another release are
+    stale by construction.
     """
     if salt is None:
         from repro import __version__ as salt
+    q, starter, max_trees = check_plan_args(q, starter, max_trees)
     b = _as_fraction(link_bandwidth)
     return content_key(
         {

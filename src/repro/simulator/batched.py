@@ -24,14 +24,15 @@ stacks the lanes along a batch axis and advances *all* of them per cycle:
   ``(F, B)`` pointer bit per flow and lane, the capacity-1 round robin
   :func:`~repro.simulator.fastcycle.round_robin` when every lane has
   capacity 1, and :func:`~repro.simulator.fastcycle.water_fill` with
-  per-lane capacities otherwise.  The ``(F, B)`` grants are the
-  in-flight state, and channel totals are derived from ``sent`` only
-  when a lane finishes;
+  per-lane capacities otherwise.  The grants only advance ``sent``;
+  flit and channel totals are derived from ``sent`` when a lane
+  finishes;
 - per-lane :class:`~repro.simulator.faultsched.FaultSchedule` masks are
   rebuilt lazily, only at lanes whose schedule changes at this cycle;
-- per-lane completion / stall / max-cycles detection freezes finished
-  lanes, and :meth:`run_batch` periodically *compacts* the batch down to
-  the still-live columns, so total work tracks the sum of per-lane run
+- per-lane completion (the landed broadcast floor, as in the fast
+  engine) / stall / max-cycles detection freezes finished lanes, and
+  :meth:`run_batch` periodically *compacts* the batch down to the
+  still-live columns, so total work tracks the sum of per-lane run
   lengths instead of ``B x max(run length)``.
 
 The per-cycle state is deliberately ``int32``: every quantity the step
@@ -244,11 +245,8 @@ class BatchedCycleSimulator:
             self._state[_AGG] = self._m_arr[:, None, :]
             self._state[_BCD, np.arange(T), lay.roots, :] = _INF
         self._sent = np.zeros((F, B), dtype=np.int32)
-        # pointer bits (every channel's pointer starts at slot 0) and the
-        # flits granted last cycle, in flight until the next boundary
+        # pointer bits: every channel's pointer starts at slot 0
         self._ptr = np.repeat((lay.flow_slot == 0)[:, None], B, axis=1)
-        self._grant = np.zeros((F, B), dtype=bool)
-        self._flits_moved = np.zeros(B, dtype=np.int64)
         self._last_moved = np.zeros(B, dtype=np.int64)
         self._alive = np.ones(B, dtype=bool)
 
@@ -268,14 +266,10 @@ class BatchedCycleSimulator:
 
     # ------------------------------------------------------------ frontiers
 
-    def _done_mask(self) -> np.ndarray:
+    def done_mask(self) -> np.ndarray:
         """(T, B) — which trees of which lanes are complete (landed flits
-        only), exactly the fast engine's row check per lane."""
-        if not self._T:
-            return np.ones((0, self._B), dtype=bool)
-        agg_root = self._flat2[self._lay.agg_root_idx]
-        bc_floor = self._state[_BCD].min(axis=1)
-        return (agg_root >= self._m_arr) & (bc_floor >= self._m_arr)
+        only): the fast engine's landed broadcast floor, per lane."""
+        return self._state[_BCD].min(axis=1) >= self._m_arr
 
     # ------------------------------------------------------------- dynamics
 
@@ -310,18 +304,15 @@ class BatchedCycleSimulator:
             # counters and channel totals hold still
             budget[:, ~self._alive] = 0
 
-        # arbitrate: grants per flow and lane, in flight until the next
-        # boundary
+        # arbitrate: grants per flow and lane, landing at the next boundary
         if self._cap1:
             grant, self._ptr = round_robin(lay, budget > 0, self._ptr)
             moved = np.count_nonzero(grant, axis=0)
         else:
             grant, self._ptr = water_fill(lay, budget, self._cap, self._ptr)
             moved = grant.sum(axis=0)
-        self._grant = grant
         self._sent += grant
         self._last_moved = moved
-        self._flits_moved += moved
         return int(moved.sum())
 
     def lane_channel_flits(self, b: int) -> np.ndarray:
@@ -344,8 +335,6 @@ class BatchedCycleSimulator:
         self._flat2 = self._state.reshape(-1, B)
         self._sent = np.ascontiguousarray(self._sent[:, keep])
         self._ptr = np.ascontiguousarray(self._ptr[:, keep])
-        self._grant = np.ascontiguousarray(self._grant[:, keep])
-        self._flits_moved = self._flits_moved[keep].copy()
         self._last_moved = self._last_moved[keep].copy()
         self._alive = self._alive[keep].copy()
         self._m_arr = np.ascontiguousarray(self._m_arr[:, keep])
@@ -371,7 +360,7 @@ class BatchedCycleSimulator:
             completion_col,
             lane.flits_per_tree,
             lane.link_capacity,
-            self._flits_moved[b],
+            self._sent[:, b].sum(),
             lane.buffer_size,
             self.lane_channel_flits(b),
         )
@@ -406,7 +395,7 @@ class BatchedCycleSimulator:
             maxc = np.full(B, int(max_cycles), dtype=np.int64)
         outcomes: List[Optional[LaneOutcome]] = [None] * B
         completion = np.zeros((T, B), dtype=np.int64)
-        done = self._done_mask()
+        done = self.done_mask()
         for b in np.nonzero(done.all(axis=0))[0]:
             outcomes[b] = self._finish_lane(b, completion[:, b])
             self._freeze(b)
@@ -431,7 +420,7 @@ class BatchedCycleSimulator:
                     error=f"simulation exceeded {int(maxc[b])} cycles",
                 )
                 self._freeze(b)
-            now = self._done_mask()
+            now = self.done_mask()
             col_done = now.all(axis=0)
             stall_cand = self._alive & (moved == 0) & ~col_done
             for b in np.nonzero(stall_cand)[0]:

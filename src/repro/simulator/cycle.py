@@ -264,8 +264,9 @@ class EngineRun:
     Engines only step; :meth:`tick` books each stepped cycle in one fixed
     order — the ``max_cycles`` guard (:class:`CycleLimitExceeded`), the
     telemetry ``on_cycle`` hook, per-tree completion cycles, and a
-    :class:`SimulationStalled` when the cycle moved nothing, nothing is
-    in flight, trees are pending and no link revival is scheduled.
+    :class:`SimulationStalled` when the cycle granted nothing (so nothing
+    is in flight either), trees are pending and no link revival is
+    scheduled.
     :meth:`stats` closes the telemetry leg and folds the
     :class:`CycleStats`.  Every engine therefore stops, stalls and
     reports at the same cycle because one object decides it.
@@ -276,9 +277,9 @@ class EngineRun:
     :func:`default_max_cycles`; the fabric passes ``math.inf`` because it
     guards its global clock instead.
 
-    The engine provides ``_done_mask()`` (per-tree completion as a bool
-    array, landed flits only), ``has_in_flight()``, ``telemetry``,
-    ``faults`` and the fields :meth:`stats` folds.
+    The engine provides ``done_mask()`` (per-tree completion as a bool
+    array, landed flits only), ``telemetry``, ``faults`` and the fields
+    :meth:`stats` folds.
     """
 
     def __init__(self, sim, max_cycles: Optional[float] = None):
@@ -289,7 +290,7 @@ class EngineRun:
         self.sim = sim
         self.max_cycles = max_cycles
         self.cycle = 0
-        self.done = sim._done_mask()
+        self.done = sim.done_mask()
         self.completion = [0] * len(self.done)
         self.finished = bool(self.done.all())
         self._tel = sim.telemetry
@@ -297,11 +298,12 @@ class EngineRun:
             self._tel.on_run_start(sim)
 
     def tick(self, moved: int) -> bool:
-        """Book one stepped cycle that moved ``moved`` flits (an engine
+        """Book one stepped cycle that granted ``moved`` flits (an engine
         gated from outside passes its pre-gate demand instead: a gated
-        cycle is not an idle one).  Returns ``True`` for a dead wait —
-        zero progress with a revival still scheduled, so the state is a
-        fixpoint until that revival."""
+        cycle is not an idle one).  A cycle that granted nothing leaves
+        nothing in flight, so ``moved == 0`` alone is zero progress.
+        Returns ``True`` for a dead wait — zero progress with a revival
+        still scheduled, so the state is a fixpoint until that revival."""
         self.cycle += 1
         cycle = self.cycle
         if cycle > self.max_cycles:
@@ -309,14 +311,14 @@ class EngineRun:
         sim = self.sim
         if self._tel is not None:
             self._tel.on_cycle(sim, cycle, moved)
-        now = sim._done_mask()
+        now = sim.done_mask()
         newly = now & ~self.done
         if newly.any():
             for i in np.flatnonzero(newly):
                 self.completion[i] = cycle
             self.done = self.done | now
             self.finished = bool(self.done.all())
-        if moved or self.finished or sim.has_in_flight():
+        if moved or self.finished:
             return False
         if sim.faults is not None and sim.faults.next_revival_after(cycle) is not None:
             return True
@@ -537,14 +539,8 @@ class CycleSimulator:
 
     # ----------------------------------------------------- engine protocol
 
-    def tree_done(self, i: int) -> bool:
-        """Tree ``i`` completed, counting only flits that have landed."""
-        return self._tree_done(i)
-
-    def done(self) -> bool:
-        return all(self._tree_done(i) for i in range(len(self.trees)))
-
-    def _done_mask(self) -> np.ndarray:
+    def done_mask(self) -> np.ndarray:
+        """Per-tree completion, counting only flits that have landed."""
         return np.fromiter(
             (self._tree_done(i) for i in range(len(self.trees))),
             dtype=bool,
@@ -558,10 +554,6 @@ class CycleSimulator:
     def channel_flit_counts(self) -> List[int]:
         """Cumulative flits moved per channel, aligned with :meth:`channels`."""
         return [self.channel_flits[ch] for ch in self.channel_flows]
-
-    def has_in_flight(self) -> bool:
-        """Any flits granted last cycle but not yet landed?"""
-        return bool(self._landing)
 
     def delivered_floor(self) -> List[int]:
         """Per-tree count of flits fully delivered to *every* node (landed

@@ -42,6 +42,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
+import numpy as np
+
 from repro.simulator.cycle import CycleSimulator, CycleStats
 from repro.simulator.fastcycle import FastCycleSimulator
 from repro.simulator.faultsched import FaultSchedule
@@ -59,14 +61,13 @@ class CycleEngine(Protocol):
     ``step`` advances one cycle and returns the flits transferred;
     ``channels``/``channel_flit_counts`` expose cumulative per-directed-
     channel activity (aligned lists) so tracers can diff successive
-    cycles; ``tree_done``/``done`` report completion as of the flits that
-    have *landed* (in-flight flits excluded, one-cycle hop latency);
-    ``has_in_flight`` says whether any granted flit has yet to land (the
-    stall detectors' second condition); ``delivered_floor`` /
-    ``reduced_at_root`` expose per-tree progress frontiers so the
-    recovery runtime (:mod:`repro.simulator.recovery`) can account for
-    already-reduced partial chunks mid-flight; ``run`` drives the engine
-    to completion and folds the result into a :class:`CycleStats`.
+    cycles; ``done_mask`` reports per-tree completion as of the flits
+    that have *landed* (in-flight flits excluded, one-cycle hop latency);
+    ``delivered_floor`` / ``reduced_at_root`` expose per-tree progress
+    frontiers so the recovery runtime (:mod:`repro.simulator.recovery`)
+    can account for already-reduced partial chunks mid-flight; ``run``
+    drives the engine to completion and folds the result into a
+    :class:`CycleStats`.
 
     Engines accept an optional
     :class:`~repro.simulator.faultsched.FaultSchedule` (the ``faults``
@@ -92,15 +93,11 @@ class CycleEngine(Protocol):
 
     def step(self) -> int: ...
 
-    def tree_done(self, i: int) -> bool: ...
-
-    def done(self) -> bool: ...
+    def done_mask(self) -> np.ndarray: ...
 
     def channels(self) -> List[Tuple[int, int]]: ...
 
     def channel_flit_counts(self) -> List[int]: ...
-
-    def has_in_flight(self) -> bool: ...
 
     def delivered_floor(self) -> List[int]: ...
 

@@ -198,11 +198,10 @@ class FastCycleSimulator:
     """Vectorized drop-in replacement for :class:`CycleSimulator`.
 
     Implements the :class:`~repro.simulator.engine.CycleEngine` surface
-    (``step`` / ``tree_done`` / ``done`` / ``channels`` /
-    ``channel_flit_counts`` / ``run``) and is cycle-exact: every
-    observable — per-channel per-cycle activity, per-tree completion
-    cycles, the final :class:`CycleStats` — is identical to the reference
-    engine's.
+    (``step`` / ``done_mask`` / ``channels`` / ``channel_flit_counts`` /
+    ``run``) and is cycle-exact: every observable — per-channel per-cycle
+    activity, per-tree completion cycles, the final :class:`CycleStats` —
+    is identical to the reference engine's.
     """
 
     engine_name = "fast"
@@ -250,7 +249,8 @@ class FastCycleSimulator:
 
         # ---- arbitration state: one pointer bit per flow (the pointer
         # of each channel starts at slot 0), and the flits granted last
-        # cycle — in flight until the next boundary
+        # cycle (the leap engine's period signature and compressed traces
+        # read them)
         self._ptr = lay.flow_slot == 0
         self._grant = np.zeros(F, dtype=bool)
         self.flits_moved = 0
@@ -261,25 +261,6 @@ class FastCycleSimulator:
         self._dead_now: FrozenSet[Tuple[int, int]] = frozenset()
         self._dead_mask: Optional[np.ndarray] = None
         refresh_agg(lay, self._flat)
-
-        # per-tree landed-flit totals: a tree is done exactly when every
-        # one of its flows has delivered m_i flits (each is bounded by
-        # m_i, so the landed total hits m_i * #flows iff all are
-        # complete) — the done check is one O(T) compare
-        flow_counts = np.bincount(lay.flow_tree, minlength=T).astype(np.int64)
-        self._done_target = self._m_arr * flow_counts
-        self._done_cnt = np.zeros(T, dtype=np.int64)
-
-    # ------------------------------------------------------------ frontiers
-
-    def _done_mask(self) -> np.ndarray:
-        return self._done_cnt >= self._done_target
-
-    def _sync_done(self, landed: np.ndarray) -> None:
-        """Set the per-tree landed totals from the per-flow landed counts
-        (flows are tree-major, ``2(n - 1)`` per tree)."""
-        if self._T:
-            self._done_cnt = landed.reshape(self._T, -1).sum(axis=1)
 
     # ------------------------------------------------------------- dynamics
 
@@ -318,7 +299,6 @@ class FastCycleSimulator:
         if self._F == 0:
             return None
         budget = land_and_budget(self._lay, self._flat, self.sent, self.buffer_size)
-        self._sync_done(self.sent)
         if self._dead_mask is not None:
             # flows on down links arbitrate with zero budget; availability
             # and credit state keep evolving underneath
@@ -367,11 +347,12 @@ class FastCycleSimulator:
 
     # ----------------------------------------------------- engine protocol
 
-    def tree_done(self, i: int) -> bool:
-        return bool(self._done_mask()[i])
-
-    def done(self) -> bool:
-        return bool(self._done_mask().all())
+    def done_mask(self) -> np.ndarray:
+        """Per-tree completion, counting only flits that have landed: the
+        landed broadcast floor has reached ``m_i``.  The floor alone
+        suffices — a node only receives broadcast flits the root fully
+        aggregated, and roots are pinned at ``_INF``."""
+        return self._state[_BCD].min(axis=1) >= self._m_arr
 
     def channels(self) -> List[Tuple[int, int]]:
         return self._lay.channels()
@@ -383,10 +364,6 @@ class FastCycleSimulator:
         """:meth:`channel_flit_counts` as a fresh int64 array, for
         observers that do arithmetic on it (derived from ``sent``)."""
         return self._lay.channel_totals(self.sent)
-
-    def has_in_flight(self) -> bool:
-        """Any flits granted last cycle but not yet landed?"""
-        return bool(self._grant.any())
 
     def delivered_floor(self) -> List[int]:
         """Per-tree fully-delivered (landed broadcast) flit floor — the

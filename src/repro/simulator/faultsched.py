@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, Iterable, List, Optional, Tuple, Union
 
 from repro.topology.graph import Edge, Graph, canonical_edge
+from repro.utils.errors import whole
 
 __all__ = ["FaultEvent", "FaultSchedule"]
 
@@ -54,6 +55,21 @@ class FaultEvent:
 _EventLike = Union[FaultEvent, Tuple]
 
 
+def _event(edge, down, up) -> FaultEvent:
+    """One window over a canonical edge, its endpoints and cycles exact
+    ints: a non-integer raises a named ``TypeError``, never truncates."""
+    try:
+        u, v = edge
+    except (TypeError, ValueError):
+        raise ValueError(f"fault edge {edge!r} must be a (u, v) pair") from None
+    end = "fault edge endpoint"
+    return FaultEvent(
+        canonical_edge(whole(end, u), whole(end, v)),
+        whole("fault down cycle", down),
+        None if up is None else whole("fault up cycle", up),
+    )
+
+
 class FaultSchedule:
     """An immutable, validated set of link-failure windows.
 
@@ -75,27 +91,16 @@ class FaultSchedule:
     def __init__(self, events: Iterable[_EventLike]):
         norm: List[FaultEvent] = []
         for ev in events:
-            if not isinstance(ev, FaultEvent):
-                if len(ev) == 2:
-                    edge, down = ev
-                    up = None
-                elif len(ev) == 3:
-                    edge, down, up = ev
-                else:
-                    raise ValueError(
-                        f"fault event {ev!r} must be (edge, down[, up])"
-                    )
-                ev = FaultEvent(
-                    canonical_edge(*edge),
-                    int(down),
-                    None if up is None else int(up),
-                )
+            if isinstance(ev, FaultEvent):
+                edge, down, up = ev.edge, ev.down, ev.up
+            elif len(ev) == 2:
+                edge, down = ev
+                up = None
+            elif len(ev) == 3:
+                edge, down, up = ev
             else:
-                ev = FaultEvent(
-                    canonical_edge(*ev.edge),
-                    int(ev.down),
-                    ev.up if ev.up is None else int(ev.up),
-                )
+                raise ValueError(f"fault event {ev!r} must be (edge, down[, up])")
+            ev = _event(edge, down, up)
             u, v = ev.edge
             if u == v:
                 raise ValueError(f"fault edge {ev.edge} is a self-loop, not a link")
@@ -149,7 +154,7 @@ class FaultSchedule:
     @classmethod
     def single(cls, edge: Edge, down: int, up: Optional[int] = None) -> "FaultSchedule":
         """Schedule with one failure window."""
-        return cls([FaultEvent(canonical_edge(*edge), down, up)])
+        return cls([(edge, down, up)])
 
     # -------------------------------------------------------------- queries
 

@@ -349,7 +349,7 @@ class LeapCycleSimulator(FastCycleSimulator):
         moving = ok & (g > 0)
         bound = np.where(moving, headroom // np.maximum(g, 1), bound)
         per_tree = bound.max(axis=1)
-        per_tree = np.where(self._done_mask(), _INF_K, per_tree)
+        per_tree = np.where(self.done_mask(), _INF_K, per_tree)
         return max(int(per_tree.min()), 0)
 
     def _license_bounds(
@@ -446,9 +446,6 @@ class LeapCycleSimulator(FastCycleSimulator):
         # exactly from the leapt UPD counters (matches the post-step
         # invariant AGG == min over children's UPD)
         refresh_agg(self._lay, self._flat)
-        # the jump moved state without landing events: rebuild the
-        # per-tree landed totals the done check reads
-        self._sync_done(self._flat[self._lay.land_idx])
         # keep the engine's internal cycle counter (the fault clock that
         # step() consults via down_edges_at) in lockstep with the leap
         leapt = k * st.period
@@ -469,9 +466,9 @@ class LeapCycleSimulator(FastCycleSimulator):
         """Jump to the cycle before the next tree completion (never past
         ``max_cycles``) and set the state there in closed form: ``sent``,
         landed counters (``sent`` less this cycle's grants), the
-        aggregation plane, the flits granted this cycle as in flight, and
-        the per-tree landed totals.  Pointer bits stay set: a channel with
-        one flow always points back at it."""
+        aggregation plane and the flits granted this cycle as in flight.
+        Pointer bits stay set: a channel with one flow always points back
+        at it."""
         nxt = int(self._wave_done[~run.done].min()) - 1
         t = nxt if nxt <= run.max_cycles else int(run.max_cycles)
         start = run.cycle
@@ -486,7 +483,6 @@ class LeapCycleSimulator(FastCycleSimulator):
         refresh_agg(self._lay, self._flat)
         self.flits_moved = int(sent.sum())
         self._grant = grant > 0
-        self._sync_done(landed)
         self.cycle = run.cycle = t
         self.leap_log.append((start, 1, t - start))
         self._reset_detector()

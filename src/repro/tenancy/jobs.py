@@ -16,6 +16,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from repro.utils.errors import whole
+
 __all__ = ["TenantJob", "poisson_jobs"]
 
 
@@ -44,6 +46,8 @@ class TenantJob:
     tree_count: int
 
     def __post_init__(self) -> None:
+        for name in ("tenant", "arrival", "m", "tree_count"):
+            object.__setattr__(self, name, whole(name, getattr(self, name)))
         if self.tenant < 0:
             raise ValueError("tenant id must be >= 0")
         if self.arrival < 0:

@@ -156,7 +156,7 @@ class PolarFly:
         return int(acc) if acc.ndim == 0 else acc
 
     def is_quadric(self, v: int) -> bool:
-        return self._type[v] == W
+        return self._type.get(v) == W
 
     def counts(self) -> Dict[str, int]:
         """Global vertex-type counts (first row of Table 1)."""

@@ -99,10 +99,9 @@ def prime_power_decomposition(q: int) -> Tuple[int, int]:
 
     ER_q (and hence PolarFly) exists exactly for prime powers (Section 6).
     """
-    fac = factorize(q)
-    if q < 2 or len(fac) != 1:
+    if q < 2 or len(factorize(q)) != 1:
         raise ValueError(f"{q} is not a prime power; PolarFly requires q = p^a")
-    return fac[0]
+    return factorize(q)[0]
 
 
 def prime_powers_in_range(lo: int, hi: int) -> List[int]:

@@ -38,10 +38,13 @@ from repro.topology import Graph
 from repro.trees import SpanningTree, random_spanning_trees
 
 from tests.strategies import (
+    CYCLE_ENGINES,
     RUN_ENGINES,
     buffer_sizes,
+    fault_specs,
     get_plan,
     link_capacities,
+    materialize_faults,
     message_sizes,
     plan_keys,
     plan_used_links,
@@ -207,26 +210,45 @@ class TestEngineParity:
         with pytest.raises(ValueError, match="unknown engine"):
             make_engine("warp", g, [t], [1])
 
-    def test_stepwise_tree_done_trajectory(self):
-        """tree_done must flip at the same cycle in every engine."""
-        plan = get_plan(3, "edge-disjoint")
-        parts = plan.partition(11)
-        sims = [
-            make_engine(e, plan.topology, plan.trees, parts)
-            for e in ("reference", "fast", "leap")
-        ]
-        ref = sims[0]
-        for cycle in range(200):
-            for i in range(len(plan.trees)):
-                done = ref.tree_done(i)
-                assert all(s.tree_done(i) == done for s in sims[1:]), (cycle, i)
-            if ref.done():
-                assert all(s.done() for s in sims[1:])
+    @given(
+        key=plan_keys(),
+        m=message_sizes(max_value=24),
+        cap=link_capacities(max_value=3),
+        buf=st.sampled_from([None, 1, 2]),
+        spec=st.one_of(
+            st.none(), fault_specs(max_events=1, max_down=20, max_window=20)
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_stepwise_tree_done_trajectory(self, key, m, cap, buf, spec):
+        """At every stepped cycle the landed broadcast floor that the fast
+        and leap engines and a batched lane read as ``done_mask()`` equals
+        the reference's per-tree ``_tree_done`` (root aggregate AND
+        floor)."""
+        plan = get_plan(*key)
+        parts = plan.partition(m)
+        faults = None if spec is None else materialize_faults(plan, spec)
+        ref, *sims = (
+            make_engine(e, plan.topology, plan.trees, parts, cap, buf, faults)
+            for e in CYCLE_ENGINES
+        )
+        batch = BatchedCycleSimulator(
+            plan.topology, plan.trees, lanes=[LaneSpec(parts, cap, buf, faults)]
+        )
+        while True:
+            want = [ref._tree_done(i) for i in range(len(plan.trees))]
+            for sim in sims:
+                assert sim.done_mask().tolist() == want, (sim.engine_name, ref.cycle)
+            assert batch.done_mask()[:, 0].tolist() == want, ref.cycle
+            if all(want):
                 break
-            for s in sims:
-                s.step()
-        else:
-            pytest.fail("simulation did not complete")
+            moved = ref.step()
+            assert [sim.step() for sim in sims] == [moved] * len(sims)
+            batch.step()
+            if not moved and (
+                faults is None or faults.next_revival_after(ref.cycle) is None
+            ):
+                break  # stalled for good: every engine agreed up to here
 
 
 def _observables(sim):
@@ -238,14 +260,13 @@ def _observables(sim):
         tuple(sim.reduced_at_root()),
         tuple(sim.queue_occupancy()),
         tuple(map(tuple, sim.phase_flit_totals())),
-        sim.done(),
-        sim.has_in_flight(),
+        tuple(sim.done_mask()),
     )
 
 
 class TestFusedStep:
     """The fast engine's one fused step (pointer-bit round robin, dense
-    grants landing by assignment, per-tree landed-count done check)
+    grants landing by assignment, landed-broadcast-floor done check)
     against the per-flit reference, observable by observable, cycle by
     cycle."""
 
@@ -272,22 +293,21 @@ class TestFusedStep:
 
         ref, fast = build(CycleSimulator), build(FastCycleSimulator)
         assert fast.channels() == ref.channels()
-        while not ref.done():
+        while not ref.done_mask().all():
             assert ref.step() == fast.step()
             assert _observables(ref) == _observables(fast)
             assert _pointers(fast) == list(ref._rr.values())
-        assert fast.done()
+        assert fast.done_mask().all()
 
     def test_done_counts_track_reference_done(self):
         plan = get_plan(5, "low-depth")
         parts = plan.partition(14)
         fast = FastCycleSimulator(plan.topology, plan.trees, parts)
         ref = CycleSimulator(plan.topology, plan.trees, parts)
-        while not ref.done():
+        while not ref.done_mask().all():
             fast.step(), ref.step()
-            for i in range(len(plan.trees)):
-                assert fast.tree_done(i) == ref.tree_done(i)
-        assert fast.done()
+            assert fast.done_mask().tolist() == ref.done_mask().tolist()
+        assert fast.done_mask().all()
 
     def test_zero_flit_trees_complete_immediately(self):
         plan = get_plan(3, "low-depth")
@@ -352,14 +372,14 @@ class TestManyFlowChannels:
         ref = CycleSimulator(g, trees, flits, link_capacity=cap, buffer_size=buf)
         fast = FastCycleSimulator(g, trees, flits, link_capacity=cap, buffer_size=buf)
         assert _pointers(fast) == list(ref._rr.values())
-        while not ref.done():
+        while not ref.done_mask().all():
             moved = ref.step()
             assert fast.step() == moved
             assert _observables(ref) == _observables(fast)
             assert _pointers(fast) == list(ref._rr.values()), ref.cycle
-            if not moved and not ref.has_in_flight():
+            if not moved:
                 break  # stalled: both engines agree up to here
-        assert fast.done() == ref.done()
+        assert fast.done_mask().tolist() == ref.done_mask().tolist()
 
     @given(
         name=topology_names(["pf3", "pf5"]),
@@ -383,7 +403,7 @@ class TestManyFlowChannels:
             )
             for s in specs
         ]
-        while not all(f.done() for f in serial):
+        while not all(f.done_mask().all() for f in serial):
             batch.step()
             moved = [f.step() for f in serial]
             rr = batch._lay.pointers(batch._ptr)
@@ -393,7 +413,6 @@ class TestManyFlowChannels:
                     fast.channel_flit_counts()
                 ), where
                 assert np.array_equal(batch._sent[:, b], fast.sent), where
-                assert np.array_equal(batch._grant[:, b], fast._grant), where
                 assert rr[:, b].tolist() == _pointers(fast), where
-            if not any(moved) and not any(f.has_in_flight() for f in serial):
+            if not any(moved):
                 break  # every unfinished lane stalled

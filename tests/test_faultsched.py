@@ -1,5 +1,8 @@
 """FaultSchedule semantics and the mid-flight recovery runtime."""
 
+import re
+
+import numpy as np
 import pytest
 
 from repro.core import build_plan
@@ -60,6 +63,26 @@ class TestFaultScheduleConstruction:
 
     def test_empty_schedule_is_falsy(self):
         assert not FaultSchedule([])
+
+    @pytest.mark.parametrize("build,exc,match", [
+        (lambda: FaultSchedule([((0, 1), 3.5)]), TypeError, "down cycle"),
+        (lambda: FaultSchedule.single((0, 1), 2.5), TypeError, "down cycle"),
+        (lambda: FaultSchedule([((0, 1), 3, 7.0)]), TypeError, "up cycle"),
+        (lambda: FaultSchedule([FaultEvent((0, 1), 3.5)]), TypeError,
+         "down cycle"),
+        (lambda: FaultSchedule([((0.0, 1), 3)]), TypeError, "edge endpoint"),
+        (lambda: FaultSchedule([((0, 1, 2), 3)]), ValueError, "(u, v) pair"),
+    ], ids=["down", "single-down", "up", "event-down", "endpoint", "3-edge"])
+    def test_rejects_non_integer_windows(self, build, exc, match):
+        # never truncated: 3.5 must not fail the link at cycle 3
+        with pytest.raises(exc, match=re.escape(match)):
+            build()
+
+    def test_numpy_integers_normalize_to_ints(self):
+        fs = FaultSchedule([((np.int64(7), np.int32(3)), np.int64(40), np.int64(90))])
+        (ev,) = fs.events
+        assert fs == FaultSchedule([((3, 7), 40, 90)])
+        assert all(type(x) is int for x in (*ev.edge, ev.down, ev.up))
 
 
 class TestFaultScheduleQueries:

@@ -2,6 +2,7 @@
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.core.plan import build_plan
@@ -42,6 +43,38 @@ class TestPlanKey:
 
     def test_version_salt_invalidates(self):
         assert plan_key(7, salt="1.0.0") != plan_key(7, salt="1.0.1")
+
+
+class TestPlanningBoundary:
+    """``q``, ``starter`` and ``max_trees`` are exact ints at the planning
+    boundary: NumPy integers plan and key exactly as ints do, anything
+    else fails with an error that names the argument."""
+
+    @pytest.mark.parametrize("call,exc,match", [
+        (lambda: get_plan(np.int64(3)) is get_plan(3), None, None),
+        (lambda: type(build_plan(np.int64(3)).q) is int, None, None),
+        (lambda: plan_key(3, starter=np.int64(1), max_trees=np.int32(2))
+         == plan_key(3, starter=1, max_trees=2), None, None),
+        (lambda: build_plan("3"), TypeError, "q must be an integer"),
+        (lambda: get_plan(3.0), TypeError, "q must be an integer"),
+        (lambda: build_plan(3, max_trees=1.5), TypeError,
+         "max_trees must be an integer"),
+        (lambda: build_plan(3, starter="1"), TypeError,
+         "starter must be an integer"),
+        (lambda: build_plan(0), ValueError, "0 is not a prime power"),
+        (lambda: build_plan(3, starter=999), ValueError,
+         "starter 999 is not a quadric of ER_3"),
+        (lambda: build_plan(4, "low-depth-even", starter=999), ValueError,
+         "starter 999 is not a quadric of ER_4"),
+    ], ids=["np-get-plan", "np-build-plan", "np-key", "str-q", "float-q",
+            "float-max-trees", "str-starter", "zero-q", "starter-range",
+            "starter-range-even"])
+    def test_arguments_are_exact_ints(self, call, exc, match):
+        if exc is None:
+            assert call() is True
+            return
+        with pytest.raises(exc, match=match):
+            call()
 
 
 class TestMemoryLayer:

@@ -218,7 +218,7 @@ class TestArgumentCheck:
         )
         with pytest.raises(SimulationStalled):
             sim.run()
-        done = [i for i in range(T) if sim.tree_done(i)]
+        done = np.flatnonzero(sim.done_mask()).tolist()
         assert done
         floor = sim.delivered_floor()
         assert all(floor[i] == 1 << 32 for i in done)

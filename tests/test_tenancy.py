@@ -120,6 +120,18 @@ class TestAdmission:
             return
         assert all(v <= budget for v in fplan.link_load.values())
 
+    @pytest.mark.parametrize("field,bad", [
+        ("tenant", "a"), ("arrival", 1.5), ("m", 5.0), ("tree_count", 1.5),
+    ])
+    def test_job_fields_are_exact_ints(self, field, bad):
+        # 1.5 must not run as a fractional arrival (global cycle 12.5)
+        spec = dict(tenant=0, arrival=0, m=5, tree_count=1)
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            TenantJob(**dict(spec, **{field: bad}))
+        job = TenantJob(**{k: np.int64(v) for k, v in spec.items()})
+        assert job == TenantJob(**spec)
+        assert all(type(getattr(job, k)) is int for k in spec)
+
     def test_oversubscribed_tree_count_rejected(self):
         jobs = [TenantJob(tenant=0, arrival=0, m=4, tree_count=NUM_TREES + 1)]
         with pytest.raises(AdmissionError):

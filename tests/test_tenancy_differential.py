@@ -203,9 +203,9 @@ def test_engines_gate_a_mask_identically(capacity):
         assert counts[0] == counts[1]
         assert all(counts[0][ch] == prev[ch] for ch in gated)
         prev = counts[0]
-        if all(eng.done() for eng in engines):
+        if all(eng.done_mask().all() for eng in engines):
             break
-    assert all(eng.done() for eng in engines)
+    assert all(eng.done_mask().all() for eng in engines)
     assert engines[0].delivered_floor() == engines[1].delivered_floor()
 
 
