@@ -40,7 +40,6 @@ from repro.simulator.batched import (
 )
 from repro.simulator.cycle import CycleStats, check_engine_args
 from repro.simulator.faultsched import FaultSchedule
-from repro.utils.errors import whole
 
 __all__ = ["sim_point", "sim_point_batch", "sim_point_group_key", "sim_grid_cells"]
 
@@ -49,27 +48,14 @@ __all__ = ["sim_point", "sim_point_batch", "sim_point_group_key", "sim_grid_cell
 FaultsParam = Optional[Sequence[Sequence[Any]]]
 
 
-def _fault_schedule(faults: FaultsParam) -> Optional[FaultSchedule]:
-    if not faults:
-        return None
-    events = []
-    for i, ((u, v), down, up) in enumerate(faults):
-        # named, never truncated: 2.9 must not run as cycle 2
-        w = f"faults[{i}]"
-        events.append((
-            (whole(f"{w} u", u), whole(f"{w} v", v)),
-            whole(f"{w} down", down),
-            None if up is None else whole(f"{w} up", up),
-        ))
-    return FaultSchedule(events)
-
-
 def _lane(plan, m: Union[int, Sequence[int]], link_capacity: int,
           buffer_size: Optional[int], faults: FaultsParam) -> LaneSpec:
     # values pass through as given: every engine's check_engine_args
     # names a non-integer knob instead of truncating it
     flits = m if isinstance(m, (list, tuple)) else (m,) * plan.num_trees
-    return LaneSpec(flits, link_capacity, buffer_size, _fault_schedule(faults))
+    return LaneSpec(
+        flits, link_capacity, buffer_size, FaultSchedule(faults) if faults else None
+    )
 
 
 def _done_dict(stats: CycleStats) -> Dict[str, Any]:

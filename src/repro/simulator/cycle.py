@@ -258,8 +258,8 @@ def check_engine_args(
 
 
 class EngineRun:
-    """One run of a cycle engine: the contract every engine, the tracer
-    and the multi-tenant fabric share.
+    """One run of a cycle engine: the contract every engine's ``run`` and
+    the multi-tenant fabric share.
 
     Engines only step; :meth:`tick` books each stepped cycle in one fixed
     order — the ``max_cycles`` guard (:class:`CycleLimitExceeded`), the
@@ -373,9 +373,9 @@ class CycleSimulator:
         Optional :class:`~repro.simulator.faultsched.FaultSchedule`; down
         links grant zero flits (see module docstring for the semantics).
     telemetry:
-        Optional :class:`~repro.telemetry.Collector`; receives per-cycle
-        hooks and sampled probes. ``None`` (the default) keeps the hot
-        path hook-free.
+        Optional observer of ``run()`` (a :class:`~repro.telemetry.Collector`
+        or the trace recorder); receives the per-cycle hooks. ``None`` (the
+        default) keeps the hot path hook-free.
     """
 
     engine_name = "reference"
@@ -554,6 +554,10 @@ class CycleSimulator:
     def channel_flit_counts(self) -> List[int]:
         """Cumulative flits moved per channel, aligned with :meth:`channels`."""
         return [self.channel_flits[ch] for ch in self.channel_flows]
+
+    def channel_flit_array(self) -> np.ndarray:
+        """:meth:`channel_flit_counts` as a fresh int64 array."""
+        return np.array(self.channel_flit_counts(), dtype=np.int64)
 
     def delivered_floor(self) -> List[int]:
         """Per-tree count of flits fully delivered to *every* node (landed

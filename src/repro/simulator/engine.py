@@ -21,8 +21,8 @@ identical per-channel per-cycle flit counts, per-tree completion cycles
 and :class:`~repro.simulator.cycle.CycleStats` on every workload
 (enforced by ``tests/test_fastcycle_equivalence.py`` and
 ``tests/test_leap.py``).  Tracing and the waterfall renderer
-(:mod:`repro.simulator.trace`) work against this protocol, so they are
-engine-agnostic.
+(:mod:`repro.simulator.trace`) observe ``run()`` through this protocol's
+telemetry hooks, so they are engine-agnostic.
 
 Many runs over one plan go through the lane evaluator instead,
 :meth:`repro.simulator.batched.BatchedCycleSimulator.run_batch`: B runs in
@@ -30,8 +30,8 @@ one ``(B, 4, T, n)`` state tensor, each lane bit-identical to
 ``"fast"``.  It is not a :class:`CycleEngine` (no single-run surface, no
 telemetry) and not in :data:`ENGINES`.
 
-Engines only step.  Every ``run`` — and the tracer, and each tenant of
-the multi-tenant fabric — books its cycles through one
+Engines only step.  Every ``run`` — which the tracer observes — and each
+tenant of the multi-tenant fabric book their cycles through one
 :class:`~repro.simulator.cycle.EngineRun`: the ``max_cycles`` guard
 (:class:`~repro.simulator.cycle.CycleLimitExceeded`), telemetry hooks,
 completion cycles, the stall rule and the
@@ -60,8 +60,9 @@ class CycleEngine(Protocol):
 
     ``step`` advances one cycle and returns the flits transferred;
     ``channels``/``channel_flit_counts`` expose cumulative per-directed-
-    channel activity (aligned lists) so tracers can diff successive
-    cycles; ``done_mask`` reports per-tree completion as of the flits
+    channel activity (aligned lists; ``channel_flit_array`` hands the
+    counts over as a fresh int64 array, which observers diff between
+    cycles); ``done_mask`` reports per-tree completion as of the flits
     that have *landed* (in-flight flits excluded, one-cycle hop latency);
     ``delivered_floor`` / ``reduced_at_root`` expose per-tree progress
     frontiers so the recovery runtime (:mod:`repro.simulator.recovery`)
@@ -79,9 +80,13 @@ class CycleEngine(Protocol):
     For telemetry, engines expose ``queue_occupancy`` (per-router
     receiver-side occupancy) and ``phase_flit_totals`` (per-tree
     reduce/broadcast flit-hops) — both cycle-exact across engines — and
-    accept an optional :class:`~repro.telemetry.Collector` (the
-    ``telemetry`` attribute) whose hooks ``run`` drives; ``None`` keeps
-    the hot path hook-free.
+    accept an optional observer (the ``telemetry`` attribute) whose hooks
+    ``run`` drives: ``on_run_start``, ``on_cycle`` after every stepped
+    cycle, ``on_leap`` and ``on_idle`` (leap engine only) and
+    ``on_run_end``.  Any object with those hooks will do — a
+    :class:`~repro.telemetry.Collector`, or the recorder behind
+    :func:`~repro.simulator.trace.trace_allreduce`; ``None`` keeps the
+    hot path hook-free.
     """
 
     engine_name: str
@@ -98,6 +103,8 @@ class CycleEngine(Protocol):
     def channels(self) -> List[Tuple[int, int]]: ...
 
     def channel_flit_counts(self) -> List[int]: ...
+
+    def channel_flit_array(self) -> np.ndarray: ...
 
     def delivered_floor(self) -> List[int]: ...
 

@@ -249,11 +249,9 @@ class FastCycleSimulator:
 
         # ---- arbitration state: one pointer bit per flow (the pointer
         # of each channel starts at slot 0), and the flits granted last
-        # cycle (the leap engine's period signature and compressed traces
-        # read them)
+        # cycle (the leap engine's period signature reads them)
         self._ptr = lay.flow_slot == 0
         self._grant = np.zeros(F, dtype=bool)
-        self.flits_moved = 0
 
         # dead-link set / budget mask of the current fault segment
         # (updated lazily: the set of down links only changes at schedule
@@ -332,7 +330,6 @@ class FastCycleSimulator:
             moved = int(grant.sum())
         self._grant = grant
         self.sent += grant
-        self.flits_moved += moved
         return moved
 
     def channel_demand(self, budget: Optional[np.ndarray]) -> np.ndarray:
@@ -346,6 +343,11 @@ class FastCycleSimulator:
         ).astype(np.int64)
 
     # ----------------------------------------------------- engine protocol
+
+    @property
+    def flits_moved(self) -> int:
+        """Total directed flit-hops so far: the sum of ``sent``."""
+        return int(self.sent.sum())
 
     def done_mask(self) -> np.ndarray:
         """Per-tree completion, counting only flits that have landed: the

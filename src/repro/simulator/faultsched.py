@@ -55,18 +55,20 @@ class FaultEvent:
 _EventLike = Union[FaultEvent, Tuple]
 
 
-def _event(edge, down, up) -> FaultEvent:
-    """One window over a canonical edge, its endpoints and cycles exact
-    ints: a non-integer raises a named ``TypeError``, never truncates."""
+def _event(i: int, edge, down, up) -> FaultEvent:
+    """Window ``i`` over a canonical edge, its endpoints and cycles exact
+    ints: a non-integer raises a ``TypeError`` naming the window and the
+    field, never truncates."""
+    w = f"fault window {i}"
     try:
         u, v = edge
     except (TypeError, ValueError):
-        raise ValueError(f"fault edge {edge!r} must be a (u, v) pair") from None
-    end = "fault edge endpoint"
+        raise ValueError(f"{w} edge {edge!r} must be a (u, v) pair") from None
+    end = f"{w} edge endpoint"
     return FaultEvent(
-        canonical_edge(whole(end, u), whole(end, v)),
-        whole("fault down cycle", down),
-        None if up is None else whole("fault up cycle", up),
+        canonical_edge(whole(f"{end} u", u), whole(f"{end} v", v)),
+        whole(f"{w} down cycle", down),
+        None if up is None else whole(f"{w} up cycle", up),
     )
 
 
@@ -90,7 +92,7 @@ class FaultSchedule:
 
     def __init__(self, events: Iterable[_EventLike]):
         norm: List[FaultEvent] = []
-        for ev in events:
+        for i, ev in enumerate(events):
             if isinstance(ev, FaultEvent):
                 edge, down, up = ev.edge, ev.down, ev.up
             elif len(ev) == 2:
@@ -100,7 +102,7 @@ class FaultSchedule:
                 edge, down, up = ev
             else:
                 raise ValueError(f"fault event {ev!r} must be (edge, down[, up])")
-            ev = _event(edge, down, up)
+            ev = _event(i, edge, down, up)
             u, v = ev.edge
             if u == v:
                 raise ValueError(f"fault edge {ev.edge} is a self-loop, not a link")

@@ -39,7 +39,7 @@ boundary, a tree finishing — the simulator can therefore jump
 **Contention-free plans** skip the detector altogether.  When every
 directed channel carries exactly one flow (any single spanning tree, and
 every edge-disjoint plan), at capacity 1 with unbounded buffers, no fault
-schedule and no collector, nothing is ever arbitrated and every flow's
+schedule and no observer, nothing is ever arbitrated and every flow's
 ``sent`` counter has a closed form (derived in :func:`_wavefront_starts`).
 ``run()`` then jumps straight to the cycle before each tree completes,
 sets the whole state there in closed form, and steps that one cycle for
@@ -48,10 +48,14 @@ two stepped cycles, not ``4·depth``.  Every stepped cycle is checked
 against the closed form; a mismatch raises instead of continuing.
 
 ``step()`` remains an honest single-cycle step (the engine is a drop-in
-:class:`~repro.simulator.engine.CycleEngine`; generic tracers work
-unchanged), ``run()`` leaps, and :meth:`trace_compressed` records leaps as
-``(repeat, period-block)`` runs so paper-scale traces stay O(events) in
-memory. Cycle-exactness versus both existing engines is enforced by the
+:class:`~repro.simulator.engine.CycleEngine`) and ``run()`` is the one
+loop that leaps.  Observers see it through the ``telemetry`` hooks: a
+leap reaches them as one ``on_leap`` call with the verified period and a
+dead wait as one ``on_idle``, so a collector reconstructs its samples and
+:func:`~repro.simulator.trace.trace_allreduce` records a leap as one
+``(repeat, period-block)`` run, keeping paper-scale traces O(events) in
+memory.  ``flits_moved`` is ``sent.sum()``, so a leap updates no other
+counter.  Cycle-exactness versus both existing engines is enforced by the
 differential suite (``tests/test_fastcycle_equivalence.py``,
 ``tests/test_leap.py``); the unbounded-in-``m`` speedup is recorded by
 ``benchmarks/test_bench_leap.py``.
@@ -143,20 +147,18 @@ class _Steady:
     """A verified steady state: per-period delta + leap validity bounds."""
 
     __slots__ = (
-        "period", "k_bound", "r_flat", "r_sent", "r_chcum", "r_moved",
-        "phase_chd", "phase_q", "phase_dq",
+        "period", "k_bound", "r_flat", "r_sent", "phase_chd", "phase_q",
+        "phase_dq",
     )
 
-    def __init__(self, period, k_bound, r_flat, r_sent, r_chcum, r_moved,
-                 phase_chd, phase_q=None, phase_dq=None):
+    def __init__(self, period, k_bound, r_flat, r_sent, phase_chd,
+                 phase_q=None, phase_dq=None):
         self.period = period
         self.k_bound = k_bound          # max whole periods leapable now
         self.r_flat = r_flat            # per-period delta of the state tensor
         self.r_sent = r_sent            # per-period per-flow grants
-        self.r_chcum = r_chcum          # per-period per-channel flits
-        self.r_moved = r_moved          # per-period total flits
         self.phase_chd = phase_chd      # (C, P) per-phase channel activity
-        # telemetry reconstruction (built only with a collector attached):
+        # telemetry reconstruction (built only with an observer attached):
         self.phase_q = phase_q          # (P, n) confirmed per-phase queues
         self.phase_dq = phase_dq        # (P, n) per-period queue drift
 
@@ -171,7 +173,7 @@ class LeapCycleSimulator(FastCycleSimulator):
     the flits-per-tree message size in the steady-state-dominated regime.
     It steps the warm-up and the drain (about ``4·depth`` cycles) plus a
     few cycles per event, except on contention-free plans (one flow per
-    channel, capacity 1, unbounded buffers, no faults, no collector),
+    channel, capacity 1, unbounded buffers, no faults, no observer),
     where it steps one cycle per distinct tree-completion cycle and jumps
     the fill and drain in closed form.
 
@@ -222,14 +224,15 @@ class LeapCycleSimulator(FastCycleSimulator):
         else:
             self._bc_fids = np.zeros((self._T, 0), dtype=np.int64)
         # ring memory budget: the rings hold two periods of rows, each
-        # charged at a state snapshot, two flow-sized rows and one
-        # channel-sized row (a little more than a row holds: state,
-        # ``sent`` and the packed signature bits) — so P_MAX-sized
-        # candidates can't over-allocate on large embeddings; the budget
-        # shrinks the detectable period instead (correctness is
-        # unaffected, only detection reach), but never below 2: pipelined
-        # steady states repeat with period 2, and a reach of 1 would
-        # never leap them
+        # charged at a state snapshot, two flow-sized rows, one
+        # channel-sized row and a word — so P_MAX-sized candidates can't
+        # over-allocate on large embeddings; the budget shrinks the
+        # detectable period instead (correctness is unaffected, only
+        # detection reach), but never below 2: pipelined steady states
+        # repeat with period 2, and a reach of 1 would never leap them.
+        # A row holds less (state, ``sent`` and the packed signature
+        # bits); the charge is kept as it is so that no plan's detectable
+        # period, and so none of its leaps, moves
         row = 8 * (self._flat.size + 2 * self._F + self._C + 1)
         self._p_max = min(self.P_MAX, max(2, self._VERIFY_BUDGET // (2 * row)))
         # member counts of the minimum.reduceat groups (flows map to their
@@ -354,38 +357,36 @@ class LeapCycleSimulator(FastCycleSimulator):
 
     def _license_bounds(
         self,
-        P: int,
         k: int,
-        avail2,
-        credit2,
-        aggch2,
-        bcmch2,
+        phases: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
         r_flat: np.ndarray,
         r_sent: np.ndarray,
-        queue2=None,
-        bcm2t=None,
     ) -> Tuple[int, List[np.ndarray], List[np.ndarray]]:
-        """Shrink ``k`` to the largest jump licensed by the recorded
-        per-phase budget components of the period preceding the leap.
+        """Shrink ``k`` to the largest jump licensed by the period
+        preceding the leap, given per phase its ring rows ``(flat, sent
+        before, sent after)``: the step of that phase read the state its
+        ``flat`` row holds (arbitration never writes the tensor) and the
+        ``sent`` before it.
 
         Forward per-period rates of the raw counters are exact while the
         grant pattern repeats; min-plane rates come from the argmin group
         (per phase), not from boundary deltas, which argmin churn between
-        the two confirmed periods could silently corrupt.  Telemetry
-        reconstruction (``queue2``/``bcm2t``, the post-step queues and
-        broadcast-min inputs per phase) is passed only with a collector
-        attached, and adds one argmin-stability bound on ``k``."""
+        the two confirmed periods could silently corrupt.  With an
+        observer attached each phase also yields its post-step queues and
+        their drift (the telemetry reconstruction), which adds one
+        argmin-stability bound on ``k``.  Phases are read only until
+        ``k`` reaches 0."""
         lay = self._lay
         child_rates = r_flat[lay.child_up_idx]
         buffered = self.buffer_size is not None
-        tel_on = queue2 is not None
+        tel_on = self.telemetry is not None
         bc_rates = r_sent[lay.child_bcfid] if buffered or tel_on else None
         phase_q: List[np.ndarray] = []
         phase_dq: List[np.ndarray] = []
-        for j in range(P):
+        for flat, sent_pre, sent_post in phases:
             if k <= 0:
                 break
-            rstar_agg, gb = self._min_group_terms(aggch2[j], child_rates)
+            rstar_agg, gb = self._min_group_terms(flat[lay.child_up_idx], child_rates)
             k = min(k, gb)
             d_avail_src = np.where(
                 lay.avail_grp >= 0,
@@ -394,36 +395,42 @@ class LeapCycleSimulator(FastCycleSimulator):
                 else np.int64(0),
                 r_flat[lay.avail_idx],
             )
-            k = min(k, self._regime_bound(avail2[j], d_avail_src - r_sent))
+            avail = flat[lay.avail_idx] - sent_pre
+            k = min(k, self._regime_bound(avail, d_avail_src - r_sent))
             if buffered:
-                rstar_bcm, bb = self._min_group_terms(bcmch2[j], bc_rates)
+                rstar_bcm, bb = self._min_group_terms(
+                    sent_pre[lay.child_bcfid], bc_rates
+                )
                 k = min(k, bb)
                 r_cons = lay.consumed(r_sent, rstar_bcm, r_flat)
-                k = min(k, self._regime_bound(credit2[j], r_cons - r_sent))
+                cons = lay.consumed(sent_pre, flat[lay.grp_bcm_idx], flat)
+                credit = self.buffer_size + cons - sent_pre
+                k = min(k, self._regime_bound(credit, r_cons - r_sent))
             if tel_on:
                 # license linear queue reconstruction inside the leap: the
                 # post-step broadcast mins must advance at their argmin-
                 # stable rate too (one extra bound on k), and the queue
                 # drift is derived from those rates — never from boundary
                 # deltas, which argmin churn could corrupt
-                rstar_bcm_t, bb_t = self._min_group_terms(bcm2t[j], bc_rates)
+                rstar_bcm_t, bb_t = self._min_group_terms(
+                    sent_post[lay.child_bcfid], bc_rates
+                )
                 k = min(k, bb_t)
                 r_cons_t = lay.consumed(r_sent, rstar_bcm_t, r_flat)
                 dq = np.zeros(self.n, dtype=np.int64)
                 np.add.at(dq, lay.flow_dst, r_sent - r_cons_t)
-                phase_q.append(queue2[j])
+                phase_q.append(self._queues(flat, sent_post))
                 phase_dq.append(dq)
         return k, phase_q, phase_dq
 
     # -------------------------------------------------------------- leaping
 
-    def _take_leap(self, run: EngineRun) -> Tuple[int, Optional[_Steady]]:
+    def _take_leap(self, run: EngineRun) -> int:
         """Consume a verified steady state and advance ``run`` past it:
-        returns (cycles leapt, the steady record used) — (0, None) when
-        no leap is possible now."""
+        returns the cycles leapt — 0 when no leap is possible now."""
         st = self._steady
         if st is None:
-            return 0, None
+            return 0
         self._steady = None
         cycle = run.cycle
         k = min(st.k_bound, (run.max_cycles - cycle) // st.period)
@@ -434,14 +441,13 @@ class LeapCycleSimulator(FastCycleSimulator):
             if nxt is not None:
                 k = min(k, (nxt - 1 - cycle) // st.period)
         if k < 1:
-            return 0, None
+            return 0
         if self.telemetry is not None:
             # reconstruct in-leap samples while the state is still the
             # pre-leap base the reconstruction extrapolates from
             self.telemetry.on_leap(self, cycle, st, k)
         self._flat += k * st.r_flat
         self.sent += k * st.r_sent
-        self.flits_moved += k * st.r_moved
         # the AGG plane is min-derived, not a linear counter: rebuild it
         # exactly from the leapt UPD counters (matches the post-step
         # invariant AGG == min over children's UPD)
@@ -453,7 +459,7 @@ class LeapCycleSimulator(FastCycleSimulator):
         run.cycle += leapt
         self.leap_log.append((cycle, st.period, k))
         self._reset_detector()
-        return leapt, st
+        return leapt
 
     # ---------------------------------------------------- wavefront jumps
 
@@ -481,7 +487,6 @@ class LeapCycleSimulator(FastCycleSimulator):
         landed = sent - grant
         self._flat[lay.land_idx] = landed
         refresh_agg(self._lay, self._flat)
-        self.flits_moved = int(sent.sum())
         self._grant = grant > 0
         self.cycle = run.cycle = t
         self.leap_log.append((start, 1, t - start))
@@ -535,51 +540,11 @@ class LeapCycleSimulator(FastCycleSimulator):
                 self._wave_check()
             return run.stats()
         while not run.finished:
-            if self._take_leap(run)[0]:
+            if self._take_leap(run):
                 continue
             if run.tick(self.step()):
                 self._skip_idle(run)
         return run.stats()
-
-    # -------------------------------------------------------------- tracing
-
-    def trace_compressed(self, max_cycles: Optional[int] = None):
-        """Step/leap to completion, returning a
-        :class:`~repro.simulator.trace.CompressedTrace` whose blocks are
-        ``(repeat, per-phase channel activity)`` runs — leaps become one
-        block repeated k times, so memory stays O(events), not O(cycles)."""
-        from repro.simulator.trace import CompressedTrace
-
-        run = EngineRun(self, max_cycles)
-        blocks: List[Tuple[int, np.ndarray]] = []
-        dense: List[np.ndarray] = []
-
-        def flush() -> None:
-            if dense:
-                blocks.append((1, np.stack(dense, axis=1)))
-                dense.clear()
-
-        self._reset_detector()
-        while not run.finished:
-            leapt, st = self._take_leap(run)
-            if leapt:
-                flush()
-                blocks.append((leapt // st.period, st.phase_chd))
-                continue
-            idle = run.tick(self.step())
-            dense.append(self._lay.channel_totals(self._grant))
-            skip = self._skip_idle(run) if idle else 0
-            if skip:
-                # idle dead-wait: one all-zero column repeated
-                flush()
-                blocks.append((skip, np.zeros((self._C, 1), dtype=np.int64)))
-        flush()
-        return CompressedTrace(
-            cycles=run.cycle,
-            capacity=self.capacity,
-            channels=self.channels(),
-            blocks=blocks,
-        )
 
 
 # ------------------------------------------------------------ steady rings
@@ -620,11 +585,9 @@ class SteadyRings:
         self.p_max = sim._p_max
         R = 2 * self.p_max + 1
         self.R = R
-        self.buffered = sim.buffer_size is not None
         self.sig: List[Optional[Tuple[bytes, bytes]]] = [None] * R
         self.flat = np.zeros((R, sim._flat.size), dtype=np.int64)
         self.sent = np.zeros((R, sim._F), dtype=np.int64)
-        self.moved = np.zeros(R, dtype=np.int64)
         self.tick = 0
         self.cooldown = 0
         self.last_seen: dict = {}
@@ -632,7 +595,7 @@ class SteadyRings:
     @property
     def nbytes(self) -> int:
         """Bytes held by the preallocated ring arrays (signatures aside)."""
-        return sum(a.nbytes for a in (self.flat, self.sent, self.moved))
+        return self.flat.nbytes + self.sent.nbytes
 
     def reset(self, sim: LeapCycleSimulator) -> None:
         """Restart detection (state changed discontinuously: init, leap,
@@ -644,7 +607,6 @@ class SteadyRings:
         self.last_seen = {}
         np.copyto(self.flat[0], sim._flat)
         np.copyto(self.sent[0], sim.sent)
-        self.moved[0] = sim.flits_moved
 
     def observe(self, sim: LeapCycleSimulator) -> None:
         """Record this stepped cycle's row and try to confirm a steady
@@ -662,10 +624,9 @@ class SteadyRings:
         self.sig[s] = sig
         np.copyto(self.flat[s], sim._flat)
         np.copyto(self.sent[s], sim.sent)
-        self.moved[s] = sim.flits_moved
 
         if sim._steady is not None:
-            return  # waiting for run()/trace loop to consume the leap
+            return  # waiting for run() to consume the leap
         h = hash(sig)
         if self.cooldown > 0:
             self.cooldown -= 1
@@ -695,13 +656,6 @@ class SteadyRings:
                 return
         s1 = (t - P) % R
         s0 = (t - 2 * P) % R
-        # scalar pre-filter: flits_moved is the running sum of grants, so
-        # a periodic `sent` delta implies a periodic moved delta — if the
-        # cheap scalar disagrees, the array compare below cannot pass
-        if int(sim.flits_moved) - int(self.moved[s1]) != int(
-            self.moved[s1]
-        ) - int(self.moved[s0]):
-            return
         r_flat = sim._flat - self.flat[s1]
         r_sent = sim.sent - self.sent[s1]
         if not (
@@ -711,56 +665,31 @@ class SteadyRings:
             # signatures repeat but the state deltas have not settled
             # into the period yet — retry at the next repetition
             return
-        r_moved = int(sim.flits_moved - self.moved[s1])
-        if r_moved <= 0:
+        if not r_sent.any():
             # never leap a zero-progress period: the per-cycle engines'
             # stall detection must fire at its exact cycle
             self.cooldown = P
             return
-        phases = [(t - P + 1 + j) % R for j in range(P)]
-        # budget components of each phase, reconstructed lazily from the
-        # rings: the step at slot ``s`` read the state its own ``flat``
-        # row records (arbitration never writes the tensor) and the
-        # ``sent`` of the *previous* slot.
-        avail = []
-        credit = [] if self.buffered else None
-        aggch = []
-        bcmch = [] if self.buffered else None
-        lay = sim._lay
-        for s in phases:
-            flat_s = self.flat[s]
-            sent_pre = self.sent[(s - 1) % R]
-            avail.append(flat_s[lay.avail_idx] - sent_pre)
-            aggch.append(flat_s[lay.child_up_idx])
-            if self.buffered:
-                bcmch.append(sent_pre[lay.child_bcfid])
-                cons = lay.consumed(sent_pre, flat_s[lay.grp_bcm_idx], flat_s)
-                credit.append(sim.buffer_size + cons - sent_pre)
-        queue2 = bcm2t = None
-        if sim.telemetry is not None:
-            # post-step views of each phase, the observation instants the
-            # per-cycle engines sample at
-            queue2 = [sim._queues(self.flat[s], self.sent[s]) for s in phases]
-            bcm2t = [self.sent[s][lay.child_bcfid] for s in phases]
+        # the rows of each phase, as views: the step at slot ``s`` read
+        # the state its own ``flat`` row records (arbitration never
+        # writes the tensor) and the ``sent`` of the *previous* slot, and
+        # left the ``sent`` of its own
+        slots = [(t - P + 1 + j) % R for j in range(P)]
+        phases = [(self.flat[s], self.sent[s - 1], self.sent[s]) for s in slots]
         k = sim._completion_bound(r_sent)
-        k, phase_q, phase_dq = sim._license_bounds(
-            P, k, avail, credit, aggch, bcmch, r_flat, r_sent,
-            queue2=queue2, bcm2t=bcm2t,
-        )
+        k, phase_q, phase_dq = sim._license_bounds(k, phases, r_flat, r_sent)
         if k <= 0:
             self.cooldown = P
             return
         # per-phase channel activity: channel totals of each cycle's grants
-        chd = lay.channel_totals(
-            np.stack([self.sent[s] - self.sent[(s - 1) % R] for s in phases], axis=1)
+        chd = sim._lay.channel_totals(
+            np.stack([post - pre for _, pre, post in phases], axis=1)
         )
         sim._steady = _Steady(
             period=P,
             k_bound=k,
             r_flat=r_flat,
             r_sent=r_sent,
-            r_chcum=chd.sum(axis=1),
-            r_moved=r_moved,
             phase_chd=chd,
             phase_q=np.stack(phase_q) if phase_q else None,
             phase_dq=np.stack(phase_dq) if phase_dq else None,

@@ -1,14 +1,16 @@
 """Execution tracing for the cycle engines: per-cycle channel activity.
 
-Steps any :class:`~repro.simulator.engine.CycleEngine` (the reference
+Runs any :class:`~repro.simulator.engine.CycleEngine` (the reference
 per-flit simulator, the vectorized fast engine or the cycle-leaping leap
 engine — all emit identical traces) and records, for every cycle, which
-directed channels moved how many flits. The leap engine can additionally
-emit a :class:`CompressedTrace` of run-length encoded periods
-(``trace_allreduce(..., compress=True)``) whose memory is O(#events),
-not O(cycles). Renders a text "waterfall" — channels down the side, cycles
-across — that makes pipeline fill, steady state and drain visible, and
-exposes per-channel utilization series for analysis.
+directed channels moved how many flits.  The trace observes the engine's
+own ``run()`` through the collector hooks, so the leap engine's leaps and
+dead waits reach it as whole runs: a :class:`CompressedTrace`
+(``trace_allreduce(..., compress=True)``) keeps them run-length encoded,
+in O(#events) memory, not O(cycles). Renders a text "waterfall" —
+channels down the side, cycles across — that makes pipeline fill, steady
+state and drain visible, and exposes per-channel utilization series for
+analysis.
 
 Intended for debugging embeddings and for teaching: the low-depth trees'
 fill is visibly 3 hops; the Hamiltonian trees' diagonal wavefront crawls
@@ -24,7 +26,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.simulator.cycle import EngineRun
 from repro.topology.graph import Graph
 from repro.trees.tree import SpanningTree
 
@@ -62,9 +63,10 @@ class ChannelTrace:
 class CompressedTrace:
     """Channel activity as run-length ``(repeat, block)`` runs.
 
-    The leap engine emits one ``(1, block)`` run per stepped stretch and a
-    single ``(k, period-block)`` run per leap of ``k`` periods, so memory
-    stays O(#events x period) instead of O(cycles). Each block is a
+    A trace holds one ``(1, block)`` run per stepped stretch and, on the
+    leap engine, a single ``(k, period-block)`` run per leap of ``k``
+    periods and one idle column per dead wait, so memory stays
+    O(#events x period) instead of O(cycles). Each block is a
     ``(C, width)`` int array: ``C`` channels (in ``channels`` order) by
     ``width`` cycles, repeated ``repeat`` times back to back.
 
@@ -108,6 +110,45 @@ class CompressedTrace:
         )
 
 
+class _Recorder:
+    """Collector hooks that keep a run's channel activity as run-length
+    blocks: the stepped cycles of a stretch as one block of one-cycle
+    columns, a leap of ``k`` periods as ``(k, steady.phase_chd)`` and a
+    dead wait as one idle column repeated."""
+
+    def on_run_start(self, engine) -> None:
+        self.capacity = engine.capacity
+        self.channels = engine.channels()
+        self.blocks: List[Tuple[int, np.ndarray]] = []
+        self._cols: List[np.ndarray] = []
+        self._cum = engine.channel_flit_array()
+
+    def _flush(self) -> None:
+        if self._cols:
+            self.blocks.append((1, np.stack(self._cols, axis=1)))
+            self._cols = []
+
+    def on_cycle(self, engine, cycle: int, moved: int) -> None:
+        cum = engine.channel_flit_array()
+        self._cols.append(cum - self._cum)
+        self._cum = cum
+
+    def on_leap(self, engine, start_cycle: int, steady, k: int) -> None:
+        self._flush()
+        self.blocks.append((k, steady.phase_chd))
+        self._cum = self._cum + k * steady.phase_chd.sum(axis=1)
+
+    def on_idle(self, engine, start_cycle: int, end_cycle: int) -> None:
+        self._flush()
+        idle = np.zeros((len(self.channels), 1), dtype=np.int64)
+        self.blocks.append((end_cycle - start_cycle, idle))
+
+    def on_run_end(self, engine, cycle: int, completed: bool) -> None:
+        # a finished run ends at the cycle its last tree completed
+        self.cycles = cycle
+        self._flush()
+
+
 def trace_allreduce(
     g: Graph,
     trees: Sequence[SpanningTree],
@@ -119,54 +160,41 @@ def trace_allreduce(
     compress: bool = False,
     faults=None,
 ):
-    """Step the selected cycle engine, recording channel activity.
+    """Run the selected cycle engine, recording channel activity.
 
     ``engine`` selects any registered engine (``"reference"``, ``"fast"``
     or ``"leap"``) — all produce the same :class:`ChannelTrace`
-    (cycle-exact equivalence).
+    (cycle-exact equivalence).  The trace observes the engine's own
+    ``run()`` through the collector hooks, so the leap engine leaps here
+    as it does under a collector.
 
     With ``compress=True`` the result is a :class:`CompressedTrace` of
     run-length ``(repeat, block)`` runs instead of a dense per-cycle
-    table. Engines exposing ``trace_compressed`` (the leap engine) emit
-    leaps as single runs, keeping memory O(events); other engines are
-    stepped and the dense columns are wrapped in one run.
+    table: one run per stepped stretch, and on the leap engine one per
+    leap and per dead wait, keeping memory O(events).
 
     ``faults`` (a :class:`~repro.simulator.faultsched.FaultSchedule`)
     injects dynamic link failures; a permanently severed run raises
     :class:`~repro.simulator.cycle.SimulationStalled` at the exact cycle
-    progress stopped, identically on every engine.  The loop is the
-    engines' own :class:`~repro.simulator.cycle.EngineRun` contract, so
-    ``max_cycles`` (default :func:`~repro.simulator.cycle.default_max_cycles`)
-    raises :class:`~repro.simulator.cycle.CycleLimitExceeded` exactly as
+    progress stopped, identically on every engine, and ``max_cycles``
+    (default :func:`~repro.simulator.cycle.default_max_cycles`) raises
+    :class:`~repro.simulator.cycle.CycleLimitExceeded` exactly as
     ``run()`` does.
     """
     from repro.simulator.engine import make_engine
 
-    sim = make_engine(
+    rec = _Recorder()
+    make_engine(
         engine, g, trees, flits_per_tree, link_capacity, buffer_size, faults,
+        telemetry=rec,
+    ).run(max_cycles)
+    trace = CompressedTrace(
+        cycles=rec.cycles,
+        capacity=rec.capacity,
+        channels=rec.channels,
+        blocks=rec.blocks,
     )
-    if compress and hasattr(sim, "trace_compressed"):
-        return sim.trace_compressed(max_cycles=max_cycles)
-    channels = sim.channels()
-    series: List[List[int]] = [[] for _ in channels]
-    prev = sim.channel_flit_counts()
-    run = EngineRun(sim, max_cycles)
-    while not run.finished:
-        run.tick(sim.step())
-        now = sim.channel_flit_counts()
-        for i, (a, b) in enumerate(zip(now, prev)):
-            series[i].append(a - b)
-        prev = now
-    activity: Dict[Tuple[int, int], List[int]] = dict(zip(channels, series))
-    if compress:
-        block = np.asarray([activity[ch] for ch in channels], dtype=np.int64)
-        return CompressedTrace(
-            cycles=run.cycle,
-            capacity=link_capacity,
-            channels=list(channels),
-            blocks=[(1, block)] if run.cycle else [],
-        )
-    return ChannelTrace(cycles=run.cycle, capacity=link_capacity, activity=activity)
+    return trace if compress else trace.expand()
 
 
 def render_waterfall(

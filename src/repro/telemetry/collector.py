@@ -25,6 +25,13 @@ small set of hook calls from whichever cycle engine runs:
 - ``finish(total_cycles, completed)`` — the collective is over; emits the
   optional ``perf`` record and the ``end`` record.
 
+The five engine hooks (``on_run_start`` through ``on_run_end``) are the
+whole observer protocol of ``run()``; the recorder behind
+:func:`repro.simulator.trace.trace_allreduce` implements the same five.
+Window counts come from the engine's ``channel_flit_array()`` on every
+engine, and a leap's per-period channel flits from the verified
+period's ``phase_chd``.
+
 Everything engine-identifying (leap jump counts, stepped/skipped cycle
 tallies, wall-clock) is quarantined in the opt-in ``perf`` record
 (``include_perf=True``) so the *default* JSONL output of the three
@@ -96,16 +103,6 @@ def _sample_record(
         "link_flits": link_flits,
         "queue": queue,
     }
-
-
-def _flit_array(engine: Any) -> np.ndarray:
-    """The engine's cumulative per-channel flit counts as a fresh int64
-    array: the vectorized engines hand theirs over directly, the
-    reference engine's list is converted."""
-    get = getattr(engine, "channel_flit_array", None)
-    if get is not None:
-        return get()
-    return np.array(engine.channel_flit_counts(), dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -296,7 +293,7 @@ class Collector:
         if cycle == self._next_sample:
             self._emit_sample(
                 self._next_sample,
-                self._window(_flit_array(engine)),
+                self._window(engine.channel_flit_array()),
                 engine.queue_occupancy(),
             )
             self._next_sample += self.sample_every
@@ -329,20 +326,21 @@ class Collector:
         E = self.sample_every
         due = np.arange(self._next_sample, end + 1, E)
         i, j = np.divmod(due - start_cycle - 1, P)
-        base = _flit_array(engine)
+        base = engine.channel_flit_array()
         for p in range(1, P):
             prefix[p] += prefix[p - 1]
-        windows = [self._window(base + int(i[0]) * steady.r_chcum + prefix[j[0]])]
+        per_period = prefix[-1]  # the channel flits of one whole period
+        windows = [self._window(base + int(i[0]) * per_period + prefix[j[0]])]
         # due samples sit E cycles apart, so each later window depends only
         # on its predecessor's phase: at most P distinct windows, built once
         distinct: Dict[int, List[int]] = {}
         for jp in j[:-1].tolist():
             if jp not in distinct:
                 di, jn = divmod(jp + E, P)
-                w = di * steady.r_chcum + prefix[jn] - prefix[jp]
+                w = di * per_period + prefix[jn] - prefix[jp]
                 distinct[jp] = w.tolist()
             windows.append(distinct[jp])
-        self._last_cum = base + int(i[-1]) * steady.r_chcum + prefix[j[-1]]
+        self._last_cum = base + int(i[-1]) * per_period + prefix[j[-1]]
         queues = steady.phase_q[j] + (i + 1)[:, None] * steady.phase_dq[j]
         for cycle, w, queue in zip(due.tolist(), windows, queues.tolist()):
             self._emit_sample(cycle, w, queue)
@@ -355,7 +353,7 @@ class Collector:
         self._stall_cycles += end_cycle - start_cycle
         if self._next_sample > end_cycle:
             return
-        window = self._window(_flit_array(engine))
+        window = self._window(engine.channel_flit_array())
         queue = engine.queue_occupancy()
         idle = [0] * len(window)
         while self._next_sample <= end_cycle:

@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.gf import get_field
 from repro.topology.graph import Graph
+from repro.utils.errors import whole
 from repro.utils.numbertheory import prime_power_decomposition
 
 __all__ = ["PolarFly", "polarfly_graph", "clear_polarfly_cache", "W", "V1", "V2"]
@@ -47,6 +48,7 @@ class PolarFly:
     """
 
     def __init__(self, q: int):
+        q = whole("q", q)
         prime_power_decomposition(q)  # validates q
         self.q = q
         self.n = q * q + q + 1
@@ -113,7 +115,12 @@ class PolarFly:
 
     def vertex_type(self, v: int) -> str:
         """Return ``'W'``, ``'V1'`` or ``'V2'`` per Table 1."""
-        return self._type[v]
+        try:
+            return self._type[v]
+        except KeyError:
+            raise ValueError(
+                f"{v!r} is not a vertex of ER_{self.q} (0..{self.n - 1})"
+            ) from None
 
     def vertex_vector(self, v: int) -> Tuple[int, int, int]:
         """Left-normalized coordinate vector of vertex ``v``."""

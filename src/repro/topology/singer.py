@@ -30,6 +30,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.gf import get_field, smallest_primitive
 from repro.topology.graph import Graph, canonical_edge
+from repro.utils.errors import whole
 from repro.utils.numbertheory import mod_inverse, prime_power_decomposition
 
 __all__ = [
@@ -132,6 +133,7 @@ class SingerGraph:
     """
 
     def __init__(self, q: int):
+        q = whole("q", q)
         self.q = q
         self.n = q * q + q + 1
         self.dset = singer_difference_set(q)

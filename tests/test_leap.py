@@ -205,7 +205,7 @@ class TestRingBudget:
             assert sim._p_max == p_max, q
             rings = sim._rings
             assert rings.R == 2 * p_max + 1
-            assert rings.nbytes == 8 * rings.R * (sim._flat.size + sim._F + 1)
+            assert rings.nbytes == 8 * rings.R * (sim._flat.size + sim._F)
             assert p_max == 2 or rings.nbytes <= sim._VERIFY_BUDGET
         # at q=25 the budget alone leaves room for period 1 only
         row = 8 * (sim._flat.size + 2 * sim._F + sim._C + 1)

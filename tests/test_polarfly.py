@@ -1,10 +1,13 @@
 """Tests for the projective-geometry ER_q construction (Section 6.1, Table 1)."""
 
+import re
+
 import numpy as np
 import pytest
 
-from repro.topology import V1, V2, W, polarfly_graph
+from repro.topology import V1, V2, W, polarfly_graph, polarfly_layout, singer_graph
 from repro.topology.polarfly import PolarFly
+from repro.trees import low_depth_trees
 
 ODD_QS = [3, 5, 7, 9, 11, 13]
 ALL_QS = [2, 3, 4, 5, 7, 8, 9, 11, 13]
@@ -54,6 +57,44 @@ class TestConstruction:
 
     def test_memoized(self):
         assert polarfly_graph(3) is polarfly_graph(3)
+
+
+#: calls below ``build_plan`` with an unusual ``q`` or vertex, and what
+#: each must do: ``None`` for "returns an object with int ``q``", else
+#: the named error (type, message)
+_BOUNDARY_CALLS = {
+    "polarfly_graph-np": (lambda: polarfly_graph(np.int64(3)), None),
+    "singer_graph-np": (lambda: singer_graph(np.int64(3)), None),
+    "polarfly_layout-np": (lambda: polarfly_layout(np.int64(5)), None),
+    "low_depth_trees-np": (lambda: low_depth_trees(np.int64(3)), None),
+    "polarfly_graph-str": (
+        lambda: polarfly_graph("3"), (TypeError, "q must be an integer; got '3'")
+    ),
+    "singer_graph-str": (
+        lambda: singer_graph("3"), (TypeError, "q must be an integer; got '3'")
+    ),
+    "low_depth_trees-str": (
+        lambda: low_depth_trees("3"), (TypeError, "q must be an integer; got '3'")
+    ),
+    "vertex_type-out-of-range": (
+        lambda: polarfly_graph(3).vertex_type(999),
+        (ValueError, "999 is not a vertex of ER_3 (0..12)"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_BOUNDARY_CALLS))
+def test_constructors_take_numpy_ints_and_name_bad_input(name):
+    call, error = _BOUNDARY_CALLS[name]
+    if error is not None:
+        with pytest.raises(error[0], match=re.escape(error[1])):
+            call()
+        return
+    out = call()
+    if isinstance(out, list):  # spanning trees: Algorithm 3 gives q of them
+        assert len(out) == 3
+    else:
+        assert type(out.q) is int and out.q in (3, 5)
 
 
 class TestOrthogonality:

@@ -275,11 +275,11 @@ class TestBatching:
 
     @pytest.mark.parametrize("batching", [True, False], ids=["batched", "serial"])
     @pytest.mark.parametrize("window,name", [
-        ([[0, 9], 2.9, 5], r"faults\[0\] down"),
-        ([[0, 9], 2, 5.5], r"faults\[0\] up"),
-        ([[0.0, 9], 2, 5], r"faults\[0\] u"),
-        ([[0, "9"], 2, None], r"faults\[0\] v"),
-    ])
+        ([[0, 9], 2.9, 5], "fault window 0 down cycle"),
+        ([[0, 9], 2, 5.5], "fault window 0 up cycle"),
+        ([[0.0, 9], 2, 5], "fault window 0 edge endpoint u"),
+        ([[0, "9"], 2, None], "fault window 0 edge endpoint v"),
+    ], ids=["down", "up", "u", "v"])
     def test_non_integer_fault_window_named_on_both_routes(
         self, batching, window, name
     ):

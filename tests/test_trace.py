@@ -1,12 +1,24 @@
 """Tests for cycle-simulator tracing and the waterfall renderer."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import build_plan
-from repro.simulator import simulate_allreduce
+from repro.simulator import FaultSchedule, simulate_allreduce
 from repro.simulator.trace import render_waterfall, trace_allreduce
 from repro.topology import Graph
 from repro.trees import SpanningTree
+from tests.strategies import (
+    CYCLE_ENGINES,
+    PLANS,
+    fault_specs,
+    link_capacities,
+    materialize_faults,
+    message_sizes,
+    plan_keys,
+    plan_used_links,
+)
 
 
 def chain(n):
@@ -135,3 +147,54 @@ class TestWaterfall:
         trace = trace_allreduce(g, [t], [40], link_capacity=12)
         text = render_waterfall(trace)
         assert "#" in text
+
+
+class TestTracesObserveRun:
+    """Every engine's trace observes its own ``run()``: dense and
+    compressed traces must equal the reference engine's dense trace, and
+    the runs must account for every flit the run moved."""
+
+    @given(
+        key=plan_keys(),
+        m=message_sizes(max_value=160),
+        capacity=link_capacities(max_value=3),
+        buffer=st.sampled_from([None, 1, 2]),
+        spec=st.one_of(st.none(), fault_specs(max_events=1, transient_only=True)),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_every_engine_traces_the_reference_run(
+        self, key, m, capacity, buffer, spec
+    ):
+        plan = PLANS[key]
+        faults = None if spec is None else materialize_faults(plan, spec)
+        args = (plan.topology, plan.trees, plan.partition(m), capacity, buffer)
+        ref = trace_allreduce(*args, engine="reference", faults=faults)
+        moved = simulate_allreduce(
+            *args[:4], buffer_size=buffer, engine="reference", faults=faults
+        ).flits_moved
+        for engine in CYCLE_ENGINES:
+            dense = trace_allreduce(*args, engine=engine, faults=faults)
+            comp = trace_allreduce(
+                *args, engine=engine, faults=faults, compress=True
+            )
+            assert dense == ref, engine
+            assert comp.expand() == ref, engine
+            assert int(comp.total_flits().sum()) == moved, engine
+
+    def test_leap_trace_holds_a_period_block_and_an_idle_block(self):
+        # a transient cut long enough for the other trees to finish: the
+        # last tree waits dead until the revival, after leaping before it
+        plan = build_plan(3, "low-depth")
+        faults = FaultSchedule([(plan_used_links(plan)[1], 60, 400)])
+        flits = plan.partition(300)
+        comp = trace_allreduce(
+            plan.topology, plan.trees, flits, engine="leap", faults=faults,
+            compress=True,
+        )
+        periods = [b for r, b in comp.blocks if r > 1 and b.any()]
+        idles = [b for r, b in comp.blocks if r > 1 and not b.any()]
+        assert periods and idles
+        dense = trace_allreduce(
+            plan.topology, plan.trees, flits, engine="reference", faults=faults
+        )
+        assert comp.expand() == dense
