@@ -28,6 +28,7 @@ GRID_MS = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48)
 GRID_BUFS = (None, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32)  # 11 x 11 = 121 cells
 GRID_SPEEDUP_TARGET = 2.0
 GRID_COLD_BUDGET_S = 1.0
+GRID_ROUNDS = 5  # each route is timed as its fastest of this many runs
 MC_LANES = 10_000
 MC_BUDGET_S = 30.0  # single-digit locally; generous for shared CI runners
 
@@ -36,6 +37,8 @@ def _time(fn):
     t0 = time.perf_counter()
     out = fn()
     return out, time.perf_counter() - t0
+
+
 
 
 def test_batched_agrees_with_fast_on_smoke_grid():
@@ -62,19 +65,24 @@ def test_batched_agrees_with_fast_on_smoke_grid():
 def test_sim_grid_cold_batched_vs_serial(benchmark):
     """The 121-cell artifact grid, cold, through both sweep routes: the
     batched route must produce the identical report in < 1s and >= 2x
-    faster than cell-at-a-time serial."""
+    faster than cell-at-a-time serial.  Each route is timed as its
+    fastest of ``GRID_ROUNDS`` runs, alike with benchmarking on or off,
+    and the rounds alternate between the routes, so the ratio compares
+    like with like on a host whose speed drifts."""
     cells = sim_grid_cells(7, ms=GRID_MS, buffer_sizes=GRID_BUFS)
     assert len(cells) == 121
 
-    serial, serial_s = _time(
-        lambda: SweepRunner(workers=0, cache=None, batching=False).run(cells)
-    )
+    def routes():
+        report, best = {}, {False: float("inf"), True: float("inf")}
+        for _ in range(GRID_ROUNDS):
+            for batching in (False, True):
+                runner = SweepRunner(workers=0, cache=None, batching=batching)
+                report[batching], secs = _time(lambda: runner.run(cells))
+                best[batching] = min(best[batching], secs)
+        return report[False], best[False], report[True], best[True]
 
-    def run():
-        return SweepRunner(workers=0, cache=None).run(cells)
-
-    batched, batched_s = timed_pedantic(
-        benchmark, run, rounds=3, iterations=1, warmup_rounds=1
+    serial, serial_s, batched, batched_s = benchmark.pedantic(
+        routes, rounds=1, iterations=1
     )
     assert batched == serial  # byte-identical report output
     speedup = serial_s / batched_s
@@ -85,6 +93,7 @@ def test_sim_grid_cold_batched_vs_serial(benchmark):
         "serial_seconds": round(serial_s, 4),
         "batched_seconds": round(batched_s, 4),
         "speedup": round(speedup, 1),
+        "rounds": GRID_ROUNDS,
         "cold_budget_seconds": GRID_COLD_BUDGET_S,
     }
     record(benchmark, **payload)

@@ -7,13 +7,17 @@ Pass criteria: the engines agree exactly on the resulting
 
 A second case times the cold construction of the vectorized engines at
 paper-scale radix (q=23, 25, 29, low-depth), where building the index
-layout used to cost more than short runs themselves.
+layout used to cost more than short runs themselves.  The fused step's
+own costs follow: bit-identity of fast and leap against the reference
+on a clean/credited/faulted smoke grid, the per-cycle step across a
+q=7/q=11 clean/faulted grid, and the step's cold-vs-warm start.
 
 Each case's reproduced numbers land in ``benchmark.extra_info`` (for the
 pytest-benchmark JSON) *and* are persisted to ``BENCH_fastcycle.json`` at
 the repo root so the perf trajectory is tracked across PRs.
 """
 
+import json
 import statistics
 import time
 from pathlib import Path
@@ -24,6 +28,7 @@ from conftest import persist, record, timed_pedantic
 from repro.core import build_plan
 from repro.simulator import (
     BatchedCycleSimulator,
+    FaultSchedule,
     LaneSpec,
     make_engine,
     simulate_allreduce,
@@ -177,3 +182,103 @@ def test_engine_build_cold(benchmark):
         f"cold leap build at q=29 took {cells[29]['leap']} ms "
         f"(gate {LEAP_BUILD_GATE_MS} ms)"
     )
+
+
+def _time(fn, rounds=1):
+    best, out = float("inf"), None
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        out = fn()
+        best = min(best, time.perf_counter() - t0)
+    return out, best
+
+
+def _used_links(plan):
+    links = set()
+    for t in plan.trees:
+        links |= t.edges
+    return sorted(links)
+
+
+def test_engines_agree_smoke():
+    """Disagreement anywhere on the smoke grid fails the whole job —
+    bit-identity with the per-flit reference is the precondition for
+    every step timing below."""
+    for q, scheme in ((5, "low-depth"), (5, "edge-disjoint")):
+        plan = build_plan(q, scheme)
+        faults = FaultSchedule([(_used_links(plan)[0], 8, 30)])
+        for m, cap, buf, fs in (
+            (400, 1, None, None),
+            (300, 2, 3, None),
+            (350, 1, None, faults),
+        ):
+            parts = plan.partition(m)
+            base = simulate_allreduce(
+                plan.topology, plan.trees, parts, cap, buffer_size=buf,
+                faults=fs, engine="reference",
+            )
+            for engine in ("fast", "leap"):
+                got = simulate_allreduce(
+                    plan.topology, plan.trees, parts, cap, buffer_size=buf,
+                    faults=fs, engine=engine,
+                )
+                assert got == base, (q, scheme, engine, m, cap, buf)
+
+
+def test_fast_step_grid(benchmark):
+    """Per-cycle stepping cost of the fast engine's fused step across a
+    q=7 and q=11 grid, clean and faulted.  Informational rows for
+    EXPERIMENTS.md (``auto_us_per_cycle`` keeps its historical key)."""
+    grid = []
+    for q in (7, 11):
+        plan = build_plan(q, "low-depth")
+        parts = plan.partition(2_000)
+        links = _used_links(plan)
+        for label, events in (
+            ("clean", None),
+            ("faulted", [(links[0], 50, 80), (links[1], 200, 260)]),
+        ):
+            fs = FaultSchedule(events) if events else None
+            stats, secs = _time(
+                lambda: make_engine(
+                    "fast", plan.topology, plan.trees, parts, faults=fs,
+                ).run(),
+                rounds=3,
+            )
+            grid.append({
+                "q": q,
+                "workload": label,
+                "cycles": stats.cycles,
+                "auto_us_per_cycle": round(1e6 * secs / stats.cycles, 1),
+            })
+
+    plan = build_plan(7, "low-depth")
+    parts = plan.partition(2_000)
+    benchmark.pedantic(
+        lambda: make_engine("fast", plan.topology, plan.trees, parts).run(),
+        rounds=3, iterations=1, warmup_rounds=1,
+    )
+    record(benchmark, grid=json.dumps(grid))
+    persist(BENCH_JSON, "fast-step-grid", {"grid": grid})
+
+
+def test_cold_vs_warm(benchmark):
+    """First-use cost of the fused path (per-engine index-map
+    construction) against the warm steady state."""
+    plan = build_plan(7, "low-depth")
+    parts = plan.partition(200)
+
+    def run():
+        return make_engine("fast", plan.topology, plan.trees, parts).run()
+
+    _, cold_s = _time(run)               # includes per-engine prep
+    _, warm_s = timed_pedantic(benchmark, run, rounds=5, iterations=1, warmup_rounds=1)
+    payload = {
+        "q": 7,
+        "m": 200,
+        "cold_seconds": round(cold_s, 4),
+        "warm_seconds": round(warm_s, 4),
+        "cold_over_warm": round(cold_s / warm_s, 2),
+    }
+    record(benchmark, **payload)
+    persist(BENCH_JSON, "cold-vs-warm", payload)

@@ -10,7 +10,10 @@ fast engine at m >= 10^6 flits per tree, the edge-disjoint points (whose
 fill and drain the contention-free wavefront jump leaps) step <= 100
 cycles, the floor-of-2 embeddings step <= 50 cycles at m=8000, and a
 ``sample_every=8`` collector costs those runs at most 1.5x their
-unobserved wall time.
+unobserved wall time.  A last case times the ring confirmation of one
+steady state under a transient-fault storm at q=7 (every fault window is
+a leap barrier followed by re-detection, so confirmation cost
+dominates), and requires the storm run to equal the fast engine's.
 
 Each case's reproduced numbers land in ``benchmark.extra_info`` (for the
 pytest-benchmark JSON) *and* are persisted to ``BENCH_leap.json`` at the
@@ -24,7 +27,13 @@ import pytest
 from conftest import persist, record, timed_pedantic
 
 from repro.core import build_plan
-from repro.simulator import make_engine, simulate_allreduce
+from repro.simulator import (
+    FaultSchedule,
+    LeapCycleSimulator,
+    make_engine,
+    simulate_allreduce,
+)
+from repro.simulator.leap import SteadyRings
 from repro.telemetry import Collector
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_leap.json"
@@ -234,3 +243,108 @@ def test_leap_cliff_low_depth(benchmark):
             f"a collector costs the q={q} leap run {overhead:.2f}x "
             f"(bound {COLLECTOR_OVERHEAD_MAX}x)"
         )
+
+
+def _used_links(plan):
+    links = set()
+    for t in plan.trees:
+        links |= t.edges
+    return sorted(links)
+
+
+def _transient_storm(plan, windows=40):
+    """Periodic transient fault windows: every window is a leap barrier
+    followed by re-detection, so confirmation cost dominates the run."""
+    links = _used_links(plan)
+    events = []
+    for i in range(windows):
+        down = 100 + i * 120
+        events.append((links[i % 4], down, down + 20))
+    return FaultSchedule(events)
+
+
+def test_leap_verification_windows(benchmark):
+    """The cost of confirming one steady state.  The ring detector
+    confirms retrospectively from snapshots it already took, with zero
+    extra stepped cycles — its whole confirmation cost is the in-ring
+    confirm attempts.  A transient-fault storm makes re-detection the
+    dominant cost, which is exactly where batching can't help: each
+    window is serial.
+
+    A successful confirmation ends with the jump-bound computation
+    (``_completion_bound`` + ``_license_bounds``); that stage is timed
+    separately and excluded — the window is the cost of gathering the
+    evidence, not of licensing the jump."""
+    plan = build_plan(7, "low-depth")
+    parts = plan.partition(20_000)
+    faults = _transient_storm(plan)
+
+    license_t = {"seconds": 0.0}
+    orig_license = LeapCycleSimulator._license_bounds
+    orig_completion = LeapCycleSimulator._completion_bound
+
+    def timed_license(self, *a, **kw):
+        t0 = time.perf_counter()
+        out = orig_license(self, *a, **kw)
+        license_t["seconds"] += time.perf_counter() - t0
+        return out
+
+    def timed_completion(self, *a, **kw):
+        t0 = time.perf_counter()
+        out = orig_completion(self, *a, **kw)
+        license_t["seconds"] += time.perf_counter() - t0
+        return out
+
+    # time every in-ring confirm attempt: that IS the detector's
+    # confirmation cost (observe() snapshots are taken on every stepped
+    # cycle regardless of whether a candidate is in flight)
+    confirm = {"seconds": 0.0, "attempts": 0}
+    orig_confirm = SteadyRings._confirm
+
+    def timed_confirm(self, sim, period):
+        t0 = time.perf_counter()
+        out = orig_confirm(self, sim, period)
+        confirm["seconds"] += time.perf_counter() - t0
+        confirm["attempts"] += 1
+        return out
+
+    def run():
+        sim = make_engine(
+            "leap", plan.topology, plan.trees, parts, faults=faults,
+        )
+        return sim, sim.run()
+
+    LeapCycleSimulator._license_bounds = timed_license
+    LeapCycleSimulator._completion_bound = timed_completion
+    SteadyRings._confirm = timed_confirm
+    try:
+        (ring_sim, ring_stats), ring_s = timed_pedantic(
+            benchmark, run, rounds=3, iterations=1, warmup_rounds=1
+        )
+    finally:
+        LeapCycleSimulator._license_bounds = orig_license
+        LeapCycleSimulator._completion_bound = orig_completion
+        SteadyRings._confirm = orig_confirm
+    rounds_timed = 4  # pedantic rounds + warmup all hit the wrapper
+
+    fast_stats = simulate_allreduce(
+        plan.topology, plan.trees, parts, faults=faults, engine="fast"
+    )
+    assert ring_stats == fast_stats
+    leaps = len(ring_sim.leap_log)
+    assert leaps > 0
+    ring_window_s = (confirm["seconds"] - license_t["seconds"]) / rounds_timed
+    payload = {
+        "q": 7,
+        "scheme": "low-depth",
+        "m": 20_000,
+        "fault_windows": 40,
+        "cycles": ring_stats.cycles,
+        "steady_states_confirmed": leaps,
+        "ring_stepped_cycles": ring_sim.stepped_cycles,
+        "ring_window_us_per_leap": round(1e6 * ring_window_s / leaps, 1),
+        "ring_confirm_attempts": confirm["attempts"] // rounds_timed,
+        "ring_run_seconds": round(ring_s, 4),
+    }
+    record(benchmark, **payload)
+    persist(BENCH_JSON, "leap-verification-q7", payload)

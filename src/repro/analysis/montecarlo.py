@@ -29,6 +29,7 @@ from repro.core import get_plan
 from repro.simulator import SimulationStalled, make_engine
 from repro.simulator.batched import BatchedCycleSimulator, LaneSpec
 from repro.simulator.faultsched import FaultSchedule
+from repro.utils.errors import nonnegative, whole
 
 __all__ = ["MonteCarloResult", "fault_monte_carlo", "render_monte_carlo"]
 
@@ -98,6 +99,14 @@ def _sample_schedules(
     return schedules
 
 
+def _window(name: str, window: Tuple[int, int]) -> Tuple[int, int]:
+    """A cycle window ``(lo, hi)`` as whole ints, ``lo <= hi``."""
+    lo, hi = (whole(f"{name}[{i}]", x) for i, x in enumerate(window))
+    if lo > hi:
+        raise ValueError(f"{name} must have lo <= hi; got ({lo}, {hi})")
+    return lo, hi
+
+
 def fault_monte_carlo(
     q: int,
     scheme: str = "low-depth",
@@ -125,10 +134,18 @@ def fault_monte_carlo(
         raise ValueError(
             f"fault_monte_carlo evaluates on 'batched' or 'fast', got {engine!r}"
         )
+    k, chunk = whole("k", k), whole("chunk", chunk)
+    num_faults, seed = whole("num_faults", num_faults), nonnegative("seed", seed)
     if k < 1:
         raise ValueError("k must be >= 1 samples")
     if chunk < 1:
         raise ValueError("chunk must be >= 1 lanes")
+    if not 0 <= transient_fraction <= 1:
+        raise ValueError(
+            f"transient_fraction must be in [0, 1]; got {transient_fraction!r}"
+        )
+    down_window = _window("down_window", down_window)
+    outage_window = _window("outage_window", outage_window)
     plan = get_plan(q, scheme)
     links = used_links(plan)
     if num_faults < 1 or num_faults > len(links):

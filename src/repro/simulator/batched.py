@@ -1,4 +1,4 @@
-"""Batched lane evaluator — B independent runs in one ``(B, 4, T, n)`` state.
+"""Batched lane evaluator — B independent runs in one ``(F, B)`` state.
 
 Sweep grids and fault Monte Carlo simulate the *same* topology and tree
 plan thousands of times, varying only the scalar knobs (message split,
@@ -7,17 +7,17 @@ one :class:`~repro.simulator.fastcycle.FastCycleSimulator` at a time pays
 the full per-cycle Python/NumPy dispatch overhead B times; this engine
 stacks the lanes along a batch axis and advances *all* of them per cycle:
 
-- the fast engine's flat ``(4, T, n)`` state tensor grows a lane axis;
-  every per-flow gather/scatter reads the same
+- the fast engine's state — per-flow ``sent`` counters and the grants
+  in flight — grows a lane axis; every per-flow gather reads the same
   :class:`~repro.simulator.engine_layout.EngineLayout` the serial
   engines build, so flow order — and therefore the round-robin visit
-  sequence — is identical by construction.  The lane
-  axis is stored **last** (``(4*T*n, B)``, flow-major), so those
-  gathers/scatters move whole contiguous lane-rows instead of strided
-  elements — the step is memory-bound and this is worth ~5x;
-- landing and budgets (availability minus credit debt, from the
-  start-of-cycle snapshot) are the fast engine's
-  :func:`~repro.simulator.fastcycle.land_and_budget` over the lane axis;
+  sequence — is identical by construction.  The lane axis is stored
+  **last** (``(F, B)``, flow-major), so those gathers move whole
+  contiguous lane-rows instead of strided elements — the step is
+  memory-bound and this is worth ~5x;
+- budgets (availability minus credit debt, from the start-of-cycle
+  ``sent``) are the fast engine's
+  :func:`~repro.simulator.fastcycle.flow_budgets` over the lane axis;
   lanes without credit flow control ride along with an
   effectively-infinite buffer sentinel;
 - arbitration is the fast engine's closed forms with a lane axis: an
@@ -29,8 +29,9 @@ stacks the lanes along a batch axis and advances *all* of them per cycle:
   finishes;
 - per-lane :class:`~repro.simulator.faultsched.FaultSchedule` masks are
   rebuilt lazily, only at lanes whose schedule changes at this cycle;
-- per-lane completion (the landed broadcast floor, as in the fast
-  engine) / stall / max-cycles detection freezes finished lanes, and
+- per-lane completion (the fast engine's
+  :func:`~repro.simulator.fastcycle.trees_done`) / stall / max-cycles
+  detection freezes finished lanes, and
   :meth:`run_batch` periodically *compacts* the batch down to the
   still-live columns, so total work tracks the sum of per-lane run
   lengths instead of ``B x max(run length)``.
@@ -69,23 +70,21 @@ from repro.simulator.cycle import (
     check_engine_args,
     default_max_cycles,
 )
-from repro.simulator.engine_layout import AGG as _AGG
-from repro.simulator.engine_layout import BCD as _BCD
 from repro.simulator.engine_layout import EngineLayout
 from repro.simulator.fastcycle import (
-    land_and_budget,
-    refresh_agg,
+    flow_budgets,
     round_robin,
+    trees_done,
     water_fill,
 )
 from repro.simulator.faultsched import FaultSchedule
 from repro.topology.graph import Graph
 from repro.trees.tree import SpanningTree
+from repro.utils.errors import nonnegative
 
 __all__ = ["LaneSpec", "LaneOutcome", "BatchedCycleSimulator", "int32_headroom"]
 
 _BUF_INF = 1 << 30  # per-lane buffer sentinel: credit can never bind
-_INF = 1 << 30  # root pin: above every flit count the int32 headroom admits
 _NO_EVENT = 1 << 62  # per-lane fault sentinel: no schedule change ahead
 _M_MAX = 1 << 27  # int32 headroom guard on per-tree flit counts
 
@@ -237,14 +236,9 @@ class BatchedCycleSimulator:
         )
         self._any_buffered = bool((self._buf != _BUF_INF).any())
 
-        # ---- batched state, flow-major: (4, T, n, B) with a (4*T*n, B)
-        # flat view addressed by the fast engine's flat indices on axis 0
-        self._state = np.zeros((4, T, self.n, B), dtype=np.int32)
-        self._flat2 = self._state.reshape(-1, B)
-        if T:
-            self._state[_AGG] = self._m_arr[:, None, :]
-            self._state[_BCD, np.arange(T), lay.roots, :] = _INF
+        # ---- batched state, flow-major: flits sent and flits in flight
         self._sent = np.zeros((F, B), dtype=np.int32)
+        self._grant = np.zeros((F, B), dtype=bool)
         # pointer bits: every channel's pointer starts at slot 0
         self._ptr = np.repeat((lay.flow_slot == 0)[:, None], B, axis=1)
         self._last_moved = np.zeros(B, dtype=np.int64)
@@ -262,14 +256,12 @@ class BatchedCycleSimulator:
                     cycles = sched.event_cycles()
                     self._next_change[b] = cycles[0] if cycles else _NO_EVENT
 
-        refresh_agg(lay, self._flat2)
-
     # ------------------------------------------------------------ frontiers
 
     def done_mask(self) -> np.ndarray:
         """(T, B) — which trees of which lanes are complete (landed flits
-        only): the fast engine's landed broadcast floor, per lane."""
-        return self._state[_BCD].min(axis=1) >= self._m_arr
+        only): the fast engine's :func:`trees_done`, per lane."""
+        return trees_done(self._sent, self._grant, self._m_arr)
 
     # ------------------------------------------------------------- dynamics
 
@@ -294,8 +286,8 @@ class BatchedCycleSimulator:
         if self._F == 0:
             return 0
         lay = self._lay
-        budget = land_and_budget(
-            lay, self._flat2, self._sent, self._buf if self._any_buffered else None
+        budget = flow_budgets(
+            lay, self._sent, self._m_arr, self._buf if self._any_buffered else None
         )
         if self._dead_mask is not None:
             budget[self._dead_mask] = 0  # dead flows arbitrate with 0 budget
@@ -304,13 +296,15 @@ class BatchedCycleSimulator:
             # counters and channel totals hold still
             budget[:, ~self._alive] = 0
 
-        # arbitrate: grants per flow and lane, landing at the next boundary
+        # arbitrate: grants per flow and lane, in flight until the next
+        # boundary
         if self._cap1:
             grant, self._ptr = round_robin(lay, budget > 0, self._ptr)
             moved = np.count_nonzero(grant, axis=0)
         else:
             grant, self._ptr = water_fill(lay, budget, self._cap, self._ptr)
             moved = grant.sum(axis=0)
+        self._grant = grant
         self._sent += grant
         self._last_moved = moved
         return int(moved.sum())
@@ -330,10 +324,9 @@ class BatchedCycleSimulator:
         ``0..len(keep)-1`` (``_orig`` keeps the map back to original lane
         indices), so the per-cycle cost tracks the *live* lane count."""
         self._orig = self._orig[keep]
-        B = self._B = len(keep)
-        self._state = np.ascontiguousarray(self._state[..., keep])
-        self._flat2 = self._state.reshape(-1, B)
+        self._B = len(keep)
         self._sent = np.ascontiguousarray(self._sent[:, keep])
+        self._grant = np.ascontiguousarray(self._grant[:, keep])
         self._ptr = np.ascontiguousarray(self._ptr[:, keep])
         self._last_moved = self._last_moved[keep].copy()
         self._alive = self._alive[keep].copy()
@@ -362,7 +355,7 @@ class BatchedCycleSimulator:
             lane.link_capacity,
             self._sent[:, b].sum(),
             lane.buffer_size,
-            self.lane_channel_flits(b),
+            self.lane_channel_flits(b).tolist(),
         )
         return LaneOutcome(index=int(self._orig[b]), stats=stats)
 
@@ -392,7 +385,7 @@ class BatchedCycleSimulator:
                 dtype=np.int64,
             )
         else:
-            maxc = np.full(B, int(max_cycles), dtype=np.int64)
+            maxc = np.full(B, nonnegative("max_cycles", max_cycles), dtype=np.int64)
         outcomes: List[Optional[LaneOutcome]] = [None] * B
         completion = np.zeros((T, B), dtype=np.int64)
         done = self.done_mask()

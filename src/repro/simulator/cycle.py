@@ -46,6 +46,7 @@ counters and per-channel round-robin pointers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -54,7 +55,7 @@ import numpy as np
 from repro.simulator.faultsched import FaultSchedule
 from repro.topology.graph import Graph, canonical_edge
 from repro.trees.tree import SpanningTree
-from repro.utils.errors import whole
+from repro.utils.errors import nonnegative, whole
 
 __all__ = [
     "FlowKind",
@@ -75,7 +76,7 @@ FlowKind = str
 # consumer-spec modes (per-flow credit bookkeeping, hoisted in __init__)
 _CONS_MIN_SENT = 0  # min over the receiver's re-broadcast 'sent' counters
 _CONS_SENT = 1      # the receiver's own up-flow 'sent'
-_CONS_BCD = 2       # broadcast into a leaf: delivered-at-dst counter
+_CONS_DELIVERED = 2  # broadcast into a leaf: delivered-at-dst counter
 _CONS_CONST = 3     # root of a single-node tree: always m_i
 
 
@@ -275,7 +276,8 @@ class EngineRun:
     fast-forward advances it directly: no completion, stall or guard
     event can fall inside either.  ``max_cycles=None`` takes
     :func:`default_max_cycles`; the fabric passes ``math.inf`` because it
-    guards its global clock instead.
+    guards its global clock instead.  Any other budget must be a
+    non-negative integer (a named ``TypeError`` / ``ValueError``).
 
     The engine provides ``done_mask()`` (per-tree completion as a bool
     array, landed flits only), ``telemetry``, ``faults`` and the fields
@@ -287,6 +289,8 @@ class EngineRun:
             max_cycles = default_max_cycles(
                 sim.trees, sim.m, sim.capacity, sim.buffer_size, sim.faults
             )
+        elif max_cycles != math.inf:
+            max_cycles = nonnegative("max_cycles", max_cycles)
         self.sim = sim
         self.max_cycles = max_cycles
         self.cycle = 0
@@ -451,7 +455,7 @@ class CycleSimulator:
                 else:
                     fl.cons = (_CONS_SENT, self._up_flow_of[(ti, dst)])
             elif not kids_bc:  # broadcast into a leaf
-                fl.cons = (_CONS_BCD, dst)
+                fl.cons = (_CONS_DELIVERED, dst)
             else:
                 fl.cons = (_CONS_MIN_SENT, tuple(kids_bc))
 
@@ -501,7 +505,7 @@ class CycleSimulator:
             return min(snap[f] for f in payload)
         if mode == _CONS_SENT:
             return self._sent_snap[payload]
-        if mode == _CONS_BCD:
+        if mode == _CONS_DELIVERED:
             return self.bc_delivered[flow.tree][payload]
         return payload  # _CONS_CONST: m_i
 
@@ -515,7 +519,7 @@ class CycleSimulator:
             return min(flows[f].sent for f in payload)
         if mode == _CONS_SENT:
             return self.flows[payload].sent
-        if mode == _CONS_BCD:
+        if mode == _CONS_DELIVERED:
             return self.bc_delivered[flow.tree][payload]
         return payload  # _CONS_CONST: m_i
 

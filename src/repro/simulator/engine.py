@@ -9,7 +9,7 @@ pipelined Allreduce simulation exist:
   other engines are differential-tested against);
 - ``"fast"`` — :class:`repro.simulator.fastcycle.FastCycleSimulator`, a
   NumPy-vectorized engine that advances all channels per cycle with one
-  fused step (land, budgets, arbitrate, send);
+  fused step (budgets, arbitrate, send) over per-flow ``sent`` counters;
 - ``"leap"`` — :class:`repro.simulator.leap.LeapCycleSimulator`, the
   cycle-leaping engine: steps with the fast engine's fused step, confirms
   the steady-state period of the pipeline from ring buffers, and jumps
@@ -25,10 +25,11 @@ and :class:`~repro.simulator.cycle.CycleStats` on every workload
 telemetry hooks, so they are engine-agnostic.
 
 Many runs over one plan go through the lane evaluator instead,
-:meth:`repro.simulator.batched.BatchedCycleSimulator.run_batch`: B runs in
-one ``(B, 4, T, n)`` state tensor, each lane bit-identical to
-``"fast"``.  It is not a :class:`CycleEngine` (no single-run surface, no
-telemetry) and not in :data:`ENGINES`.
+:meth:`repro.simulator.batched.BatchedCycleSimulator.run_batch`: B runs
+whose per-flow ``sent`` counters and grants share one ``(F, B)`` array
+each, every lane bit-identical to ``"fast"``.  It is not a
+:class:`CycleEngine` (no single-run surface, no telemetry) and not in
+:data:`ENGINES`.
 
 Engines only step.  Every ``run`` — which the tracer observes — and each
 tenant of the multi-tenant fabric book their cycles through one

@@ -1,8 +1,11 @@
 """Index layout of the vectorized cycle engines, built with array operations.
 
-The fast, leap and batched engines step one flat ``(4, T, n)`` state
-tensor (planes :data:`AGG`, :data:`BCD`, :data:`BCM`, :data:`UPD`) through
-precomputed flat indices.
+The fast, leap and batched engines keep one counter per flow, ``sent``
+(plus the flits granted last cycle, still in flight), and derive every
+other frontier from it through flow-space gathers: a flow's availability
+is ``concat(sent, agg, m)[avail_src]`` with ``agg`` the streaming
+aggregation mins, and its receiver's consumed counter is
+``concat(sent, bcm)[cons_idx]`` with ``bcm`` the broadcast mins.
 :class:`EngineLayout` holds every one of those index maps for one
 ``(graph, trees)`` embedding; :meth:`EngineLayout.build` derives them from
 the trees' parent arrays with sorts, scatters and gathers — no per-flow
@@ -25,13 +28,15 @@ creates its flows in, and it fixes everything the round robin observes:
 
 ``tests/test_engine_layout.py`` pins both against the reference engine on
 shuffled parent dicts and repeated trees.  Every tree spans the graph, so
-each owns ``2(n - 1)`` consecutive flow ids.
+each owns ``2(n - 1)`` consecutive flow ids, ``n - 1`` of them broadcasts
+(the odd ones).
 
 The streaming-aggregation groups are the internal ``(tree, node)`` pairs,
 tree-major and node-ascending, each listing its children in ascending
 order (the order of :meth:`SpanningTree.children`); one
-``np.minimum.reduceat`` over ``child_up_idx`` at ``grp_off`` computes every
-aggregation frontier.
+``np.minimum.reduceat`` over ``sent[child_up_fid]`` at ``grp_off``
+computes every aggregation frontier, and the same reduction over
+``sent[child_bcfid]`` every broadcast min.
 """
 
 from __future__ import annotations
@@ -45,12 +50,6 @@ import numpy as np
 from repro.trees.tree import SpanningTree
 
 __all__ = ["EngineLayout"]
-
-# planes of the flat state tensor (each of shape (num_trees, n))
-AGG = 0  # flits fully aggregated at a node (leaves pinned at m_i)
-BCD = 1  # broadcast flits fully arrived at a node (roots pinned at _INF)
-BCM = 2  # min over a node's outgoing broadcast 'sent' counters
-UPD = 3  # flits from a node fully arrived at its parent
 
 
 @lru_cache(maxsize=4)
@@ -67,9 +66,10 @@ def _channel_tuples(src: bytes, dst: bytes) -> List[Tuple[int, int]]:
 class EngineLayout:
     """Every index map the vectorized engines read, for one embedding.
 
-    Flat indices address the ``(4, T, n)`` state tensor as
-    ``plane * T * n + tree * n + node``.  All arrays are int64 (bool for
-    masks) and treated as read-only by the engines.
+    Indices address flow-space vectors: ``sent`` ((F,) or (F, L)) and its
+    concatenation with one entry per aggregation group and per tree.  All
+    arrays are int64 (bool for masks) and treated as read-only by the
+    engines.
     """
 
     n: int
@@ -82,24 +82,22 @@ class EngineLayout:
     flow_is_reduce: np.ndarray
     #: undirected link of each flow as ``lo * n + hi``
     flow_edge_key: np.ndarray
-    #: where the flow's next flit becomes available at its source
-    avail_idx: np.ndarray
-    #: where a landed flit of the flow is recorded
-    land_idx: np.ndarray
+    #: availability of the flow's next flit at its source, as an index
+    #: into ``concat(sent, agg, m)`` (see :meth:`available`)
+    avail_src: np.ndarray
     #: credit consumption: the receiver's consumed counter of each flow
-    #: as an index into ``concat(sent, bcm, bcd)`` (see :meth:`consumed`)
+    #: as an index into ``concat(sent, bcm)`` (see :meth:`consumed`)
     cons_idx: np.ndarray
-    #: aggregation group whose min is the flow's availability (-1: none)
-    avail_grp: np.ndarray
-    # ---- streaming-aggregation groups, shape (G,) / (G,) / (G,)
-    grp_agg_idx: np.ndarray
-    grp_bcm_idx: np.ndarray
+    #: broadcast flows into a leaf, consumed as they land
+    bc_into_leaf: np.ndarray
+    # ---- streaming-aggregation groups: each one's first child, shape (G,)
     grp_off: np.ndarray
-    # ... and their children, concatenated in group order
-    child_up_idx: np.ndarray
+    # ... and their children's reduce and broadcast flows, concatenated
+    # in group order
+    child_up_fid: np.ndarray
     child_bcfid: np.ndarray
-    #: aggregation frontier of each tree's root, shape (T,)
-    agg_root_idx: np.ndarray
+    #: group of each tree's root, shape (T,) (-1 on a one-node graph)
+    root_grp: np.ndarray
     # ---- channels, in order of first appearance, shape (C,)
     ch_src: np.ndarray
     ch_dst: np.ndarray
@@ -145,17 +143,29 @@ class EngineLayout:
         padded = np.concatenate((per_flow, zero))
         return padded[self.slot_fid].sum(axis=0, dtype=np.int64)
 
-    def consumed(
-        self, sent: np.ndarray, bcm: np.ndarray, flat: np.ndarray
+    def group_mins(self, per_flow: np.ndarray, members: np.ndarray) -> np.ndarray:
+        """Min of ``per_flow`` over each aggregation group's ``members``
+        (``child_up_fid`` or ``child_bcfid``): (G,) or (G, L)."""
+        return np.minimum.reduceat(per_flow[members], self.grp_off)
+
+    def available(
+        self, sent: np.ndarray, agg: np.ndarray, m: np.ndarray
     ) -> np.ndarray:
+        """Each flow's availability at its source (or its rate, given
+        rates): the aggregation min ``agg`` ((G,)) of its source's group
+        for a reduce flow out of an internal node and a broadcast out of
+        the root, ``m`` ((T,), the tree's flit count) for a reduce flow
+        out of a leaf, and the ``sent`` of the broadcast into its source
+        for any other broadcast.  A trailing lane axis carries through."""
+        return np.concatenate((sent, agg, m))[self.avail_src]
+
+    def consumed(self, sent: np.ndarray, bcm: np.ndarray) -> np.ndarray:
         """Each flow's consumed counter (or its rate, given rates): the
         ``sent`` of the flow its receiver forwards, the broadcast-min
         ``bcm`` ((G,), one per aggregation group) of its receiver's group,
-        or its receiver's broadcast-delivered counter in the ``flat``
-        state.  A trailing lane axis on all three carries through."""
-        plane = self.num_trees * self.n
-        bcd = flat[BCD * plane : (BCD + 1) * plane]
-        return np.concatenate((sent, bcm, bcd))[self.cons_idx]
+        or, for a broadcast into a leaf, its own ``sent``.  A trailing
+        lane axis carries through."""
+        return np.concatenate((sent, bcm))[self.cons_idx]
 
     def pointers(self, ptr: np.ndarray) -> np.ndarray:
         """Round-robin pointer (a slot) of every channel, (C,) or (C, L),
@@ -183,7 +193,6 @@ class EngineLayout:
     def build(cls, n: int, trees: Sequence[SpanningTree]) -> "EngineLayout":
         """Derive the layout of ``trees`` embedded in an ``n``-node graph."""
         T = len(trees)
-        plane = T * n
         roots = np.asarray([t.root for t in trees], dtype=np.int64)
         counts = [len(t.parent) for t in trees]
         E = sum(counts)
@@ -210,23 +219,6 @@ class EngineLayout:
             flow_src, flow_dst
         )
 
-        def fidx(p, ti, v) -> np.ndarray:
-            return p * plane + ti * n + v
-
-        # availability of a flow's next flit at its source:
-        #   reduce flow         -> aggregation frontier at src
-        #   broadcast from root -> aggregation frontier at the root
-        #   broadcast interior  -> broadcast-delivered frontier at src
-        src_is_agg = flow_is_reduce | (flow_src == roots[flow_tree])
-        avail_idx = fidx(np.where(src_is_agg, AGG, BCD), flow_tree, flow_src)
-        # a landed flit is recorded as up-delivered at src (reduce) or
-        # broadcast-delivered at dst (broadcast)
-        land_idx = np.where(
-            flow_is_reduce,
-            fidx(UPD, flow_tree, flow_src),
-            fidx(BCD, flow_tree, flow_dst),
-        )
-
         # ---- aggregation groups: edges sorted by (tree, parent, child);
         # each run of one (tree, parent) is a group
         order = np.lexsort((child, par, etree))
@@ -234,30 +226,41 @@ class EngineLayout:
         first = np.ones(E, dtype=bool)
         first[1:] = (s_tree[1:] != s_tree[:-1]) | (s_par[1:] != s_par[:-1])
         grp_off = np.flatnonzero(first)
-        g_tree, g_node = s_tree[first], s_par[first]
-        grp_agg_idx = fidx(AGG, g_tree, g_node)
-        child_up_idx = fidx(UPD, s_tree, child[order])
-        child_bcfid = 2 * order + 1
+        G = len(grp_off)
         # per-(tree, node) maps: group id (-1 for leaves), reduce fid
         grp_of = np.full((T, n), -1, dtype=np.int64)
-        grp_of[g_tree, g_node] = np.arange(len(grp_off), dtype=np.int64)
+        grp_of[s_tree[first], s_par[first]] = np.arange(G, dtype=np.int64)
         up_fid = np.zeros((T, n), dtype=np.int64)
         up_fid[etree, child] = np.arange(0, F, 2, dtype=np.int64)
 
-        # ---- consumption counter per flow (credit bookkeeping):
+        # ---- availability of a flow's next flit at its source, in
+        # concat(sent, agg, m):
+        #   reduce out of a leaf    -> the tree's m_i
+        #   reduce out of interior  -> aggregation min at src
+        #   broadcast out of root   -> aggregation min at the root
+        #   broadcast out of inner  -> 'sent' of the broadcast into src
+        src_grp = grp_of[flow_tree, flow_src]
+        src_is_agg = flow_is_reduce | (flow_src == roots[flow_tree])
+        avail_src = np.where(
+            src_is_agg,
+            np.where(src_grp >= 0, F + src_grp, F + G + flow_tree),
+            up_fid[flow_tree, flow_src] + 1,
+        )
+
+        # ---- consumption counter per flow (credit bookkeeping), in
+        # concat(sent, bcm):
         #   reduce into the root    -> min over the root's broadcast 'sent'
         #   reduce into an interior -> that node's own up-flow 'sent'
-        #   broadcast into a leaf   -> broadcast-delivered at the leaf
+        #   broadcast into a leaf   -> its own 'sent' (landed on arrival)
         #   broadcast into interior -> min over its broadcast 'sent'
         dst_grp = grp_of[flow_tree, flow_dst]
         cons_from_sent = flow_is_reduce & (flow_dst != roots[flow_tree])
-        bcd_at = len(grp_off) + flow_tree * n + flow_dst
         cons_idx = np.where(
             cons_from_sent,
             up_fid[flow_tree, flow_dst],
-            F + np.where(dst_grp >= 0, dst_grp, bcd_at),
+            np.where(dst_grp >= 0, F + dst_grp, np.arange(F, dtype=np.int64)),
         )
-        avail_grp = np.where(src_is_agg, grp_of[flow_tree, flow_src], -1)
+        bc_into_leaf = np.flatnonzero(~flow_is_reduce & (dst_grp < 0))
 
         # ---- channels ranked by first appearance along the fids; slots
         # by a stable sort, so each channel lists its flows in fid order
@@ -290,16 +293,13 @@ class EngineLayout:
             flow_dst=flow_dst,
             flow_is_reduce=flow_is_reduce,
             flow_edge_key=flow_edge_key,
-            avail_idx=avail_idx,
-            land_idx=land_idx,
+            avail_src=avail_src,
             cons_idx=cons_idx,
-            avail_grp=avail_grp,
-            grp_agg_idx=grp_agg_idx,
-            grp_bcm_idx=grp_agg_idx + (BCM - AGG) * plane,
+            bc_into_leaf=bc_into_leaf,
             grp_off=grp_off,
-            child_up_idx=child_up_idx,
-            child_bcfid=child_bcfid,
-            agg_root_idx=fidx(AGG, np.arange(T, dtype=np.int64), roots),
+            child_up_fid=2 * order,
+            child_bcfid=2 * order + 1,
+            root_grp=grp_of[np.arange(T), roots],
             ch_src=ch_key // n,
             ch_dst=ch_key % n,
             ch_k=ch_k,

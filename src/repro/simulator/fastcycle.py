@@ -4,36 +4,36 @@ The reference simulator (:mod:`repro.simulator.cycle`) walks per-flit
 Python dicts every cycle; this engine advances *all* directed channels per
 cycle with array operations and produces bit-identical results:
 
-- per-(tree, phase) flit frontiers (delivered reduction / broadcast
+- the whole state is one ``sent`` counter per flow, plus the flits
+  granted last cycle, which are in flight until the next cycle boundary
+  (so a flow's landed counter is ``sent - grant``).  Every per-(tree,
+  phase) frontier the reference keeps — delivered reduction / broadcast
   counters, the streaming-aggregation frontier, and the consumption
-  counters that back credits) live in one flat integer state tensor that
-  every per-cycle gather/scatter addresses through the flat indices of an
+  counters that back credits — is a flow-space gather of ``sent`` through
+  the index maps of an
   :class:`~repro.simulator.engine_layout.EngineLayout` (whose docstring
   states the flow-order contract the round robin depends on);
 - streaming aggregation is a single ``np.minimum.reduceat`` over the
-  concatenated children lists; credit counters are per-flow vectors
-  computed from the same start-of-cycle snapshot the reference uses, so
-  the two-cycle credit loop is reproduced exactly;
+  concatenated children lists; budgets and credits are computed from the
+  start-of-cycle ``sent``, when every flit sent before has landed, so the
+  two-cycle credit loop is reproduced exactly (:func:`flow_budgets`);
 - round-robin arbitration is replaced by closed forms over per-flow
   pointer bits: :func:`round_robin` at ``link_capacity == 1`` (the
   common case), and for larger capacities :func:`water_fill`, where
   ``T`` complete passes hand flow ``i`` exactly ``min(b_i, T)`` flits
   and the remaining ``R`` go to the first ``R`` flows with ``b_i > T``
-  in cyclic order.  The per-flow grants are the in-flight state: they
-  land one cycle later as an assignment of ``sent`` to each flow's own
-  landing cell (:func:`land_and_budget`, which also computes the
-  budgets), and channel totals are derived from ``sent``.  All three
-  functions take a trailing lane axis and are shared with the batched
-  lane evaluator.
+  in cyclic order.  The per-flow grants only advance ``sent``, and
+  channel totals are derived from ``sent``.  All three functions take a
+  trailing lane axis and are shared with the batched lane evaluator.
 
 Cycle-exactness (same per-channel per-cycle flit counts, same completion
 cycles, same round-robin pointer trajectory, same :class:`CycleStats`) is
 enforced by ``tests/test_fastcycle_equivalence.py``; the speedup is
 recorded by ``benchmarks/test_bench_fastcycle.py``.
 
-Every cycle is the same two phases — :meth:`begin_cycle` (land, budgets)
-and :meth:`finish_cycle` (arbitrate, send) — whether the engine runs
-solo, under telemetry, or gated by the multi-tenant fabric.
+Every cycle is the same two phases — :meth:`begin_cycle` (budgets) and
+:meth:`finish_cycle` (arbitrate, send) — whether the engine runs solo,
+under telemetry, or gated by the multi-tenant fabric.
 """
 
 from __future__ import annotations
@@ -43,8 +43,6 @@ from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.simulator.cycle import CycleStats, EngineRun, check_engine_args, gate_mask
-from repro.simulator.engine_layout import AGG as _AGG
-from repro.simulator.engine_layout import BCD as _BCD
 from repro.simulator.engine_layout import EngineLayout
 from repro.simulator.faultsched import FaultSchedule
 from repro.topology.graph import Graph
@@ -52,13 +50,11 @@ from repro.trees.tree import SpanningTree
 
 __all__ = [
     "FastCycleSimulator",
-    "land_and_budget",
-    "refresh_agg",
+    "flow_budgets",
     "round_robin",
+    "trees_done",
     "water_fill",
 ]
-
-_INF = 1 << 62  # root pin: above any flit count the int64 headroom check admits
 
 
 def round_robin(
@@ -160,38 +156,45 @@ def water_fill(
     return grant, np.where(R > 0, last[prev], ptr)
 
 
-def refresh_agg(lay: EngineLayout, flat: np.ndarray) -> None:
-    """Recompute every streaming-aggregation frontier of the flat state
-    ``flat`` ((4*T*n,) or (4*T*n, L)) from its up-delivered counters."""
-    if len(lay.grp_off):
-        flat[lay.grp_agg_idx] = np.minimum.reduceat(
-            flat[lay.child_up_idx], lay.grp_off
-        )
-
-
-def land_and_budget(
+def flow_budgets(
     lay: EngineLayout,
-    flat: np.ndarray,
     sent: np.ndarray,
+    m: np.ndarray,
     buffer: Optional[Union[int, np.ndarray]],
 ) -> np.ndarray:
-    """Phases 1–2 of a cycle, over the flat state ``flat`` and the
-    per-flow ``sent`` counters ((F,) or (F, L)): land last cycle's
-    in-flight flits, refresh the aggregation frontiers and return the
-    per-flow budgets of the start-of-cycle snapshot — availability less
-    ``sent``, capped by the credit ``buffer - (sent - consumed)`` unless
-    ``buffer`` (a scalar or one per lane) is ``None``."""
-    # one-cycle hop latency: each flow's landing cell is its own and
-    # trails its ``sent`` by exactly the flits in flight
-    flat[lay.land_idx] = sent
-    refresh_agg(lay, flat)
-    budget = flat[lay.avail_idx] - sent
+    """Phases 1–2 of a cycle: the per-flow budgets of the start-of-cycle
+    ``sent`` counters ((F,) or (F, L)), when last cycle's grants have
+    landed — availability less ``sent``, capped by the credit
+    ``buffer - (sent - consumed)`` unless ``buffer`` (a scalar or one per
+    lane) is ``None``.  ``m`` holds each tree's flit count, (T,) or
+    (T, L)."""
+    budget = lay.available(sent, lay.group_mins(sent, lay.child_up_fid), m)
+    budget -= sent
     if buffer is not None:
-        bcm = np.minimum.reduceat(sent[lay.child_bcfid], lay.grp_off)
-        flat[lay.grp_bcm_idx] = bcm
-        cons = lay.consumed(sent, bcm, flat)
-        np.minimum(budget, buffer - (sent - cons), out=budget)
+        # the credit, buffer - (sent - consumed), built in place
+        credit = lay.consumed(sent, lay.group_mins(sent, lay.child_bcfid))
+        credit -= sent
+        credit += buffer
+        np.minimum(budget, credit, out=budget)
     return budget
+
+
+def trees_done(sent: np.ndarray, grant: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Per-tree completion, shaped like ``m`` ((T,) or (T, L)), counting
+    only flits that have landed: every flow of the tree has sent ``m_i``
+    flits (no flow sends more) and none of them is still in flight in
+    ``grant``.  The broadcast flows alone decide it — a broadcast only
+    carries flits the root fully aggregated, so by the time every
+    broadcast flow has sent ``m_i``, every reduce flow has landed ``m_i``
+    — and each tree owns a contiguous block of flow ids, so the test
+    reads whole rows."""
+    if not sent.size:  # no flows: one-node trees hold every flit
+        return np.ones(m.shape, dtype=bool)
+    rows = (len(m), -1) + sent.shape[1:]
+    done = np.minimum.reduce(sent.reshape(rows), axis=1) >= m
+    if np.count_nonzero(done):
+        done &= ~np.logical_or.reduce(grant.reshape(rows), axis=1)
+    return done
 
 
 class FastCycleSimulator:
@@ -235,30 +238,19 @@ class FastCycleSimulator:
         F = self._F = lay.num_flows
         self._C = lay.num_channels
         self._m_arr = np.asarray(self.m, dtype=np.int64).reshape(T)
+        # ---- the state: flits sent per flow, and the flits granted last
+        # cycle, in flight until the next boundary (landed = sent - grant)
         self.sent = np.zeros(F, dtype=np.int64)
-
-        # ---- flat state tensor, addressed through the layout's indices
-        self._state = np.zeros((4, T, n), dtype=np.int64)
-        self._flat = self._state.reshape(-1)
-        if T:
-            # leaves of the aggregation frontier pin at m_i forever
-            self._state[_AGG] = self._m_arr[:, None]
-            # roots never receive broadcast traffic; pinning them at _INF
-            # keeps them out of the delivered-floor row-min
-            self._state[_BCD][np.arange(T), lay.roots] = _INF
-
-        # ---- arbitration state: one pointer bit per flow (the pointer
-        # of each channel starts at slot 0), and the flits granted last
-        # cycle (the leap engine's period signature reads them)
-        self._ptr = lay.flow_slot == 0
         self._grant = np.zeros(F, dtype=bool)
+        # arbitration: one pointer bit per flow (the pointer of each
+        # channel starts at slot 0)
+        self._ptr = lay.flow_slot == 0
 
         # dead-link set / budget mask of the current fault segment
         # (updated lazily: the set of down links only changes at schedule
         # event cycles)
         self._dead_now: FrozenSet[Tuple[int, int]] = frozenset()
         self._dead_mask: Optional[np.ndarray] = None
-        refresh_agg(lay, self._flat)
 
     # ------------------------------------------------------------- dynamics
 
@@ -277,9 +269,9 @@ class FastCycleSimulator:
     # ------------------------------------------------- two-phase stepping
 
     def begin_cycle(self) -> Optional[np.ndarray]:
-        """Phases 1–2 of one cycle: advance the clock, land last cycle's
-        in-flight flits, and compute the per-flow budget vector from the
-        start-of-cycle snapshot.
+        """Phases 1–2 of one cycle: advance the clock (last cycle's
+        in-flight flits land) and compute the per-flow budget vector from
+        the start-of-cycle ``sent``.
 
         Together with :meth:`finish_cycle` this is the two-phase stepping
         API the multi-tenant fabric (:mod:`repro.tenancy.fabric`) drives:
@@ -296,7 +288,7 @@ class FastCycleSimulator:
             self._refresh_fault_mask()
         if self._F == 0:
             return None
-        budget = land_and_budget(self._lay, self._flat, self.sent, self.buffer_size)
+        budget = flow_budgets(self._lay, self.sent, self._m_arr, self.buffer_size)
         if self._dead_mask is not None:
             # flows on down links arbitrate with zero budget; availability
             # and credit state keep evolving underneath
@@ -350,11 +342,9 @@ class FastCycleSimulator:
         return int(self.sent.sum())
 
     def done_mask(self) -> np.ndarray:
-        """Per-tree completion, counting only flits that have landed: the
-        landed broadcast floor has reached ``m_i``.  The floor alone
-        suffices — a node only receives broadcast flits the root fully
-        aggregated, and roots are pinned at ``_INF``."""
-        return self._state[_BCD].min(axis=1) >= self._m_arr
+        """Per-tree completion, counting only flits that have landed
+        (:func:`trees_done`)."""
+        return trees_done(self.sent, self._grant, self._m_arr)
 
     def channels(self) -> List[Tuple[int, int]]:
         return self._lay.channels()
@@ -368,40 +358,49 @@ class FastCycleSimulator:
         return self._lay.channel_totals(self.sent)
 
     def delivered_floor(self) -> List[int]:
-        """Per-tree fully-delivered (landed broadcast) flit floor — the
-        complete prefix a recovery need not redo (reference semantics)."""
-        if not self._T:
-            return []
-        floor = self._state[_BCD].min(axis=1)  # roots pinned at _INF
-        return [int(min(f, mi)) for f, mi in zip(floor, self._m_arr)]
+        """Per-tree fully-delivered flit floor: the min of its landed
+        broadcast counters, ``sent - grant`` — the complete prefix a
+        recovery need not redo (reference semantics; a one-node tree
+        holds all)."""
+        if not self._F:
+            return self._m_arr.tolist()
+        landed = (self.sent - self._grant)[1::2].reshape(self._T, -1)
+        return np.minimum(landed.min(axis=1), self._m_arr).tolist()
 
     def reduced_at_root(self) -> List[int]:
-        """Per-tree flits fully aggregated at the root (landed only)."""
-        if not self._T:
-            return []
-        agg = self._flat[self._lay.agg_root_idx]
-        return [int(min(a, mi)) for a, mi in zip(agg, self._m_arr)]
-
-    def _queues(self, flat: np.ndarray, sent: np.ndarray) -> np.ndarray:
-        """Per-router receiver-side queue occupancy of the state
-        ``(flat, sent)``: flits sent toward each router minus the
-        consumed counters of the post-step receiver-side view (reference
-        ``_consumed_now`` semantics, vectorized).  Broadcast-min groups
-        are computed into a local — never into the BCM plane, whose
-        step-time update pattern the leap licensing depends on."""
+        """Per-tree flits fully aggregated at the root: the min of its
+        children's landed reduce counters (a one-node tree holds all)."""
+        if not self._F:
+            return self._m_arr.tolist()
         lay = self._lay
-        if len(lay.grp_off):
-            bcm = np.minimum.reduceat(sent[lay.child_bcfid], lay.grp_off)
-        else:
-            bcm = np.zeros(0, dtype=np.int64)
+        landed = self.sent - self._grant
+        agg = lay.group_mins(landed, lay.child_up_fid)[lay.root_grp]
+        return np.minimum(agg, self._m_arr).tolist()
+
+    def _queues(
+        self, sent: np.ndarray, grant: np.ndarray, bcm: np.ndarray
+    ) -> np.ndarray:
+        """Per-router receiver-side queue occupancy after a step that
+        granted ``grant`` and left ``sent`` (whose broadcast mins are
+        ``bcm``): flits sent toward each router minus the consumed
+        counters of the post-step receiver-side view (reference
+        ``_consumed_now`` semantics, vectorized).  A broadcast into a leaf
+        is consumed as it lands, so only its ``grant`` is queued."""
+        lay = self._lay
+        queued = sent - lay.consumed(sent, bcm)
+        leaf = lay.bc_into_leaf
+        queued[leaf] = grant[leaf]
         out = np.zeros(self.n, dtype=np.int64)
-        np.add.at(out, lay.flow_dst, sent - lay.consumed(sent, bcm, flat))
+        np.add.at(out, lay.flow_dst, queued)
         return out
 
     def queue_occupancy(self) -> List[int]:
         """Per-router receiver-side queue occupancy (reference semantics,
         one bincount)."""
-        return self._queues(self._flat, self.sent).tolist()
+        if not self._F:
+            return [0] * self.n
+        bcm = self._lay.group_mins(self.sent, self._lay.child_bcfid)
+        return self._queues(self.sent, self._grant, bcm).tolist()
 
     def phase_flit_totals(self) -> Tuple[List[int], List[int]]:
         """Cumulative (reduce, broadcast) flit-hops per tree (flows are

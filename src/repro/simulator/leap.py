@@ -6,24 +6,25 @@ Both per-cycle engines (:class:`~repro.simulator.cycle.CycleSimulator` and
 size. But a round-robin water-filled pipeline is *eventually periodic*:
 once the pipeline fills, the per-cycle arbitration outcome and the
 per-flow advancement vector repeat with some small period ``P``, and every
-counter in the ``(4, T, n)`` state tensor advances by a fixed amount per
-period. Between discrete events — a flow draining, a credit regime
-boundary, a tree finishing — the simulator can therefore jump
+flow's ``sent`` counter — the engine's whole state, with the grants in
+flight — advances by a fixed amount per period. Between discrete events
+— a flow draining, a credit regime boundary, a tree finishing — the
+simulator can therefore jump
 ``Δ = k·P`` cycles in one vectorized update instead of stepping them.
 
 :class:`LeapCycleSimulator` does exactly that, in three phases:
 
 1. **detect** — after every single step it records the cycle's exact
    signature (the granted flow/count vectors plus the round-robin
-   pointers) and a full state snapshot into preallocated ring buffers
+   pointers) and its ``sent`` vector into preallocated ring buffers
    (:class:`SteadyRings`); a repeated signature hash flags a candidate
    period ``P``;
 2. **confirm** — entirely from the rings, with zero extra stepped
    cycles: the trailing period must reproduce the preceding one
-   bit-for-bit, and the state delta over both periods must agree — that
-   measured delta ``R`` is the per-period advancement vector.  The
+   bit-for-bit, and the ``sent`` delta over both periods must agree —
+   that measured delta ``R`` is the per-period advancement vector.  The
    per-flow budget components and streaming-aggregation/credit min-group
-   inputs the jump bound needs are reconstructed from the recorded rows;
+   inputs the jump bound needs are derived from the recorded rows;
 3. **leap** — the future repeats the recorded period for as long as every
    decision input keeps its *decision-relevant value*: arbitration reads
    budgets only through ``clamp(b, 0, capacity+1)`` (only sign matters at
@@ -32,7 +33,7 @@ boundary, a tree finishing — the simulator can therefore jump
    of leapt periods ``k``, as is "no tree completes mid-leap" (a tree
    cannot finish while any of its broadcast flows has ``sent < m_i``) and
    the ``max_cycles`` guard. The engine takes the minimum, applies
-   ``state += k·R`` in one shot, and resumes stepping — so on this path
+   ``sent += k·R`` in one shot, and resumes stepping — so on this path
    warm-up, drains, credit stalls and completions are *stepped* through,
    which is what keeps every observable cycle-exact.
 
@@ -42,9 +43,9 @@ every edge-disjoint plan), at capacity 1 with unbounded buffers, no fault
 schedule and no observer, nothing is ever arbitrated and every flow's
 ``sent`` counter has a closed form (derived in :func:`_wavefront_starts`).
 ``run()`` then jumps straight to the cycle before each tree completes,
-sets the whole state there in closed form, and steps that one cycle for
-real — so a deep tree's ``4·depth`` fill and drain cycles cost one or
-two stepped cycles, not ``4·depth``.  Every stepped cycle is checked
+sets ``sent`` and the grants in flight there in closed form, and steps
+that one cycle for real — so a deep tree's ``4·depth`` fill and drain
+cycles cost one or two stepped cycles, not ``4·depth``.  Every stepped cycle is checked
 against the closed form; a mismatch raises instead of continuing.
 
 ``step()`` remains an honest single-cycle step (the engine is a drop-in
@@ -69,7 +70,7 @@ import numpy as np
 
 from repro.simulator.cycle import CycleStats, EngineRun
 from repro.simulator.engine_layout import EngineLayout
-from repro.simulator.fastcycle import FastCycleSimulator, refresh_agg
+from repro.simulator.fastcycle import FastCycleSimulator
 from repro.simulator.faultsched import FaultSchedule
 from repro.topology.graph import Graph
 from repro.trees.tree import SpanningTree
@@ -97,8 +98,8 @@ def _wavefront_starts(lay: EngineLayout) -> np.ndarray:
     Derivation, by induction up and then down the tree.  Flits sent in
     cycle ``t`` land at the start of cycle ``t + 1``, and a flow's budget
     in cycle ``t`` is its availability minus its ``sent`` after ``t - 1``.
-    A leaf's aggregation frontier is pinned at ``m_i``, so its reduce
-    flow sends from cycle 1 (``height 0``).  An interior node's frontier
+    A leaf's reduce flow has all ``m_i`` flits available, so it sends
+    from cycle 1 (``height 0``).  An interior node's frontier
     in cycle ``t`` is the min over its children ``c`` of their landed
     counts, ``min_c clip(t - a_c, 0, m_i) = clip(t - max_c a_c, 0, m_i)``,
     so its reduce flow starts one cycle after its latest child:
@@ -146,16 +147,12 @@ def _wavefront_starts(lay: EngineLayout) -> np.ndarray:
 class _Steady:
     """A verified steady state: per-period delta + leap validity bounds."""
 
-    __slots__ = (
-        "period", "k_bound", "r_flat", "r_sent", "phase_chd", "phase_q",
-        "phase_dq",
-    )
+    __slots__ = ("period", "k_bound", "r_sent", "phase_chd", "phase_q", "phase_dq")
 
-    def __init__(self, period, k_bound, r_flat, r_sent, phase_chd,
-                 phase_q=None, phase_dq=None):
+    def __init__(self, period, k_bound, r_sent, phase_chd, phase_q=None,
+                 phase_dq=None):
         self.period = period
         self.k_bound = k_bound          # max whole periods leapable now
-        self.r_flat = r_flat            # per-period delta of the state tensor
         self.r_sent = r_sent            # per-period per-flow grants
         self.phase_chd = phase_chd      # (C, P) per-phase channel activity
         # telemetry reconstruction (built only with an observer attached):
@@ -214,32 +211,23 @@ class LeapCycleSimulator(FastCycleSimulator):
             g, trees, flits_per_tree, link_capacity, buffer_size, faults,
             telemetry=telemetry,
         )
-        # broadcast flows grouped (T, n-1): every spanning tree contributes
-        # exactly n-1 broadcast flows, created tree-major in __init__
-        n = self.n
-        if self._T and n > 1:
-            is_bc = np.ones(self._F, dtype=bool)
-            is_bc[0::2] = False  # flows alternate reduce/broadcast per edge
-            self._bc_fids = np.nonzero(is_bc)[0].reshape(self._T, n - 1)
-        else:
-            self._bc_fids = np.zeros((self._T, 0), dtype=np.int64)
         # ring memory budget: the rings hold two periods of rows, each
-        # charged at a state snapshot, two flow-sized rows, one
-        # channel-sized row and a word — so P_MAX-sized candidates can't
-        # over-allocate on large embeddings; the budget shrinks the
+        # charged at 4*T*n + 2F + C + 1 words — so P_MAX-sized candidates
+        # can't over-allocate on large embeddings; the budget shrinks the
         # detectable period instead (correctness is unaffected, only
         # detection reach), but never below 2: pipelined steady states
         # repeat with period 2, and a reach of 1 would never leap them.
-        # A row holds less (state, ``sent`` and the packed signature
-        # bits); the charge is kept as it is so that no plan's detectable
-        # period, and so none of its leaps, moves
-        row = 8 * (self._flat.size + 2 * self._F + self._C + 1)
+        # A row holds about a third of that (``sent`` and the packed
+        # signature bits); the charge is kept because it fixes each
+        # plan's detectable period, and with it every leap the engine
+        # takes
+        row = 8 * (4 * self._T * self.n + 2 * self._F + self._C + 1)
         self._p_max = min(self.P_MAX, max(2, self._VERIFY_BUDGET // (2 * row)))
         # member counts of the minimum.reduceat groups (flows map to their
-        # group through the layout's avail_grp / cons_idx), for principled
-        # forward-drift extrapolation of min-planes
+        # group through the layout's avail_src / cons_idx), for principled
+        # forward-drift extrapolation of the mins
         self._grp_sizes = np.diff(
-            np.append(self._lay.grp_off, len(self._lay.child_up_idx))
+            np.append(self._lay.grp_off, len(self._lay.child_up_fid))
         ).astype(np.int64)
         self.leap_log: List[Tuple[int, int, int]] = []
         self.stepped_cycles = 0
@@ -316,36 +304,38 @@ class LeapCycleSimulator(FastCycleSimulator):
         return int(out.min())
 
     def _min_group_terms(
-        self, vals: np.ndarray, rates: np.ndarray
-    ) -> Tuple[np.ndarray, int]:
-        """Per-group forward rate of every ``minimum.reduceat`` group, and
-        the max k for which those rates are licensed.
+        self, per_flow: np.ndarray, members: np.ndarray, rates: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, int]:
+        """The mins of ``per_flow`` over every aggregation group's
+        ``members`` (``child_up_fid`` or ``child_bcfid``), their forward
+        per-period rates, and the max k for which those rates are
+        licensed.
 
         Each group's min advances at ``rstar``, the slowest rate among its
         current argmin members, for as long as every faster-shrinking
         non-argmin member keeps ``gap + k*delta >= 0`` — i.e. while the
         argmin set is stable."""
-        if vals.size == 0:
-            return np.zeros(0, dtype=np.int64), _INF_K
         off = self._lay.grp_off
+        vals, rates = per_flow[members], rates[members]
         mins = np.minimum.reduceat(vals, off)
         gaps = vals - np.repeat(mins, self._grp_sizes)
         rstar = np.minimum.reduceat(np.where(gaps == 0, rates, _BIG), off)
         delta = rates - np.repeat(rstar, self._grp_sizes)
         neg = delta < 0
         if not neg.any():
-            return rstar, _INF_K
-        return rstar, int((gaps[neg] // -delta[neg]).min())
+            return mins, rstar, _INF_K
+        return mins, rstar, int((gaps[neg] // -delta[neg]).min())
 
     def _completion_bound(self, r_sent: np.ndarray) -> int:
         """Max k with no tree completing inside the leap: a tree cannot be
         done while one of its broadcast flows still has ``sent < m_i``
         (delivered <= sent), so keep one such flow per tree strictly below
         ``m_i``. Picks, per tree, the flow that allows the longest leap."""
-        if not self._T or self._bc_fids.shape[1] == 0:
+        if not self._F:
             return _INF_K
-        sent = self.sent[self._bc_fids]           # (T, n-1)
-        g = r_sent[self._bc_fids]
+        # each tree's n - 1 broadcast flows, the odd flow ids: (T, n-1)
+        sent = self.sent[1::2].reshape(self._T, -1)
+        g = r_sent[1::2].reshape(self._T, -1)
         headroom = (self._m_arr[:, None] - 1) - sent
         ok = headroom >= 0
         bound = np.where(ok & (g == 0), _INF_K, np.int64(-1))
@@ -358,53 +348,41 @@ class LeapCycleSimulator(FastCycleSimulator):
     def _license_bounds(
         self,
         k: int,
-        phases: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-        r_flat: np.ndarray,
+        phases: Sequence[Tuple[np.ndarray, np.ndarray]],
         r_sent: np.ndarray,
     ) -> Tuple[int, List[np.ndarray], List[np.ndarray]]:
         """Shrink ``k`` to the largest jump licensed by the period
-        preceding the leap, given per phase its ring rows ``(flat, sent
-        before, sent after)``: the step of that phase read the state its
-        ``flat`` row holds (arbitration never writes the tensor) and the
-        ``sent`` before it.
+        preceding the leap, given per phase its ring rows ``(sent before,
+        sent after)``: the step of that phase computed its budgets from
+        the ``sent`` before it, when every earlier flit had landed.
 
         Forward per-period rates of the raw counters are exact while the
-        grant pattern repeats; min-plane rates come from the argmin group
-        (per phase), not from boundary deltas, which argmin churn between
-        the two confirmed periods could silently corrupt.  With an
+        grant pattern repeats; the rates of the mins come from the argmin
+        group (per phase), not from boundary deltas, which argmin churn
+        between the two confirmed periods could silently corrupt.  With an
         observer attached each phase also yields its post-step queues and
         their drift (the telemetry reconstruction), which adds one
         argmin-stability bound on ``k``.  Phases are read only until
         ``k`` reaches 0."""
         lay = self._lay
-        child_rates = r_flat[lay.child_up_idx]
         buffered = self.buffer_size is not None
         tel_on = self.telemetry is not None
-        bc_rates = r_sent[lay.child_bcfid] if buffered or tel_on else None
+        no_drift = np.zeros(self._T, dtype=np.int64)  # leaves' m_i
         phase_q: List[np.ndarray] = []
         phase_dq: List[np.ndarray] = []
-        for flat, sent_pre, sent_post in phases:
+        for pre, post in phases:
             if k <= 0:
                 break
-            rstar_agg, gb = self._min_group_terms(flat[lay.child_up_idx], child_rates)
+            agg, rstar_agg, gb = self._min_group_terms(pre, lay.child_up_fid, r_sent)
             k = min(k, gb)
-            d_avail_src = np.where(
-                lay.avail_grp >= 0,
-                rstar_agg[np.maximum(lay.avail_grp, 0)]
-                if rstar_agg.size
-                else np.int64(0),
-                r_flat[lay.avail_idx],
-            )
-            avail = flat[lay.avail_idx] - sent_pre
-            k = min(k, self._regime_bound(avail, d_avail_src - r_sent))
+            avail = lay.available(pre, agg, self._m_arr) - pre
+            d_avail = lay.available(r_sent, rstar_agg, no_drift) - r_sent
+            k = min(k, self._regime_bound(avail, d_avail))
             if buffered:
-                rstar_bcm, bb = self._min_group_terms(
-                    sent_pre[lay.child_bcfid], bc_rates
-                )
+                bcm, rstar_bcm, bb = self._min_group_terms(pre, lay.child_bcfid, r_sent)
                 k = min(k, bb)
-                r_cons = lay.consumed(r_sent, rstar_bcm, r_flat)
-                cons = lay.consumed(sent_pre, flat[lay.grp_bcm_idx], flat)
-                credit = self.buffer_size + cons - sent_pre
+                credit = self.buffer_size + lay.consumed(pre, bcm) - pre
+                r_cons = lay.consumed(r_sent, rstar_bcm)
                 k = min(k, self._regime_bound(credit, r_cons - r_sent))
             if tel_on:
                 # license linear queue reconstruction inside the leap: the
@@ -412,14 +390,14 @@ class LeapCycleSimulator(FastCycleSimulator):
                 # stable rate too (one extra bound on k), and the queue
                 # drift is derived from those rates — never from boundary
                 # deltas, which argmin churn could corrupt
-                rstar_bcm_t, bb_t = self._min_group_terms(
-                    sent_post[lay.child_bcfid], bc_rates
+                bcm_t, rstar_bcm_t, bb_t = self._min_group_terms(
+                    post, lay.child_bcfid, r_sent
                 )
                 k = min(k, bb_t)
-                r_cons_t = lay.consumed(r_sent, rstar_bcm_t, r_flat)
+                r_cons_t = lay.consumed(r_sent, rstar_bcm_t)
                 dq = np.zeros(self.n, dtype=np.int64)
                 np.add.at(dq, lay.flow_dst, r_sent - r_cons_t)
-                phase_q.append(self._queues(flat, sent_post))
+                phase_q.append(self._queues(post, post - pre, bcm_t))
                 phase_dq.append(dq)
         return k, phase_q, phase_dq
 
@@ -446,12 +424,8 @@ class LeapCycleSimulator(FastCycleSimulator):
             # reconstruct in-leap samples while the state is still the
             # pre-leap base the reconstruction extrapolates from
             self.telemetry.on_leap(self, cycle, st, k)
-        self._flat += k * st.r_flat
+        # whole periods: the grants in flight are the period's last again
         self.sent += k * st.r_sent
-        # the AGG plane is min-derived, not a linear counter: rebuild it
-        # exactly from the leapt UPD counters (matches the post-step
-        # invariant AGG == min over children's UPD)
-        refresh_agg(self._lay, self._flat)
         # keep the engine's internal cycle counter (the fault clock that
         # step() consults via down_edges_at) in lockstep with the leap
         leapt = k * st.period
@@ -470,24 +444,17 @@ class LeapCycleSimulator(FastCycleSimulator):
 
     def _wave_jump(self, run: EngineRun) -> None:
         """Jump to the cycle before the next tree completion (never past
-        ``max_cycles``) and set the state there in closed form: ``sent``,
-        landed counters (``sent`` less this cycle's grants), the
-        aggregation plane and the flits granted this cycle as in flight.
-        Pointer bits stay set: a channel with one flow always points back
-        at it."""
+        ``max_cycles``) and set the state there in closed form: ``sent``
+        and the flits granted this cycle, in flight.  Pointer bits stay
+        set: a channel with one flow always points back at it."""
         nxt = int(self._wave_done[~run.done].min()) - 1
         t = nxt if nxt <= run.max_cycles else int(run.max_cycles)
         start = run.cycle
         if t <= start:
             return
-        lay = self._lay
         sent = self._wave_sent(t)
-        grant = sent - self._wave_sent(t - 1)
+        self._grant = sent > self._wave_sent(t - 1)
         self.sent[:] = sent
-        landed = sent - grant
-        self._flat[lay.land_idx] = landed
-        refresh_agg(self._lay, self._flat)
-        self._grant = grant > 0
         self.cycle = run.cycle = t
         self.leap_log.append((start, 1, t - start))
         self._reset_detector()
@@ -555,28 +522,28 @@ class SteadyRings:
     detector.
 
     Every stepped cycle records its exact signature (the grants in
-    flight and the pointer bits), a full state snapshot and the per-flow
-    ``sent`` vector into fixed ring rows; channel activity is derived
-    from ``sent``.  When two consecutive periods match bit-for-bit *in
-    the rings*, the per-period delta and the licensed jump bound are
-    computed from the recorded rows — zero additional stepped cycles.
+    flight and the pointer bits) and the per-flow ``sent`` vector — the
+    rest of the engine's state — into fixed ring rows; channel activity
+    is derived from ``sent``.  When two consecutive periods match
+    bit-for-bit *in the rings*, the per-period delta and the licensed
+    jump bound are computed from the recorded rows — zero additional
+    stepped cycles.
 
-    The budget components the jump bound needs are reconstructed lazily
-    at confirmation time, entirely from the rings: arbitration never
-    writes the state tensor, so the pre-arbitration state of the cycle
-    recorded at slot ``s`` is its own ``flat`` row, and its
-    pre-arbitration ``sent`` is simply the *previous* slot's ``sent``
-    row.  The same rows give the post-step queues and broadcast-min
-    inputs that in-leap telemetry reconstruction needs.  A refused
-    confirmation (the state deltas are still converging) is retried on
-    the very next repetition — a retry costs ring compares, never
-    re-stepping — so steady states are leaped at the earliest cycle the
-    evidence supports.
+    The budget components the jump bound needs are derived lazily at
+    confirmation time, entirely from the rings: the cycle recorded at
+    slot ``s`` computed its budgets from the ``sent`` of the *previous*
+    slot, and left the ``sent`` of its own.  The same rows give the
+    post-step queues and broadcast-min inputs that in-leap telemetry
+    reconstruction needs.  A refused confirmation (the ``sent`` deltas
+    are still converging) is retried on the very next repetition — a
+    retry costs ring compares, never re-stepping — so steady states are
+    leaped at the earliest cycle the evidence supports.
 
     Ring length is ``2*p_max + 1`` rows (the confirmation reads back to
-    ``tick - 2P`` inclusively); the rows' bytes are charged against the
-    engine's byte budget (``_VERIFY_BUDGET``) when ``_p_max`` is derived,
-    so large-``q`` embeddings shrink the detectable period instead of
+    ``tick - 2P`` inclusively); the rows are charged (at more bytes than
+    they hold, see ``LeapCycleSimulator.__init__``) against the engine's
+    byte budget (``_VERIFY_BUDGET``) when ``_p_max`` is derived, so
+    large-``q`` embeddings shrink the detectable period instead of
     over-allocating — down to a floor of 2, the period of a pipelined
     steady state, where the rings may exceed the budget.
     """
@@ -586,7 +553,6 @@ class SteadyRings:
         R = 2 * self.p_max + 1
         self.R = R
         self.sig: List[Optional[Tuple[bytes, bytes]]] = [None] * R
-        self.flat = np.zeros((R, sim._flat.size), dtype=np.int64)
         self.sent = np.zeros((R, sim._F), dtype=np.int64)
         self.tick = 0
         self.cooldown = 0
@@ -595,7 +561,7 @@ class SteadyRings:
     @property
     def nbytes(self) -> int:
         """Bytes held by the preallocated ring arrays (signatures aside)."""
-        return self.flat.nbytes + self.sent.nbytes
+        return self.sent.nbytes
 
     def reset(self, sim: LeapCycleSimulator) -> None:
         """Restart detection (state changed discontinuously: init, leap,
@@ -605,7 +571,6 @@ class SteadyRings:
         self.tick = 0
         self.cooldown = 0
         self.last_seen = {}
-        np.copyto(self.flat[0], sim._flat)
         np.copyto(self.sent[0], sim.sent)
 
     def observe(self, sim: LeapCycleSimulator) -> None:
@@ -614,15 +579,14 @@ class SteadyRings:
         self.tick += 1
         t = self.tick
         s = t % self.R
-        # the grants in flight and the pointer bits: the arbitration
-        # state the state tensor and ``sent`` do not hold
+        # the grants in flight and the pointer bits: the state ``sent``
+        # does not hold
         grant = sim._grant
         sig = (
             np.packbits(grant).tobytes() if grant.dtype == bool else grant.tobytes(),
             np.packbits(sim._ptr).tobytes(),
         )
         self.sig[s] = sig
-        np.copyto(self.flat[s], sim._flat)
         np.copyto(self.sent[s], sim.sent)
 
         if sim._steady is not None:
@@ -655,15 +619,10 @@ class SteadyRings:
             if self.sig[(t - j) % R] != self.sig[(t - P - j) % R]:
                 return
         s1 = (t - P) % R
-        s0 = (t - 2 * P) % R
-        r_flat = sim._flat - self.flat[s1]
         r_sent = sim.sent - self.sent[s1]
-        if not (
-            np.array_equal(r_flat, self.flat[s1] - self.flat[s0])
-            and np.array_equal(r_sent, self.sent[s1] - self.sent[s0])
-        ):
-            # signatures repeat but the state deltas have not settled
-            # into the period yet — retry at the next repetition
+        if not np.array_equal(r_sent, self.sent[s1] - self.sent[(t - 2 * P) % R]):
+            # signatures repeat but the deltas have not settled into the
+            # period yet — retry at the next repetition
             return
         if not r_sent.any():
             # never leap a zero-progress period: the per-cycle engines'
@@ -671,24 +630,22 @@ class SteadyRings:
             self.cooldown = P
             return
         # the rows of each phase, as views: the step at slot ``s`` read
-        # the state its own ``flat`` row records (arbitration never
-        # writes the tensor) and the ``sent`` of the *previous* slot, and
-        # left the ``sent`` of its own
+        # the ``sent`` of the *previous* slot and left the ``sent`` of its
+        # own
         slots = [(t - P + 1 + j) % R for j in range(P)]
-        phases = [(self.flat[s], self.sent[s - 1], self.sent[s]) for s in slots]
+        phases = [(self.sent[s - 1], self.sent[s]) for s in slots]
         k = sim._completion_bound(r_sent)
-        k, phase_q, phase_dq = sim._license_bounds(k, phases, r_flat, r_sent)
+        k, phase_q, phase_dq = sim._license_bounds(k, phases, r_sent)
         if k <= 0:
             self.cooldown = P
             return
         # per-phase channel activity: channel totals of each cycle's grants
         chd = sim._lay.channel_totals(
-            np.stack([post - pre for _, pre, post in phases], axis=1)
+            np.stack([post - pre for pre, post in phases], axis=1)
         )
         sim._steady = _Steady(
             period=P,
             k_bound=k,
-            r_flat=r_flat,
             r_sent=r_sent,
             phase_chd=chd,
             phase_q=np.stack(phase_q) if phase_q else None,

@@ -44,7 +44,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from repro.simulator.cycle import CycleLimitExceeded, CycleStats, SimulationStalled
 from repro.simulator.faultsched import FaultSchedule
 from repro.topology.graph import Edge
-from repro.utils.errors import whole
+from repro.utils.errors import nonnegative, whole
 
 __all__ = [
     "EpisodeInterrupt",
@@ -210,6 +210,9 @@ def run_replan_loop(
     """
     from repro.simulator.engine import make_engine
 
+    if max_cycles is not None:
+        max_cycles = nonnegative("max_cycles", max_cycles)
+    max_episodes = nonnegative("max_episodes", max_episodes)
     cur_plan = plan
     cur_m = [whole(f"m_per_tree[{i}]", x) for i, x in enumerate(m_per_tree)]
     flits_total = sum(cur_m)

@@ -86,6 +86,7 @@ from repro.simulator.cycle import (
 from repro.simulator.engine import make_engine
 from repro.simulator.faultsched import FaultSchedule
 from repro.tenancy.placement import FabricPlan
+from repro.utils.errors import nonnegative
 
 __all__ = [
     "POLICIES",
@@ -410,6 +411,8 @@ class FabricSimulator:
             )
             latest = max(t.job.arrival for t in self._tenants.values())
             max_cycles = latest + K * per
+        else:
+            max_cycles = nonnegative("max_cycles", max_cycles)
         while any(t.running for t in self._tenants.values()):
             self.step()
             if self.cycle > max_cycles:

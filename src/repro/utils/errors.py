@@ -3,7 +3,13 @@ check the public boundaries share."""
 
 import operator
 
-__all__ = ["ReproError", "UnsupportedRadixError", "ConstructionError", "whole"]
+__all__ = [
+    "ReproError",
+    "UnsupportedRadixError",
+    "ConstructionError",
+    "whole",
+    "nonnegative",
+]
 
 
 class ReproError(Exception):
@@ -30,3 +36,12 @@ def whole(name: str, x) -> int:
         return operator.index(x)
     except TypeError:
         raise TypeError(f"{name} must be an integer; got {x!r}") from None
+
+
+def nonnegative(name: str, x) -> int:
+    """:func:`whole`, and a ``ValueError`` naming the argument when ``x``
+    is negative (run budgets such as ``max_cycles``)."""
+    x = whole(name, x)
+    if x < 0:
+        raise ValueError(f"{name} must be >= 0; got {x}")
+    return x

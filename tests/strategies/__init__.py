@@ -21,6 +21,8 @@ inline across ``tests/test_differential.py``,
 - :data:`OBSERVERS` / :func:`observer` — run an engine unobserved
   (``"auto"``) or with a per-cycle Python collector (``"python"``), for
   suites that pin that observation changes no observable;
+- :func:`observables` — every frontier a single-run engine exposes, for
+  suites that compare two engines' states;
 - :func:`batch_specs` / :func:`materialize_lanes` — random heterogeneous
   lane batches for the batched engine's differential suite.
 
@@ -62,6 +64,7 @@ __all__ = [
     "run_engine",
     "OBSERVERS",
     "observer",
+    "observables",
     "cycle_engines",
     "fault_specs",
     "materialize_faults",
@@ -118,6 +121,22 @@ def observer(mode: str):
 
         return Collector(sample_every=8)
     return None
+
+
+def observables(sim):
+    """A single-run engine's state as it is observable: cycle, flits and
+    channel totals, the delivered / reduced frontiers, queues, per-phase
+    totals and per-tree completion."""
+    return (
+        sim.cycle,
+        sim.flits_moved,
+        tuple(sim.channel_flit_counts()),
+        tuple(sim.delivered_floor()),
+        tuple(sim.reduced_at_root()),
+        tuple(sim.queue_occupancy()),
+        tuple(map(tuple, sim.phase_flit_totals())),
+        tuple(sim.done_mask()),
+    )
 
 
 def cycle_engines(subset=None):

@@ -150,15 +150,23 @@ def test_fault_mask_is_edge_membership(emb, data):
 def test_aggregation_groups_list_sorted_children_per_internal_node():
     plan = get_plan(5, "low-depth")
     lay = EngineLayout.build(plan.topology.n, plan.trees)
-    n, T = plan.topology.n, len(plan.trees)
-    expect_nodes, expect_kids = [], []
+    ref = CycleSimulator(plan.topology, plan.trees, plan.partition(10))
+    up_fid = {
+        (fl.tree, fl.src): fid
+        for fid, fl in enumerate(ref.flows)
+        if fl.kind == "reduce"
+    }
+    expect_groups, expect_roots = [], []
     for ti, t in enumerate(plan.trees):
-        for v in range(n):
+        for v in range(plan.topology.n):
             if t.children(v):
-                expect_nodes.append(ti * n + v)
-                expect_kids.extend(3 * T * n + ti * n + c for c in t.children(v))
-    assert lay.grp_agg_idx.tolist() == expect_nodes
-    assert lay.child_up_idx.tolist() == expect_kids
+                if v == t.root:
+                    expect_roots.append(len(expect_groups))
+                expect_groups.append([up_fid[ti, c] for c in t.children(v)])
+    groups = np.split(lay.child_up_fid, lay.grp_off[1:])
+    assert [g.tolist() for g in groups] == expect_groups
+    assert np.array_equal(lay.child_bcfid, lay.child_up_fid + 1)
+    assert lay.root_grp.tolist() == expect_roots
 
 
 @pytest.mark.parametrize("engine", ("reference",) + VECTOR_ENGINES)

@@ -46,6 +46,7 @@ from tests.strategies import (
     link_capacities,
     materialize_faults,
     message_sizes,
+    observables,
     plan_keys,
     plan_used_links,
     random_embedding,
@@ -221,10 +222,11 @@ class TestEngineParity:
     )
     @settings(max_examples=40, deadline=None)
     def test_stepwise_tree_done_trajectory(self, key, m, cap, buf, spec):
-        """At every stepped cycle the landed broadcast floor that the fast
-        and leap engines and a batched lane read as ``done_mask()`` equals
-        the reference's per-tree ``_tree_done`` (root aggregate AND
-        floor)."""
+        """At every stepped cycle the completion test that the fast and
+        leap engines and a batched lane read as ``done_mask()`` (every
+        flow of the tree sent ``m_i``, none in flight) equals the
+        reference's per-tree ``_tree_done`` (root aggregate AND landed
+        broadcast floor)."""
         plan = get_plan(*key)
         parts = plan.partition(m)
         faults = None if spec is None else materialize_faults(plan, spec)
@@ -249,19 +251,6 @@ class TestEngineParity:
                 faults is None or faults.next_revival_after(ref.cycle) is None
             ):
                 break  # stalled for good: every engine agreed up to here
-
-
-def _observables(sim):
-    return (
-        sim.cycle,
-        sim.flits_moved,
-        tuple(sim.channel_flit_counts()),
-        tuple(sim.delivered_floor()),
-        tuple(sim.reduced_at_root()),
-        tuple(sim.queue_occupancy()),
-        tuple(map(tuple, sim.phase_flit_totals())),
-        tuple(sim.done_mask()),
-    )
 
 
 class TestFusedStep:
@@ -295,7 +284,7 @@ class TestFusedStep:
         assert fast.channels() == ref.channels()
         while not ref.done_mask().all():
             assert ref.step() == fast.step()
-            assert _observables(ref) == _observables(fast)
+            assert observables(ref) == observables(fast)
             assert _pointers(fast) == list(ref._rr.values())
         assert fast.done_mask().all()
 
@@ -375,7 +364,7 @@ class TestManyFlowChannels:
         while not ref.done_mask().all():
             moved = ref.step()
             assert fast.step() == moved
-            assert _observables(ref) == _observables(fast)
+            assert observables(ref) == observables(fast)
             assert _pointers(fast) == list(ref._rr.values()), ref.cycle
             if not moved:
                 break  # stalled: both engines agree up to here

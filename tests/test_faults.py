@@ -337,3 +337,31 @@ class TestFaultMonteCarlo:
             fault_monte_carlo(7, k=0)
         with pytest.raises(ValueError, match="num_faults"):
             fault_monte_carlo(7, k=4, num_faults=0)
+
+    @pytest.mark.parametrize("field", ["k", "chunk", "num_faults", "seed"])
+    def test_non_integer_counts_named(self, field):
+        from repro.analysis import fault_monte_carlo
+
+        kw = {"k": 4, field: 1.5}
+        with pytest.raises(TypeError, match=f"{field} must be an integer; got 1.5"):
+            fault_monte_carlo(3, **kw)
+
+    @pytest.mark.parametrize("field", ["down_window", "outage_window"])
+    def test_windows_named(self, field):
+        from repro.analysis import fault_monte_carlo
+
+        with pytest.raises(TypeError, match=rf"{field}\[0\] must be an integer"):
+            fault_monte_carlo(3, k=4, **{field: (1.5, 3)})
+        with pytest.raises(TypeError, match=rf"{field}\[1\] must be an integer"):
+            fault_monte_carlo(3, k=4, **{field: (1, "3")})
+        with pytest.raises(ValueError, match=f"{field} must have lo <= hi"):
+            fault_monte_carlo(3, k=4, **{field: (5, 1)})
+        # a one-cycle window is legal
+        assert len(fault_monte_carlo(3, k=4, **{field: (3, 3)}).lanes) == 4
+
+    @pytest.mark.parametrize("frac", [-0.1, 1.5, 2])
+    def test_transient_fraction_named(self, frac):
+        from repro.analysis import fault_monte_carlo
+
+        with pytest.raises(ValueError, match="transient_fraction must be in"):
+            fault_monte_carlo(3, k=4, transient_fraction=frac)

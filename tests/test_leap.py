@@ -42,8 +42,13 @@ from repro.trees import random_spanning_trees
 from tests.strategies import (
     CYCLE_ENGINES,
     OBSERVERS,
+    fault_specs,
     get_plan,
+    link_capacities,
+    materialize_faults,
+    observables,
     observer,
+    plan_keys,
     plan_used_links,
     seeds,
 )
@@ -141,6 +146,43 @@ class TestLeaping:
                 plan.topology, plan.trees, flits, max_cycles=1_000, engine="leap"
             )
 
+    @given(key=plan_keys(), m=st.integers(40, 400), cap=link_capacities(3),
+           buf=st.sampled_from((None, 1, 2)),
+           fault=st.one_of(st.none(), fault_specs(transient_only=True)),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_frontiers_equal_when_stopped_in_or_after_a_jump(
+        self, key, m, cap, buf, fault, data
+    ):
+        """Stopped by ``max_cycles`` inside or just after a steady leap or
+        a wavefront jump, the leap engine holds the fast engine's state:
+        every frontier derived from ``sent`` and the grants in flight."""
+        plan = get_plan(*key)
+        parts = plan.partition(m)
+        faults = None if fault is None else materialize_faults(plan, fault)
+
+        def build(engine):
+            return make_engine(engine, plan.topology, plan.trees, parts, cap,
+                               buf, faults=faults)
+
+        probe = build("leap")
+        cycles = probe.run().cycles
+        # a cycle inside a jump of the full run, or up to two past its end
+        if probe.leap_log:
+            start, period, k = data.draw(st.sampled_from(probe.leap_log))
+            stop = data.draw(st.integers(start, start + period * k + 2))
+        else:
+            stop = data.draw(st.integers(0, cycles))
+        got = {}
+        for engine in ("fast", "leap"):
+            sim = build(engine)
+            try:
+                sim.run(max_cycles=stop)
+            except CycleLimitExceeded:
+                pass
+            got[engine] = observables(sim) + (tuple(sim.sent.tolist()),)
+        assert got["leap"] == got["fast"]
+
     def test_terminal_outcome_parity_tight_credit(self):
         """Zero-progress periods are never leaped, so a run that stalls
         or completes under the tightest credit loop does so with the
@@ -205,10 +247,12 @@ class TestRingBudget:
             assert sim._p_max == p_max, q
             rings = sim._rings
             assert rings.R == 2 * p_max + 1
-            assert rings.nbytes == 8 * rings.R * (sim._flat.size + sim._F)
+            # a row holds the ``sent`` counters only ...
+            assert rings.nbytes == 8 * rings.R * sim._F
             assert p_max == 2 or rings.nbytes <= sim._VERIFY_BUDGET
-        # at q=25 the budget alone leaves room for period 1 only
-        row = 8 * (sim._flat.size + 2 * sim._F + sim._C + 1)
+        # ... but is charged at 4*T*n + 2F + C + 1 words, which at q=25
+        # leaves room for period 1 only
+        row = 8 * (4 * sim._T * sim.n + 2 * sim._F + sim._C + 1)
         assert sim._VERIFY_BUDGET // (2 * row) == 1
 
     def test_small_q_keeps_full_period_cap(self):
@@ -268,8 +312,7 @@ def _outcome(sim, max_cycles=None):
     try:
         return pickle.dumps(sim.run(max_cycles))
     except CycleLimitExceeded as exc:
-        return ("limit", str(exc), sim.cycle, sim.flits_moved,
-                sim.channel_flit_counts())
+        return ("limit", str(exc), tuple(sim.sent.tolist())) + observables(sim)
 
 
 class TestWavefrontJump:

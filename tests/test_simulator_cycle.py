@@ -15,9 +15,12 @@ from repro.simulator import (
     SimulationStalled,
     fluid_simulate,
     make_engine,
+    run_adaptive,
+    run_with_recovery,
     simulate_allreduce,
+    trace_allreduce,
 )
-from repro.tenancy import FabricSimulator, TenantJob, place_jobs
+from repro.tenancy import FabricSimulator, TenantJob, place_jobs, simulate_tenants
 from repro.topology import Graph, polarfly_graph
 from repro.trees import SpanningTree, single_tree
 
@@ -179,6 +182,49 @@ class TestArgumentCheck:
         g, trees = self._plan()
         with pytest.raises(TypeError, match="buffer_size must be an integer"):
             run_engine(engine, g, trees, [2] * len(trees), buffer_size=1.5)
+
+    @pytest.mark.parametrize("engine", RUN_ENGINES)
+    @pytest.mark.parametrize("bad", [2.5, "7"])
+    def test_non_integer_max_cycles_rejected(self, engine, bad):
+        g, trees = self._plan()
+        with pytest.raises(TypeError, match="max_cycles must be an integer"):
+            run_engine(engine, g, trees, [2] * len(trees), max_cycles=bad)
+
+    @pytest.mark.parametrize("engine", RUN_ENGINES)
+    def test_negative_max_cycles_rejected(self, engine):
+        g, trees = self._plan()
+        with pytest.raises(ValueError, match="max_cycles must be >= 0; got -1"):
+            run_engine(engine, g, trees, [2] * len(trees), max_cycles=-1)
+
+    def test_run_budgets_named_on_every_front_end(self):
+        plan = get_plan(5, "low-depth")
+        g, trees, flits = plan.topology, plan.trees, plan.partition(40)
+        job = TenantJob(tenant=0, arrival=0, m=40, tree_count=plan.num_trees)
+        fplan = place_jobs(5, [job])
+        runs = {
+            "simulate_allreduce": lambda mc: simulate_allreduce(
+                g, trees, flits, max_cycles=mc, engine="fast"
+            ),
+            "trace_allreduce": lambda mc: trace_allreduce(
+                g, trees, flits, max_cycles=mc, engine="leap"
+            ),
+            "run_with_recovery": lambda mc: run_with_recovery(
+                plan, 40, max_cycles=mc
+            ),
+            "run_adaptive": lambda mc: run_adaptive(plan, 40, max_cycles=mc),
+            "FabricSimulator.run": lambda mc: FabricSimulator(fplan).run(mc),
+            "simulate_tenants": lambda mc: simulate_tenants(fplan, max_cycles=mc),
+        }
+        for name, run in runs.items():
+            for bad in (2.5, "7"):
+                with pytest.raises(TypeError, match="max_cycles must be an integer"):
+                    run(bad)
+            with pytest.raises(ValueError, match="max_cycles must be >= 0"):
+                run(-1)
+            run(10_000)  # a whole budget still runs
+        for bad in (1.5, "2"):
+            with pytest.raises(TypeError, match="max_episodes must be an integer"):
+                run_with_recovery(plan, 10, max_episodes=bad)
 
     @pytest.mark.parametrize("engine", RUN_ENGINES)
     def test_numpy_integers_pass(self, engine):
