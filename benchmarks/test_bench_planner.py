@@ -18,6 +18,11 @@ Workload: the planner and re-plan hot paths —
    covered-set rescan it replaced (``_greedy_tree_reference``), at q in
    {7, 11, 13} for both paper schemes.  Pass criterion: identical trees
    and usage, and >= 5x per cell at q >= 11.
+5. The ER_q graph build: listing each vertex's polar line
+   (``PolarFly._build_graph``) versus the all-pairs orthogonality test
+   it replaced (``_all_pairs_graph``), at q in {19, 23, 29, 31} with the
+   field warm.  Pass criterion: pickle-identical graphs and >= 2x per
+   cell (median of interleaved repeats).
 
 Cold whole-``build_plan`` wall times are recorded as columns (not gated:
 they depend on machine load and on caches of *other* layers; the
@@ -25,6 +30,8 @@ ref-vs-scaled and cold-vs-warm ratios are same-process and robust).
 Everything lands in ``benchmark.extra_info`` and ``BENCH_planner.json``.
 """
 
+import pickle
+import statistics
 import time
 from functools import partial
 from pathlib import Path
@@ -44,12 +51,14 @@ from repro.core.plancache import (
     reset_global_plan_cache,
 )
 from repro.simulator.recovery import _replan
+from repro.topology.polarfly import PolarFly, _all_pairs_graph
 from repro.trees.greedy import _greedy_tree_reference, greedy_tree
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_planner.json"
 FILL_SPEEDUP_TARGET = 10.0    # scaled vs reference Algorithm 1, each q>=19 cell
 CACHE_SPEEDUP_TARGET = 100.0  # warm get_plan vs cold build_plan
 SURGERY_SPEEDUP_TARGET = 5.0  # heap vs rescan greedy regrowth, each q>=11 cell
+POLARITY_SPEEDUP_TARGET = 2.0  # polar-line vs all-pairs ER_q build, each cell
 
 #: the q >= 19 cells the ISSUE gates (both schemes; low-depth needs odd q)
 FILL_CELLS = (
@@ -242,4 +251,59 @@ def test_replan_surgery_greedy(benchmark):
     assert worst[0] >= SURGERY_SPEEDUP_TARGET, (
         f"cell {worst[1]} only {worst[0]:.1f}x faster "
         f"(target {SURGERY_SPEEDUP_TARGET}x per q>=11 cell)"
+    )
+
+
+#: the ER_q build cells (every q whose cold plans ``paper-scale`` builds)
+POLARITY_QS = (19, 23, 29, 31)
+POLARITY_REPEATS = 7
+
+
+def _median_ms(times):
+    """Median of ``times`` (seconds) in ms, and the interquartile spread
+    as a percentage of it (a ratio, so the trend gate reports it but
+    does not gate it)."""
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    return {
+        "median_ms": round(median * 1e3, 2),
+        "iqr_pct": round(100 * (q3 - q1) / median, 1),
+    }
+
+
+def test_polarity_build_vs_all_pairs(benchmark):
+    """The ER_q graph from its polar lines against the all-pairs
+    orthogonality test it replaced.  Identity first (the pickles, so
+    insertion order too), then the >= 2x gate on the median of
+    interleaved repeats; the whole ``PolarFly(q)`` build is an ungated
+    column."""
+    rows = {}
+    worst = (float("inf"), None)
+    for q in POLARITY_QS:
+        pf = PolarFly(q)  # warms the field for both routes
+        all_pairs = partial(_all_pairs_graph, pf.field, pf.vectors)
+        assert pickle.dumps(pf._build_graph()) == pickle.dumps(all_pairs()), q
+        lines_t, pairs_t, whole_t = [], [], []
+        for _ in range(POLARITY_REPEATS):
+            lines_t.append(_time(pf._build_graph, rounds=1)[1])
+            pairs_t.append(_time(all_pairs, rounds=1)[1])
+            whole_t.append(_time(partial(PolarFly, q), rounds=1)[1])
+        speedup = statistics.median(pairs_t) / statistics.median(lines_t)
+        rows[f"q{q}"] = {
+            "polar_lines": _median_ms(lines_t),
+            "all_pairs": _median_ms(pairs_t),
+            "polarfly": _median_ms(whole_t),
+            "speedup": round(speedup, 1),
+        }
+        if speedup < worst[0]:
+            worst = (speedup, q)
+    pf = PolarFly(29)
+    benchmark.pedantic(pf._build_graph, rounds=5, iterations=1)
+    payload = {"cells": rows, "repeats": POLARITY_REPEATS,
+               "target": POLARITY_SPEEDUP_TARGET,
+               "worst_speedup": round(worst[0], 1), "worst_cell": f"q{worst[1]}"}
+    record(benchmark, **payload)
+    persist(BENCH_JSON, "polarity-build-vs-all-pairs", payload)
+    assert worst[0] >= POLARITY_SPEEDUP_TARGET, (
+        f"q={worst[1]} only {worst[0]:.1f}x faster "
+        f"(target {POLARITY_SPEEDUP_TARGET}x per cell)"
     )

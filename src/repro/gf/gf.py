@@ -13,8 +13,8 @@ reproducible.
 Scalar operations are exact Python ints; vector operations accept NumPy
 arrays and are fully vectorized (modular arithmetic for prime fields,
 precomputed ``q x q`` lookup tables for extension fields — at most 16K
-entries for the radixes PolarFly supports), as required for building the
-``N^2`` orthogonality adjacency of ER_q without Python-level loops.
+entries for the radixes PolarFly supports), as required for listing the
+polar lines of all N points of ER_q without Python-level loops.
 """
 
 from __future__ import annotations
@@ -179,6 +179,14 @@ class GF:
         p = self.char
         dig = (-self._digits[x]) % p
         return dig @ (p ** np.arange(self.degree, dtype=np.int64))
+
+    def vinv(self, x: np.ndarray) -> np.ndarray:
+        """Element-wise multiplicative inverse; raises ``ZeroDivisionError``
+        if any element is zero, as :meth:`inv` does."""
+        x = np.asarray(x, dtype=np.int64) % self.order
+        if (x == 0).any():
+            raise ZeroDivisionError("0 has no multiplicative inverse")
+        return self._inv_table[x]
 
     # ------------------------------------------------------------- encodings
 

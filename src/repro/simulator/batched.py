@@ -355,7 +355,7 @@ class BatchedCycleSimulator:
             lane.link_capacity,
             self._sent[:, b].sum(),
             lane.buffer_size,
-            self.lane_channel_flits(b).tolist(),
+            self.lane_channel_flits(b),
         )
         return LaneOutcome(index=int(self._orig[b]), stats=stats)
 

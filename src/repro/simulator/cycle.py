@@ -186,16 +186,19 @@ class CycleStats:
         link_capacity: int,
         flits_moved: int,
         buffer_size: Optional[int],
-        channel_flits: Iterable[int],
+        channel_flits: Sequence[int] | np.ndarray,
     ) -> "CycleStats":
         """Fold a finished run — per-tree completion cycles and cumulative
-        per-channel flit counts — into its stats.  Every field is a plain
-        ``int``/``float`` whatever the engine's array types, so the
-        pickles of equal runs are byte-identical across engines."""
+        per-channel flit counts (a list or an int64 array) — into its
+        stats.  Every field is a plain ``int``/``float`` whatever the
+        engine's array types, so the pickles of equal runs are
+        byte-identical across engines."""
         completion = tuple(int(c) for c in completion)
         total = max(completion, default=0)
-        loads = [int(c) for c in channel_flits if c > 0]
+        loads = np.asarray(channel_flits, dtype=np.int64)
+        loads = loads[loads > 0]
         denom = total * link_capacity
+        busy = loads.size and denom
         return cls(
             cycles=total,
             tree_completion=completion,
@@ -203,9 +206,9 @@ class CycleStats:
             link_capacity=link_capacity,
             flits_moved=int(flits_moved),
             buffer_size=buffer_size,
-            max_channel_utilization=(max(loads) / denom) if loads and denom else 0.0,
+            max_channel_utilization=int(loads.max()) / denom if busy else 0.0,
             mean_channel_utilization=(
-                sum(loads) / (len(loads) * denom) if loads and denom else 0.0
+                int(loads.sum()) / (loads.size * denom) if busy else 0.0
             ),
         )
 
@@ -341,7 +344,7 @@ class EngineRun:
             sim.capacity,
             sim.flits_moved,
             sim.buffer_size,
-            sim.channel_flit_counts(),
+            sim.channel_flit_array(),
         )
 
 

@@ -73,9 +73,9 @@ class Graph:
         """Vectorized bulk insertion of edges from two aligned index arrays.
 
         NumPy-grouped equivalent of calling :meth:`add_edge` pairwise —
-        used by the O(N^2)-edge topology builders, where per-edge Python
-        calls dominate construction time. Self-loops are routed to
-        ``self_loops`` as usual.
+        used by the topology builders (ER_q has N(q+1)/2 edges), where
+        per-edge Python calls would dominate construction time.
+        Self-loops are routed to ``self_loops`` as usual.
         """
         import numpy as np
 

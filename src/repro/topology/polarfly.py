@@ -11,9 +11,19 @@ The vertex set is integer-indexed in the canonical order
 - ``i in [q^2, q^2 + q)``  ->  ``[0, 1, i - q^2]``
 - ``i == q^2 + q``         ->  ``[0, 0, 1]``
 
-so ``N = q^2 + q + 1``. The adjacency build is NumPy-vectorized in row
-blocks (the full ``N x N`` dot-product matrix would not fit for large
-radixes, so we never materialize it).
+so ``N = q^2 + q + 1``. The neighbours of ``v = (a, b, c)`` are the
+``q + 1`` points of its polar line ``v^perp = {x : a x_0 + b x_1 + c x_2 = 0}``,
+listed directly for all N vertices at once (O(N q) field-table lookups):
+
+- ``c != 0``: ``(1, t, -(a + b t)/c)`` for ``t`` in ``F_q``, plus ``(0, 1, -b/c)``;
+- ``c == 0, b != 0``: ``(1, -a/b, t)``, plus ``(0, 0, 1)``;
+- ``(1, 0, 0)``: ``(0, 1, t)``, plus ``(0, 0, 1)``.
+
+Every listed point is already left-normalized, so it maps to its index
+through the coding above. The edges reach :meth:`Graph.add_edges_bulk`
+in groups of 256 source rows only to fix insertion order: the graph's
+sets iterate, and pickle, in that order, and the grouping is the one the
+all-pairs build (:func:`_all_pairs_graph`, kept as the test oracle) used.
 
 Vertex classes (Table 1): quadrics ``W(q)``, quadric-adjacent ``V1(q)`` and
 the rest ``V2(q)``.
@@ -38,7 +48,7 @@ W = "W"
 V1 = "V1"
 V2 = "V2"
 
-_BLOCK_ROWS = 256  # adjacency build block size; bounds temporaries to ~N*256
+_BLOCK_ROWS = 256  # source rows per add_edges_bulk call (fixes insertion order)
 
 
 class PolarFly:
@@ -90,18 +100,34 @@ class PolarFly:
         vecs[n - 1, 2] = 1
         return vecs
 
+    def _polar_lines(self) -> np.ndarray:
+        """``(N, q + 1)`` indices of the points of each vertex's polar line
+        (ascending ``t``, then the point at infinity of the line)."""
+        f, q, n = self.field, self.q, self.n
+        a, b, c = self.vectors.T
+        t = np.arange(q)
+        lines = np.empty((n, q + 1), dtype=np.int64)
+        m = c != 0
+        s = f.vneg(f.vinv(c[m]))  # -1/c
+        z = f.vmul(s[:, None], f.vadd(a[m, None], f.vmul(b[m, None], t)))
+        lines[m, :q] = t * q + z
+        lines[m, q] = q * q + f.vmul(s, b[m])
+        m = (c == 0) & (b != 0)
+        y = f.vmul(f.vneg(a[m]), f.vinv(b[m]))
+        lines[m, :q] = y[:, None] * q + t
+        lines[m, q] = n - 1
+        lines[0, :q] = q * q + t  # vertex 0 is (1, 0, 0)
+        lines[0, q] = n - 1
+        return lines
+
     def _build_graph(self) -> Graph:
-        f, vecs, n = self.field, self.vectors, self.n
+        n, d = self.n, self.q + 1
+        lines = self._polar_lines()
         g = Graph(n)
         for lo in range(0, n, _BLOCK_ROWS):
             hi = min(lo + _BLOCK_ROWS, n)
-            block = vecs[lo:hi]  # (b, 3)
-            # dot[b, j] = sum_k block[b,k] * vecs[j,k] in F_q
-            dot = f.vmul(block[:, None, 0], vecs[None, :, 0])
-            dot = f.vadd(dot, f.vmul(block[:, None, 1], vecs[None, :, 1]))
-            dot = f.vadd(dot, f.vmul(block[:, None, 2], vecs[None, :, 2]))
-            rows, cols = np.nonzero(dot == 0)
-            rows = rows + lo
+            rows = np.repeat(np.arange(lo, hi), d)
+            cols = lines[lo:hi].ravel()
             keep = rows <= cols  # one canonical direction (== keeps self-loops)
             g.add_edges_bulk(rows[keep], cols[keep])
         return g
@@ -204,3 +230,24 @@ def polarfly_graph(q: int) -> PolarFly:
 def clear_polarfly_cache() -> None:
     """Drop every memoized :class:`PolarFly` instance."""
     polarfly_graph.cache_clear()
+
+
+def _all_pairs_graph(field, vecs: np.ndarray) -> Graph:
+    """ER_q by testing every pair of points for orthogonality, one
+    ``_BLOCK_ROWS x N`` dot-product block at a time: the O(N^2) build that
+    :meth:`PolarFly._build_graph` replaced, kept as its test oracle (same
+    grouping, so the two graphs must pickle identically)."""
+    f, n = field, len(vecs)
+    g = Graph(n)
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        block = vecs[lo:hi]  # (b, 3)
+        # dot[b, j] = sum_k block[b,k] * vecs[j,k] in F_q
+        dot = f.vmul(block[:, None, 0], vecs[None, :, 0])
+        dot = f.vadd(dot, f.vmul(block[:, None, 1], vecs[None, :, 1]))
+        dot = f.vadd(dot, f.vmul(block[:, None, 2], vecs[None, :, 2]))
+        rows, cols = np.nonzero(dot == 0)
+        rows = rows + lo
+        keep = rows <= cols  # one canonical direction (== keeps self-loops)
+        g.add_edges_bulk(rows[keep], cols[keep])
+    return g

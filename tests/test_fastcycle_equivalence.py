@@ -17,6 +17,8 @@ across the (q, scheme, flow-control, message-size) matrix of the paper's
 embeddings plus hypothesis-randomized workloads on random embeddings.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -26,6 +28,7 @@ from repro.core import build_plan
 from repro.simulator import (
     BatchedCycleSimulator,
     CycleSimulator,
+    CycleStats,
     FastCycleSimulator,
     FaultSchedule,
     LaneSpec,
@@ -314,6 +317,39 @@ class TestFusedStep:
         for engine in RUN_ENGINES[1:]:
             got = run_engine(engine, plan.topology, plan.trees, parts)
             assert got == base, engine
+
+
+class TestStatsFold:
+    """``CycleStats.fold`` takes the reference engine's channel list and
+    the vectorized engines' int64 array alike; both must fold to
+    pickle-equal stats, equal to the per-channel Python fold."""
+
+    CHANNELS = [
+        [],
+        [0, 0, 0],
+        [5, 0, 3, 7],
+        [1],
+        [2**40, 0, 2**40 + 3, 9],
+    ]
+
+    @pytest.mark.parametrize("channels", CHANNELS, ids=lambda c: f"n{len(c)}")
+    @pytest.mark.parametrize(
+        "completion,capacity", [((7, 11), 1), ((0, 0), 1), ((9,), 3)]
+    )
+    def test_list_and_array_fold_alike(self, channels, completion, capacity):
+        args = (completion, [4] * len(completion), capacity, 17, None)
+        from_list = CycleStats.fold(*args, channels)
+        from_array = CycleStats.fold(*args, np.array(channels, dtype=np.int64))
+        assert pickle.dumps(from_list) == pickle.dumps(from_array)
+        loads = [c for c in channels if c > 0]
+        denom = max(completion) * capacity
+        busy = bool(loads and denom)
+        assert from_array.max_channel_utilization == (
+            max(loads) / denom if busy else 0.0
+        )
+        assert from_array.mean_channel_utilization == (
+            sum(loads) / (len(loads) * denom) if busy else 0.0
+        )
 
 
 # ------------------------------------------------- K >= 3 round robin

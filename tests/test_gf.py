@@ -149,6 +149,23 @@ class TestVectorOps:
         assert field.vmul(a, a).shape == (3, 4)
 
 
+#: every field order up to 32, prime and extension
+ALL_ORDERS_TO_32 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
+
+
+@pytest.mark.parametrize("q", ALL_ORDERS_TO_32, ids=lambda q: f"GF{q}")
+def test_vinv_inverts_every_unit(q):
+    f = get_field(q)
+    units = np.arange(1, q)
+    inv = f.vinv(units)
+    assert (f.vmul(units, inv) == 1).all()
+    assert inv.tolist() == [f.inv(x) for x in range(1, q)]
+    with pytest.raises(ZeroDivisionError):
+        f.vinv(np.array([1, 0]))
+    with pytest.raises(ZeroDivisionError):
+        f.vinv(0)
+
+
 class TestEncodings:
     def test_roundtrip(self, field):
         for e in range(field.order):

@@ -1,12 +1,13 @@
 """Tests for the projective-geometry ER_q construction (Section 6.1, Table 1)."""
 
+import pickle
 import re
 
 import numpy as np
 import pytest
 
 from repro.topology import V1, V2, W, polarfly_graph, polarfly_layout, singer_graph
-from repro.topology.polarfly import PolarFly
+from repro.topology.polarfly import PolarFly, _all_pairs_graph
 from repro.trees import low_depth_trees
 
 ODD_QS = [3, 5, 7, 9, 11, 13]
@@ -115,6 +116,21 @@ class TestOrthogonality:
     def test_quadrics_are_self_orthogonal(self, pf):
         for v in range(pf.n):
             assert (pf.dot(v, v) == 0) == pf.is_quadric(v)
+
+
+#: every prime power q = 3..32
+PRIME_POWERS_TO_32 = [3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
+
+
+class TestPolarLineBuild:
+    """The polar-line build against the all-pairs orthogonality oracle."""
+
+    @pytest.mark.parametrize("q", PRIME_POWERS_TO_32)
+    def test_pickles_like_the_all_pairs_build(self, q):
+        pf = PolarFly(q)
+        ref = _all_pairs_graph(pf.field, pf.vectors)
+        assert pickle.dumps(pf.graph) == pickle.dumps(ref)
+        assert pf.graph.self_loops == ref.self_loops
 
 
 class TestVertexCoding:
