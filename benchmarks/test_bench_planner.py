@@ -272,10 +272,9 @@ def _median_ms(times):
 
 def test_polarity_build_vs_all_pairs(benchmark):
     """The ER_q graph from its polar lines against the all-pairs
-    orthogonality test it replaced.  Identity first (the pickles, so
-    insertion order too), then the >= 2x gate on the median of
-    interleaved repeats; the whole ``PolarFly(q)`` build is an ungated
-    column."""
+    orthogonality test it replaced.  Identity first (the pickles), then
+    the >= 2x gate on the median of interleaved repeats; the whole
+    ``PolarFly(q)`` build is an ungated column."""
     rows = {}
     worst = (float("inf"), None)
     for q in POLARITY_QS:

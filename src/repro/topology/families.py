@@ -13,7 +13,7 @@ All generators return the library's :class:`Graph`.
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -52,8 +52,28 @@ def hypercube_graph(dim: int) -> Graph:
     if dim < 1:
         raise ValueError("hypercube dimension must be >= 1")
     n = 1 << dim
-    edges = [(v, v ^ (1 << b)) for v in range(n) for b in range(dim) if v < v ^ (1 << b)]
-    return Graph.from_edges(n, edges)
+    pairs = [(v, v ^ (1 << b)) for v in range(n) for b in range(dim)]
+    return Graph.from_edges(n, pairs)
+
+
+def _grid_graph(dims: Sequence[int], family: str, steps) -> Graph:
+    """Nodes are the coordinate tuples of ``dims`` in row-major order; each
+    links to the node ``k`` steps further along each axis (cyclically) for
+    every ``k`` in ``steps(d)``, ``d`` that axis's size."""
+    dims = list(dims)
+    if not dims or any(d < 2 for d in dims):
+        raise ValueError(f"every {family} dimension must be >= 2")
+    v = np.arange(int(np.prod(dims)))
+    coords = np.array(np.unravel_index(v, dims))
+    nbrs = []
+    for axis, d in enumerate(dims):
+        for k in steps(d):
+            nxt = coords.copy()
+            nxt[axis] = (nxt[axis] + k) % d
+            nbrs.append(np.ravel_multi_index(nxt, dims))
+    g = Graph(v.size)
+    g.add_edges_bulk(np.tile(v, len(nbrs)), np.concatenate(nbrs))
+    return g
 
 
 def torus_graph(dims: Sequence[int]) -> Graph:
@@ -63,50 +83,13 @@ def torus_graph(dims: Sequence[int]) -> Graph:
     duplicate collapses into a single link in a simple graph, as in most
     simulators.
     """
-    dims = list(dims)
-    if not dims or any(d < 2 for d in dims):
-        raise ValueError("every torus dimension must be >= 2")
-    n = int(np.prod(dims))
-    strides = [1] * len(dims)
-    for i in range(len(dims) - 2, -1, -1):
-        strides[i] = strides[i + 1] * dims[i + 1]
-
-    def index(coord: Tuple[int, ...]) -> int:
-        return sum(c * s for c, s in zip(coord, strides))
-
-    g = Graph(n)
-    for coord in itertools.product(*(range(d) for d in dims)):
-        v = index(coord)
-        for axis, d in enumerate(dims):
-            nxt = list(coord)
-            nxt[axis] = (coord[axis] + 1) % d
-            g.add_edge(v, index(tuple(nxt)))
-    return g
+    return _grid_graph(dims, "torus", lambda d: (1,))
 
 
 def hyperx_graph(dims: Sequence[int]) -> Graph:
     """HyperX: the Hamming graph — nodes are coordinate tuples, fully
     connected within every dimension (Ahn et al.; paper Section 1.2)."""
-    dims = list(dims)
-    if not dims or any(d < 2 for d in dims):
-        raise ValueError("every HyperX dimension must be >= 2")
-    n = int(np.prod(dims))
-    strides = [1] * len(dims)
-    for i in range(len(dims) - 2, -1, -1):
-        strides[i] = strides[i + 1] * dims[i + 1]
-
-    def index(coord: Tuple[int, ...]) -> int:
-        return sum(c * s for c, s in zip(coord, strides))
-
-    g = Graph(n)
-    for coord in itertools.product(*(range(d) for d in dims)):
-        v = index(coord)
-        for axis, d in enumerate(dims):
-            for other in range(coord[axis] + 1, d):
-                nxt = list(coord)
-                nxt[axis] = other
-                g.add_edge(v, index(tuple(nxt)))
-    return g
+    return _grid_graph(dims, "HyperX", lambda d: range(1, d))
 
 
 def random_regular_graph(

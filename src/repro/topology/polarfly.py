@@ -20,10 +20,8 @@ listed directly for all N vertices at once (O(N q) field-table lookups):
 - ``(1, 0, 0)``: ``(0, 1, t)``, plus ``(0, 0, 1)``.
 
 Every listed point is already left-normalized, so it maps to its index
-through the coding above. The edges reach :meth:`Graph.add_edges_bulk`
-in groups of 256 source rows only to fix insertion order: the graph's
-sets iterate, and pickle, in that order, and the grouping is the one the
-all-pairs build (:func:`_all_pairs_graph`, kept as the test oracle) used.
+through the coding above. The all-pairs build (:func:`_all_pairs_graph`)
+is kept as the test oracle.
 
 Vertex classes (Table 1): quadrics ``W(q)``, quadric-adjacent ``V1(q)`` and
 the rest ``V2(q)``.
@@ -47,9 +45,6 @@ __all__ = ["PolarFly", "polarfly_graph", "clear_polarfly_cache", "W", "V1", "V2"
 W = "W"
 V1 = "V1"
 V2 = "V2"
-
-_BLOCK_ROWS = 256  # source rows per add_edges_bulk call (fixes insertion order)
-
 
 class PolarFly:
     """The ER_q polarity graph with vertex classification and vector coding.
@@ -121,15 +116,9 @@ class PolarFly:
         return lines
 
     def _build_graph(self) -> Graph:
-        n, d = self.n, self.q + 1
-        lines = self._polar_lines()
-        g = Graph(n)
-        for lo in range(0, n, _BLOCK_ROWS):
-            hi = min(lo + _BLOCK_ROWS, n)
-            rows = np.repeat(np.arange(lo, hi), d)
-            cols = lines[lo:hi].ravel()
-            keep = rows <= cols  # one canonical direction (== keeps self-loops)
-            g.add_edges_bulk(rows[keep], cols[keep])
+        g = Graph(self.n)
+        g.add_edges_bulk(np.repeat(np.arange(self.n), self.q + 1),
+                         self._polar_lines().ravel())
         return g
 
     # -------------------------------------------------------------- queries
@@ -232,22 +221,22 @@ def clear_polarfly_cache() -> None:
     polarfly_graph.cache_clear()
 
 
+_BLOCK_ROWS = 256  # oracle rows per dot-product block (bounds its memory)
+
+
 def _all_pairs_graph(field, vecs: np.ndarray) -> Graph:
     """ER_q by testing every pair of points for orthogonality, one
     ``_BLOCK_ROWS x N`` dot-product block at a time: the O(N^2) build that
-    :meth:`PolarFly._build_graph` replaced, kept as its test oracle (same
-    grouping, so the two graphs must pickle identically)."""
+    :meth:`PolarFly._build_graph` replaced, kept as its test oracle (the
+    two graphs must pickle identically)."""
     f, n = field, len(vecs)
     g = Graph(n)
     for lo in range(0, n, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, n)
-        block = vecs[lo:hi]  # (b, 3)
+        block = vecs[lo:lo + _BLOCK_ROWS]  # (b, 3)
         # dot[b, j] = sum_k block[b,k] * vecs[j,k] in F_q
         dot = f.vmul(block[:, None, 0], vecs[None, :, 0])
         dot = f.vadd(dot, f.vmul(block[:, None, 1], vecs[None, :, 1]))
         dot = f.vadd(dot, f.vmul(block[:, None, 2], vecs[None, :, 2]))
         rows, cols = np.nonzero(dot == 0)
-        rows = rows + lo
-        keep = rows <= cols  # one canonical direction (== keeps self-loops)
-        g.add_edges_bulk(rows[keep], cols[keep])
+        g.add_edges_bulk(rows + lo, cols)
     return g

@@ -176,9 +176,7 @@ def pack_spanning_trees(
     trees: List[SpanningTree] = []
     for i, f in enumerate(forests):
         if len(f.edges) == g.n - 1:
-            sub = Graph(g.n)
-            for e in f.edges:
-                sub.add_edge(*e)
+            sub = Graph.from_edges(g.n, f.edges)
             trees.append(
                 SpanningTree(0, bfs_spanning_tree(sub, 0).parent, tree_id=i)
             )

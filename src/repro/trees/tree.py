@@ -131,10 +131,9 @@ class SpanningTree:
 
     def __getstate__(self) -> Dict[str, object]:
         """Pickle every slot but ``_validated``: that memo holds the whole
-        graph the tree last validated against, so pickling it would carry
-        the graph's adjacency sets in their hash-table order, and equal
-        trees would pickle differently whenever their graphs were built in
-        a different order.  An unpickled tree validates afresh."""
+        graph the tree last validated against, which would make every tree
+        pickle as large as its topology.  An unpickled tree validates
+        afresh."""
         return {s: getattr(self, s) for s in self.__slots__ if s != "_validated"}
 
     def __setstate__(self, state: Dict[str, object]) -> None:

@@ -91,8 +91,7 @@ class TestRemoveLinks:
     @pytest.mark.parametrize("q", [3, 7])
     def test_residual_equals_edge_by_edge_build(self, q):
         # the residual must equal the graph built one add_edge per
-        # surviving link, down to its pickle (repaired trees carry the
-        # residual they validated against), and leave the source untouched
+        # surviving link, down to its pickle, and leave the source untouched
         topo = build_plan(q, "low-depth").topology
         before = {v: topo.neighbors(v) for v in range(topo.n)}
         links = sorted(topo.edges)

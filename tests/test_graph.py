@@ -1,5 +1,9 @@
 """Tests for the base Graph structure and diameter-2 routing."""
 
+import pickle
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -63,6 +67,116 @@ class TestGraphBasics:
         assert canonical_edge(5, 2) == (2, 5)
         assert canonical_edge(2, 5) == (2, 5)
         assert canonical_edge(3, 3) == (3, 3)
+
+
+class TestBoundary:
+    """``n`` and every vertex argument are exact ints (NumPy ints pass);
+    anything else fails with an error that names the argument."""
+
+    @pytest.mark.parametrize("call,exc,match", [
+        (lambda g: Graph(3.5), TypeError, "n must be an integer"),
+        (lambda g: Graph("3"), TypeError, "n must be an integer"),
+        (lambda g: g.add_edge(0, 1.0), TypeError, "v must be an integer"),
+        (lambda g: g.neighbors(1.0), TypeError, "v must be an integer"),
+        (lambda g: g.has_edge("a", 1), TypeError, "u must be an integer"),
+        (lambda g: g.bfs_layers("a"), TypeError, "root must be an integer"),
+        (lambda g: g.add_edges_bulk([0.5], [1.7]), TypeError,
+         "us must hold integers"),
+        (lambda g: g.add_edges_bulk([0], ["1"]), TypeError,
+         "vs must hold integers"),
+        (lambda g: g.add_edges_bulk([0, 1], [1]), ValueError,
+         "us and vs must be aligned; sizes 2, 1"),
+        (lambda g: g.add_edges_bulk([0], [4]), ValueError,
+         r"vs has a vertex out of range \[0, 4\)"),
+        (lambda g: Graph.from_edges(4, [(0, 1, 2)]), ValueError,
+         "edges must be"),
+    ], ids=["float-n", "str-n", "float-vertex", "float-neighbors",
+            "str-has-edge", "str-root", "float-bulk", "str-bulk",
+            "misaligned-bulk", "range-bulk", "triple-edge"])
+    def test_named_errors(self, call, exc, match):
+        g = Graph(4)
+        with pytest.raises(exc, match=match):
+            call(g)
+        assert g.num_edges == 0 and not g.self_loops
+
+    def test_numpy_ints_pass(self):
+        g = Graph(np.int64(4))
+        g.add_edge(np.int32(0), np.int64(1))
+        g.add_edges_bulk(np.array([1], np.uint8), np.array([2], np.int16))
+        assert type(g.n) is int
+        assert g.edges == {(0, 1), (1, 2)}
+        assert g.bfs_layers(np.int64(0)) == {0: 0, 1: 1, 2: 2}
+
+
+class TestCanonicalState:
+    """A graph is its edge set: every way of building the same edges and
+    self-loops gives the same bytes, arrays and iteration order."""
+
+    @staticmethod
+    def _builds(n, edges, extra, seed):
+        rng = random.Random(seed)
+        out = []
+        for _ in range(2):  # add_edge, in two shuffled orders
+            order = list(edges)
+            rng.shuffle(order)
+            g = Graph(n)
+            for u, v in order:
+                g.add_edge(u, v)
+            out.append(g)
+        g = Graph(n)  # add_edges_bulk, in random chunks
+        rest = list(edges)
+        rng.shuffle(rest)
+        while rest:
+            k = rng.randint(1, len(rest))
+            chunk, rest = rest[:k], rest[k:]
+            g.add_edges_bulk([u for u, _ in chunk], [v for _, v in chunk])
+        out.append(g)
+        out.append(Graph.from_edges(n, edges))
+        out.append(Graph.from_edges(n, edges + extra).without_edges(extra))
+        return out
+
+    @given(st.integers(min_value=2, max_value=40), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_five_builds_are_one_graph(self, n, data):
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        edges = data.draw(st.lists(pair, min_size=1, max_size=120))
+        have = {canonical_edge(u, v) for u, v in edges}
+        extra = [e for e in data.draw(st.lists(pair, max_size=40))
+                 if e[0] != e[1] and canonical_edge(*e) not in have]
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        ref, *others = self._builds(n, edges, extra, seed)
+        for g in others:
+            assert pickle.dumps(g) == pickle.dumps(ref)
+            assert np.array_equal(g.edge_keys(), ref.edge_keys())
+            for a, b in zip(g.adjacency_arrays(), ref.adjacency_arrays()):
+                assert np.array_equal(a, b)
+            for v in range(n):
+                assert list(g.neighbors(v)) == list(ref.neighbors(v))
+        # the state is n, the sorted keys and the sorted self-loops only
+        n_ref, keys, loops = ref.__getstate__()
+        assert n_ref == n
+        assert keys.tolist() == sorted(u * n + v for u, v in have if u != v)
+        assert loops.tolist() == sorted({u for u, v in edges if u == v})
+
+    def test_views_follow_mutation(self):
+        g = Graph.from_edges(4, [(0, 1)])
+        assert g.edges is g.edges and g.degree(2) == 0
+        g.add_edge(2, 1)
+        assert g.edges == {(0, 1), (1, 2)} and g.degree(2) == 1
+        assert g.neighbors(1) == {0, 2}
+        assert not g.edge_keys().flags.writeable
+
+    def test_pickle_roundtrip_and_foreign_state(self):
+        g = Graph.from_edges(5, [(0, 1), (3, 2), (4, 4)])
+        h = pickle.loads(pickle.dumps(g))
+        assert pickle.dumps(h) == pickle.dumps(g)
+        assert h.edges == g.edges and h.self_loops == {4}
+        # the slot dict an adjacency-set Graph pickled is not a state
+        old = (None, {"n": 5, "_adj": [set()] * 5, "_edges": set(),
+                      "self_loops": set(), "_csr": None, "_ekeys": None})
+        for state in (old, (5, [1], []), ("5", g.edge_keys(), g.edge_keys())):
+            with pytest.raises(TypeError, match="not a Graph state"):
+                Graph.__new__(Graph).__setstate__(state)
 
 
 class TestTraversal:

@@ -1,5 +1,6 @@
 """Tests for the process-wide plan cache (repro.core.plancache)."""
 
+import copyreg
 import pickle
 
 import numpy as np
@@ -15,6 +16,7 @@ from repro.core.plancache import (
     plan_key,
     reset_global_plan_cache,
 )
+from repro.topology.graph import Graph
 
 
 @pytest.fixture(autouse=True)
@@ -138,6 +140,38 @@ class TestDiskLayer:
         )
         hit, _ = c.get(key)
         assert not hit and c.corrupt == 1
+
+    def test_adjacency_set_graph_pickle_is_a_corrupt_miss(
+        self, tmp_path, monkeypatch
+    ):
+        # an entry written when a Graph pickled as its slot dict (adjacency
+        # sets, an edge-tuple set, the self-loop set, two empty caches)
+        # must not load as a half-built Graph: it is a counted corrupt
+        # miss, rebuilt and overwritten
+        def slot_dict_reduce(g, protocol):
+            state = {
+                "n": g.n,
+                "_adj": [g.neighbors(v) for v in range(g.n)],
+                "_edges": set(g.edges),
+                "self_loops": set(g.self_loops),
+                "_csr": None,
+                "_ekeys": None,
+            }
+            return copyreg.__newobj__, (Graph,), (None, state)
+
+        key = PlanCache(root=tmp_path).key(3)
+        with monkeypatch.context() as m:
+            m.setattr(Graph, "__reduce_ex__", slot_dict_reduce)
+            PlanCache(root=tmp_path).put(key, build_plan(3))
+        with pytest.raises(TypeError, match="not a Graph state"):
+            pickle.loads(PlanCache(root=tmp_path).path(key).read_bytes())
+        c = PlanCache(root=tmp_path)
+        plan = c.get_plan(3)
+        assert (c.hits, c.misses, c.corrupt) == (0, 1, 1)
+        again = PlanCache(root=tmp_path)
+        hit, reread = again.get(key)
+        assert hit and again.corrupt == 0
+        assert pickle.dumps(reread) == pickle.dumps(plan)
 
     def test_env_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_PLAN_CACHE", str(tmp_path))
