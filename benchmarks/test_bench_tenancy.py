@@ -12,8 +12,12 @@ less wall-cycles than K serialized solos.
 A second case records the fabric's wall-time curve over K (fair-share,
 capacity 1, buffer 2, m=64): q=7 K=4 partitioned, q=7 K=8 shared and
 q=11 K=16/K=32 shared — fabric seconds against serialized-solo seconds,
-the fabric cycles and the µs per fabric cycle.  (q=13 K=64 takes tens
-of seconds and is left out.)
+the fabric cycles and the µs per fabric cycle.  Each row also counts
+``full_steps``, the tenant ``finish_cycle`` calls of the fabric run,
+next to ``local_cycles``, the sum of the tenants' local cycles: a tenant
+whose last cycle moved nothing is parked and skips its full step, so at
+q=11 K=32 at most a quarter of the tenant cycles may be full steps.
+(q=13 K=64 takes tens of seconds and is left out.)
 
 Each case's numbers land in ``benchmark.extra_info`` *and* are persisted
 to ``BENCH_tenancy.json`` at the repo root so the trajectory is tracked
@@ -23,11 +27,12 @@ across PRs.
 import pickle
 import time
 from pathlib import Path
+from unittest import mock
 
 from conftest import persist, record, timed_pedantic
 
 from repro.core import build_plan
-from repro.simulator import make_engine
+from repro.simulator import FastCycleSimulator, make_engine
 from repro.tenancy import FabricSimulator, TenantJob, place_jobs
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_tenancy.json"
@@ -144,9 +149,18 @@ def test_k_curve_fabric_vs_serial_solo(benchmark):
             for p in fplan.placements
         ]
         serial_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        stats = FabricSimulator(fplan, 1, 2, policy="fair-share").run()
-        fabric_s = time.perf_counter() - t0
+        full_steps = 0
+        finish = FastCycleSimulator.finish_cycle
+
+        def counted(self, *args):
+            nonlocal full_steps
+            full_steps += 1
+            return finish(self, *args)
+
+        with mock.patch.object(FastCycleSimulator, "finish_cycle", counted):
+            t0 = time.perf_counter()
+            stats = FabricSimulator(fplan, 1, 2, policy="fair-share").run()
+            fabric_s = time.perf_counter() - t0
         assert all(o.status == "completed" for o in stats.outcomes)
         return {
             "q": q,
@@ -155,6 +169,8 @@ def test_k_curve_fabric_vs_serial_solo(benchmark):
             "trees_each": trees_each,
             "fabric_cycles": stats.cycles,
             "serial_cycles": sum(s.cycles for s in solos),
+            "full_steps": full_steps,
+            "local_cycles": sum(o.local_cycles for o in stats.outcomes),
             "fabric_seconds": round(fabric_s, 4),
             "serial_seconds": round(serial_s, 4),
             "us_per_fabric_cycle": round(fabric_s / stats.cycles * 1e6, 1),
@@ -167,4 +183,9 @@ def test_k_curve_fabric_vs_serial_solo(benchmark):
     )
     record(benchmark, **curve)
     persist(BENCH_JSON, "tenancy-k-curve", curve)
-    assert curve["q11-k32-shared"]["fabric_seconds"] < BUDGET_S
+    k32 = curve["q11-k32-shared"]
+    assert k32["fabric_seconds"] < BUDGET_S
+    assert k32["full_steps"] <= 0.25 * k32["local_cycles"], (
+        f"{k32['full_steps']} full tenant steps in {k32['local_cycles']} "
+        "tenant cycles: parked tenants are stepping"
+    )

@@ -228,8 +228,9 @@ def check_engine_args(
 
     Flit counts, link capacity and buffer size must be integers
     (``operator.index``: NumPy integers pass, floats and strings raise a
-    named ``TypeError``); trees must be spanning trees of ``g`` and the
-    fault schedule must name links of ``g``.  Every flit of tree ``i``
+    named ``TypeError``); trees must be spanning trees of ``g``, and
+    ``faults`` must be ``None`` or a :class:`FaultSchedule` (anything else
+    is a named ``TypeError``) naming links of ``g``.  Every flit of tree ``i``
     crosses its ``2(N-1)`` directed flows, so the engines' int64 flit
     counters hold ``2(N-1) * sum(m_i)``; a split that would overflow them
     raises a ``ValueError`` naming the limit.  Returns the normalized
@@ -248,6 +249,11 @@ def check_engine_args(
     for t in trees:
         t.validate(g)
     if faults is not None:
+        if not isinstance(faults, FaultSchedule):
+            raise TypeError(
+                "faults must be a FaultSchedule or None; got "
+                f"{type(faults).__name__}"
+            )
         faults.validate_against(g)
     if any(x < 0 for x in m):
         raise ValueError("flit counts must be non-negative")
@@ -275,12 +281,14 @@ class EngineRun:
     :class:`CycleStats`.  Every engine therefore stops, stalls and
     reports at the same cycle because one object decides it.
 
-    ``cycle`` counts cycles since the run started.  A leap or an idle
-    fast-forward advances it directly: no completion, stall or guard
-    event can fall inside either.  ``max_cycles=None`` takes
-    :func:`default_max_cycles`; the fabric passes ``math.inf`` because it
-    guards its global clock instead.  Any other budget must be a
-    non-negative integer (a named ``TypeError`` / ``ValueError``).
+    ``cycle`` counts cycles since the run started.  A leap, an idle
+    fast-forward or a parked fabric tenant's wait (its last cycle moved
+    nothing, see :mod:`repro.tenancy.fabric`) advances it directly: no
+    completion, stall or guard event can fall inside any of them.
+    ``max_cycles=None`` takes :func:`default_max_cycles`; the fabric
+    passes ``math.inf`` because it guards its global clock instead.  Any
+    other budget must be a non-negative integer (a named ``TypeError`` /
+    ``ValueError``).
 
     The engine provides ``done_mask()`` (per-tree completion as a bool
     array, landed flits only), ``telemetry``, ``faults`` and the fields
@@ -715,6 +723,12 @@ class CycleSimulator:
             b = budgets[ch]
             out.append(0 if b is None else sum(1 for v in b.values() if v > 0))
         return out
+
+    def channel_keys(self) -> np.ndarray:
+        """``src * n + dst`` of each channel, aligned with
+        :meth:`channels` (int64) — the key the fabric groups sharers by."""
+        chs = np.array(list(self.channel_flows), dtype=np.int64).reshape(-1, 2)
+        return chs[:, 0] * self.n + chs[:, 1]
 
     def run(self, max_cycles: Optional[int] = None) -> CycleStats:
         """Run to completion of all trees under the :class:`EngineRun`

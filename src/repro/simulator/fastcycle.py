@@ -334,6 +334,11 @@ class FastCycleSimulator:
             self._lay.flow_ch, weights=budget > 0, minlength=self._C
         ).astype(np.int64)
 
+    def channel_keys(self) -> np.ndarray:
+        """``src * n + dst`` of each channel, aligned with
+        :meth:`channels` (int64) — the key the fabric groups sharers by."""
+        return self._lay.ch_src * self.n + self._lay.ch_dst
+
     # ----------------------------------------------------- engine protocol
 
     @property

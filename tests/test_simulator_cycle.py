@@ -227,6 +227,42 @@ class TestArgumentCheck:
                 run_with_recovery(plan, 10, max_episodes=bad)
 
     @pytest.mark.parametrize("engine", RUN_ENGINES)
+    @pytest.mark.parametrize("bad", ["str", "event-list"])
+    def test_non_schedule_faults_rejected(self, engine, bad):
+        g, trees = self._plan()
+        bad = "x" if bad == "str" else [(sorted(trees[0].edges)[0], 3)]
+        message = f"faults must be a FaultSchedule or None; got {type(bad).__name__}"
+        with pytest.raises(TypeError, match=message):
+            run_engine(engine, g, trees, [2] * len(trees), faults=bad)
+
+    @pytest.mark.parametrize(
+        "faults,message",
+        [
+            ("value", r"faults\[0\] must be a FaultSchedule or None; got list"),
+            ("schedule", "faults must be a mapping of tenant id -> "
+                         "FaultSchedule; got FaultSchedule"),
+        ],
+        ids=["value", "schedule"],
+    )
+    def test_fabric_non_schedule_faults_rejected(self, faults, message):
+        fplan = place_jobs(5, [TenantJob(tenant=0, arrival=0, m=8, tree_count=2)])
+        edge = sorted(fplan.trees[0].edges)[0]
+        if faults == "value":
+            faults = {0: [(edge, 3, None)]}
+        else:
+            faults = FaultSchedule.single(edge, 3)
+        with pytest.raises(TypeError, match=message):
+            FabricSimulator(fplan, faults=faults)
+
+    @pytest.mark.parametrize("engine", RUN_ENGINES)
+    def test_empty_schedule_is_no_faults(self, engine):
+        g, trees = self._plan()
+        m = [3] * len(trees)
+        plain = run_engine(engine, g, trees, m)
+        empty = run_engine(engine, g, trees, m, faults=FaultSchedule([]))
+        assert pickle.dumps(empty) == pickle.dumps(plain)
+
+    @pytest.mark.parametrize("engine", RUN_ENGINES)
     def test_numpy_integers_pass(self, engine):
         g, trees = self._plan()
         m = [3] * len(trees)

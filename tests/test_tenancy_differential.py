@@ -19,13 +19,21 @@ pinned here as pickle-equality of :class:`CycleStats`:
   the exact cycle, with the exact pending set, of the solo engine's
   ``SimulationStalled`` — and a one-tenant fault storm under
   isolated-slice leaves every other tenant's outcome byte-identical to
-  the storm-free run (the single-job-assumption regression).
+  the storm-free run (the single-job-assumption regression);
+- parking is exact: a fabric that skips the full cycles of tenants
+  whose last cycle moved nothing gives the ``FabricStats`` pickles and
+  trace rows of a lock-step driver that steps every running tenant
+  every cycle, on random faulted mixes for both fabric engines, and on
+  a contended mix it does park.
 """
 
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import build_plan
 from repro.simulator import (
@@ -37,8 +45,16 @@ from repro.simulator import (
 from repro.tenancy import (
     POLICIES,
     FabricSimulator,
+    FabricStats,
     TenantJob,
     place_jobs,
+)
+from tests.strategies import (
+    arbitration_policies,
+    fault_specs,
+    materialize_faults,
+    materialize_jobs,
+    tenant_mixes,
 )
 
 def _solo_stats(fplan, placement, capacity=1, buffer_size=2):
@@ -259,3 +275,131 @@ def test_fault_storm_leaves_other_tenants_unaffected():
         )
     # and the whole fabric still ran to a result — no global abort
     assert all(o.status == "completed" for o in stormy.outcomes[1:])
+
+
+# ------------------------------------- parking vs. the lock-step oracle
+
+
+def _lockstep(sim):
+    """Run ``sim`` the way the fabric ran before it parked tenants: every
+    running tenant takes a full two-phase cycle every cycle — budgets and
+    demand, one ``_arbitrate``, then ``finish_cycle`` and ``tick``.
+    Returns its ``FabricStats`` and trace rows."""
+    order, offs = sim._order, sim._offs
+    blocked_cycles = [0] * len(order)
+    prev = [[0] * len(t.chs) for t in order]
+    trace = []
+    while any(t.running for t in order):
+        sim.cycle += 1
+        active = [i for i, t in enumerate(order)
+                  if t.running and sim.cycle > t.job.arrival]
+        if not active:
+            continue
+        demand = np.zeros(offs[-1] + 1, dtype=np.int64)
+        run_pos = np.zeros(len(order) + 1, dtype=bool)
+        budgets = {}
+        for i in active:
+            budgets[i] = order[i].engine.begin_cycle()
+            demand[offs[i]:offs[i + 1]] = order[i].engine.channel_demand(budgets[i])
+            run_pos[i] = True
+        blocked = np.zeros(demand.size, dtype=bool)
+        row = {"cycle": sim.cycle, "channels": {}, "moved": {}}
+        if sim.shared:
+            running = run_pos[sim._slot_pos]
+            dem = demand[sim._slot_idx]
+            cand = running & (dem > 0)
+            win, arb = sim._arbitrate(cand)
+            for r, ch in enumerate(sim.shared):
+                if not arb[r]:
+                    continue
+                on = running[r]
+                row["channels"][ch] = {
+                    "demand": dict(zip(sim._slot_tid[r, on].tolist(),
+                                       dem[r, on].tolist())),
+                    "winner": int(sim._slot_tid[r, win[r]]),
+                }
+                for j in np.flatnonzero(on):
+                    if j != win[r]:
+                        blocked[sim._slot_idx[r, j]] = True
+        for i in active:
+            t, lo, hi = order[i], offs[i], offs[i + 1]
+            blocked_cycles[i] += bool((blocked[lo:hi] & (demand[lo:hi] > 0)).any())
+            moved = t.engine.finish_cycle(budgets[i], blocked[lo:hi])
+            flits = t.engine.channel_flit_counts()
+            row["moved"][t.job.tenant] = {
+                t.chs[c]: flits[c] - prev[i][c]
+                for c in range(len(flits)) if flits[c] != prev[i][c]
+            }
+            prev[i] = flits
+            try:
+                t.run.tick(moved or int(demand[lo:hi].any()))
+            except SimulationStalled as stall:
+                t.stall = stall
+        trace.append(row)
+    outcomes = tuple(t.outcome(b) for t, b in zip(order, blocked_cycles))
+    cycles = max((o.global_cycle for o in outcomes), default=0)
+    return FabricStats(policy=sim.policy, cycles=cycles, outcomes=outcomes), trace
+
+
+_Q = 5
+_TREES = build_plan(_Q, "low-depth").num_trees
+
+
+def _faulted_fabric(mix, specs, capacity, buffer_size, policy, engine):
+    """A shared-placement fabric of ``mix`` on q=5 with each tenant's
+    drawn fault spec (``None``: no faults) bound to its own trees."""
+    fplan = place_jobs(_Q, list(materialize_jobs(mix, _TREES)), mode="shared")
+    faults = {
+        p.job.tenant: materialize_faults(
+            SimpleNamespace(trees=fplan.tenant_trees(p)), spec
+        )
+        for p, spec in zip(fplan.placements, specs)
+        if spec is not None
+    }
+    return lambda: FabricSimulator(
+        fplan, capacity, buffer_size, policy=policy, engine=engine,
+        faults=faults, record_trace=True,
+    )
+
+
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+@settings(max_examples=30, deadline=None)
+@given(
+    mix=tenant_mixes(max_tenants=4, max_m=12, max_arrival=12),
+    specs=st.lists(
+        st.one_of(st.none(), fault_specs(max_events=1, max_down=20, max_window=20)),
+        min_size=4, max_size=4,
+    ),
+    policy=arbitration_policies(),
+    capacity=st.integers(min_value=1, max_value=3),
+    buffer_size=st.sampled_from([None, 2]),
+)
+def test_parking_equals_the_lockstep_oracle(
+    engine, mix, specs, policy, capacity, buffer_size
+):
+    """A parked tenant skips its full cycles; results and trace rows are
+    those of stepping every running tenant every cycle."""
+    make = _faulted_fabric(mix, specs, capacity, buffer_size, policy, engine)
+    sim = make()
+    stats = sim.run()
+    oracle, trace = _lockstep(make())
+    assert pickle.dumps(stats) == pickle.dumps(oracle)
+    assert sim.trace == trace
+
+
+def test_contended_tenants_park():
+    """On a contended mix most tenant cycles are parked: fewer full
+    ``finish_cycle`` calls than local cycles, same outcomes as the
+    oracle."""
+    jobs = [TenantJob(tenant=t, arrival=0, m=16, tree_count=7) for t in range(12)]
+    fplan = place_jobs(7, jobs, mode="shared")
+    sim = FabricSimulator(fplan, 1, 2)
+    calls = []
+    for t in sim._order:
+        finish = t.engine.finish_cycle
+        t.engine.finish_cycle = lambda *a, f=finish: calls.append(1) or f(*a)
+    stats = sim.run()
+    assert all(o.status == "completed" for o in stats.outcomes)
+    assert 2 * len(calls) < sum(o.local_cycles for o in stats.outcomes)
+    oracle, _ = _lockstep(FabricSimulator(fplan, 1, 2))
+    assert pickle.dumps(stats) == pickle.dumps(oracle)
