@@ -9,8 +9,12 @@ A second case times the cold construction of the vectorized engines at
 paper-scale radix (q=23, 25, 29, low-depth), where building the index
 layout used to cost more than short runs themselves.  The fused step's
 own costs follow: bit-identity of fast and leap against the reference
-on a clean/credited/faulted smoke grid, the per-cycle step across a
-q=7/q=11 clean/faulted grid, and the step's cold-vs-warm start.
+on a clean/credited/faulted smoke grid, the per-cycle step on
+perfbench's six ``solo-stream`` cells, clean and faulted, with the clean
+runs split into budgets, arbitrate, advance and done beside the numbers
+from before the two-flow round robin and the cached completion test,
+the step across link capacities 1-512 (gated: capacity 512 at most 3x
+capacity 2), and the step's cold-vs-warm start.
 
 Each case's reproduced numbers land in ``benchmark.extra_info`` (for the
 pytest-benchmark JSON) *and* are persisted to ``BENCH_fastcycle.json`` at
@@ -30,9 +34,11 @@ from repro.simulator import (
     BatchedCycleSimulator,
     FaultSchedule,
     LaneSpec,
+    fastcycle,
     make_engine,
     simulate_allreduce,
 )
+from repro.simulator.cycle import EngineRun
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_fastcycle.json"
 SPEEDUP_TARGET = 10.0
@@ -225,14 +231,113 @@ def test_engines_agree_smoke():
                 assert got == base, (q, scheme, engine, m, cap, buf)
 
 
+#: the six ``solo-stream`` cells of perfbench: (q, scheme)
+STEP_CELLS = [
+    (q, scheme) for scheme in ("low-depth", "edge-disjoint") for q in (7, 11, 13)
+]
+#: cycles each grid run takes about (the message is sized to it, as
+#: perfbench sizes its jobs by the scheme's aggregate bandwidth)
+STEP_TARGET_CYCLES = 1000
+STEP_PHASES = ("budgets", "arbitrate", "advance", "done")
+#: µs per cycle of each phase (budgets, arbitrate, advance, done) before
+#: the two-flow round robin, the one-child group gather and the cached
+#: completion test: this file's ``_best_phase_us`` on the parent tree,
+#: fastest of four runs, 2-core x86_64 host
+PARENT_PHASE_US = {
+    cell: dict(zip(STEP_PHASES, us))
+    for cell, us in {
+        "low-depth-q7": (6.2, 7.7, 4.3, 6.1),
+        "low-depth-q11": (12.0, 12.6, 6.7, 6.5),
+        "low-depth-q13": (17.3, 17.3, 9.1, 7.2),
+        "edge-disjoint-q7": (5.6, 0.3, 3.5, 5.5),
+        "edge-disjoint-q11": (11.4, 0.3, 5.1, 6.1),
+        "edge-disjoint-q13": (16.1, 0.3, 6.0, 6.4),
+    }.items()
+}
+CAPACITIES = (1, 2, 8, 64, 512)
+#: water filling may cost at most this many times capacity 2 at 512
+CAPACITY_GATE = 3.0
+#: µs per cycle over ``CAPACITIES`` with the pass-by-pass search for the
+#: pass count (this file's ``_capacity_us`` on the parent tree, fastest
+#: of four runs, same host), fast engine and one lane
+PARENT_CAPACITY_US = {
+    "fast": dict(zip(CAPACITIES, (24.5, 61.4, 132.4, 357.2, 2663.3))),
+    "lane": dict(zip(CAPACITIES, (59.4, 112.5, 183.4, 602.8, 4231.3))),
+}
+
+
+def _step_parts(plan, q, scheme):
+    rate = q / 2 if scheme == "low-depth" else (q + 1) / 2
+    return plan.partition(int(STEP_TARGET_CYCLES * rate))
+
+
+def _phase_us(plan, parts):
+    """µs per cycle of one fast run, split into phases: ``budgets``
+    (``begin_cycle``), ``arbitrate`` (the ``round_robin`` or
+    ``water_fill`` call), ``advance`` (the rest of ``finish_cycle``) and
+    ``done`` (``EngineRun.tick``: the completion test and its booking),
+    as {phase: µs}."""
+    sim = make_engine("fast", plan.topology, plan.trees, parts)
+    spent = dict.fromkeys(STEP_PHASES, 0.0)
+    saved = {name: getattr(fastcycle, name) for name in ("round_robin", "water_fill")}
+
+    def timed(fn):
+        def call(*args):
+            t0 = time.perf_counter()
+            out = fn(*args)
+            spent["arbitrate"] += time.perf_counter() - t0
+            return out
+        return call
+
+    for name, fn in saved.items():
+        setattr(fastcycle, name, timed(fn))
+    try:
+        run = EngineRun(sim)
+        clock = time.perf_counter
+        while not run.finished:
+            t0 = clock()
+            budget = sim.begin_cycle()
+            t1 = clock()
+            moved = sim.finish_cycle(budget)
+            t2 = clock()
+            run.tick(moved)
+            t3 = clock()
+            spent["budgets"] += t1 - t0
+            spent["advance"] += t2 - t1
+            spent["done"] += t3 - t2
+    finally:
+        for name, fn in saved.items():
+            setattr(fastcycle, name, fn)
+    spent["advance"] -= spent["arbitrate"]
+    return {k: round(1e6 * v / run.cycle, 1) for k, v in spent.items()}
+
+
+def _best_phase_us(runs, rounds=5):
+    """The phases of each ``(plan, parts)`` in ``runs`` from its round
+    with the least total of :func:`_phase_us`.  Each round measures every
+    run once, so a burst of host load hits them alike."""
+    best = [None] * len(runs)
+    for _ in range(rounds):
+        for i, (plan, parts) in enumerate(runs):
+            phases = _phase_us(plan, parts)
+            if best[i] is None or sum(phases.values()) < sum(best[i].values()):
+                best[i] = phases
+    return best
+
+
 def test_fast_step_grid(benchmark):
-    """Per-cycle stepping cost of the fast engine's fused step across a
-    q=7 and q=11 grid, clean and faulted.  Informational rows for
-    EXPERIMENTS.md (``auto_us_per_cycle`` keeps its historical key)."""
+    """Per-cycle stepping cost of the fast engine's fused step on the six
+    ``solo-stream`` cells, clean and faulted, with the clean runs split
+    into phases next to the parent's.  Informational rows for
+    EXPERIMENTS.md (``auto_us_per_cycle`` keeps its historical key: the
+    whole unobserved run)."""
+    runs = []
+    for q, scheme in STEP_CELLS:
+        plan = build_plan(q, scheme)
+        runs.append((plan, _step_parts(plan, q, scheme)))
+    phases = _best_phase_us(runs)
     grid = []
-    for q in (7, 11):
-        plan = build_plan(q, "low-depth")
-        parts = plan.partition(2_000)
+    for (q, scheme), (plan, parts), phase_us in zip(STEP_CELLS, runs, phases):
         links = _used_links(plan)
         for label, events in (
             ("clean", None),
@@ -245,12 +350,17 @@ def test_fast_step_grid(benchmark):
                 ).run(),
                 rounds=3,
             )
-            grid.append({
+            row = {
                 "q": q,
+                "scheme": scheme,
                 "workload": label,
                 "cycles": stats.cycles,
                 "auto_us_per_cycle": round(1e6 * secs / stats.cycles, 1),
-            })
+            }
+            if fs is None:
+                row["phase_us"] = phase_us
+                row["parent_phase_us"] = PARENT_PHASE_US[f"{scheme}-q{q}"]
+            grid.append(row)
 
     plan = build_plan(7, "low-depth")
     parts = plan.partition(2_000)
@@ -260,6 +370,62 @@ def test_fast_step_grid(benchmark):
     )
     record(benchmark, grid=json.dumps(grid))
     persist(BENCH_JSON, "fast-step-grid", {"grid": grid})
+
+
+def _capacity_us(plan, rounds=5):
+    """µs per cycle at each of ``CAPACITIES`` of the fast engine and of a
+    one-lane batch (same stats), the message scaled by the capacity so
+    every run takes the same cycles.  Each round times every capacity
+    once, so a burst of host load hits the capacities alike; the fastest
+    round counts.  Returns {cap: (cycles, {"fast": µs, "lane": µs})}."""
+    best = {cap: {"fast": float("inf"), "lane": float("inf")} for cap in CAPACITIES}
+    cycles = {}
+    for _ in range(rounds):
+        for cap in CAPACITIES:
+            parts = plan.partition(2_000 * cap)
+            stats, secs = _time(
+                lambda: make_engine(
+                    "fast", plan.topology, plan.trees, parts, cap
+                ).run()
+            )
+            best[cap]["fast"] = min(best[cap]["fast"], secs)
+            (out,), secs = _time(
+                lambda: BatchedCycleSimulator(
+                    plan.topology, plan.trees, lanes=[LaneSpec(parts, cap)]
+                ).run_batch()
+            )
+            assert out.stats == stats
+            best[cap]["lane"] = min(best[cap]["lane"], secs)
+            cycles[cap] = stats.cycles
+    return {
+        cap: (cycles[cap], {k: round(1e6 * v / cycles[cap], 1) for k, v in us.items()})
+        for cap, us in best.items()
+    }
+
+
+def test_capacity_grid(benchmark):
+    """Water filling costs about log2(capacity) channel sums a cycle:
+    low-depth q=7 at capacity 512 must step at most ``CAPACITY_GATE``
+    times as slowly as at capacity 2, fast engine and one lane alike."""
+    plan = build_plan(7, "low-depth")
+    cells = benchmark.pedantic(lambda: _capacity_us(plan), rounds=1, iterations=1)
+    payload = {"scheme": "low-depth", "q": 7, "gate": CAPACITY_GATE}
+    for cap, (cycles, us) in cells.items():
+        payload[f"cap{cap}"] = {
+            "cycles": cycles,
+            "fast_us_per_cycle": us["fast"],
+            "lane_us_per_cycle": us["lane"],
+            "parent_fast_us": PARENT_CAPACITY_US["fast"][cap],
+            "parent_lane_us": PARENT_CAPACITY_US["lane"][cap],
+        }
+    record(benchmark, **payload)
+    persist(BENCH_JSON, "capacity-grid-low-depth-q7", payload)
+    for engine in ("fast", "lane"):
+        ratio = cells[512][1][engine] / cells[2][1][engine]
+        assert ratio <= CAPACITY_GATE, (
+            f"{engine}: capacity 512 steps {ratio:.1f}x as slowly as "
+            f"capacity 2 (gate {CAPACITY_GATE}x)"
+        )
 
 
 def test_cold_vs_warm(benchmark):

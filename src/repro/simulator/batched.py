@@ -72,9 +72,9 @@ from repro.simulator.cycle import (
 )
 from repro.simulator.engine_layout import EngineLayout
 from repro.simulator.fastcycle import (
+    CompletionCache,
     flow_budgets,
     round_robin,
-    trees_done,
     water_fill,
 )
 from repro.simulator.faultsched import FaultSchedule
@@ -243,6 +243,7 @@ class BatchedCycleSimulator:
         self._ptr = np.repeat((lay.flow_slot == 0)[:, None], B, axis=1)
         self._last_moved = np.zeros(B, dtype=np.int64)
         self._alive = np.ones(B, dtype=bool)
+        self._done = CompletionCache((T, B))
 
         # ---- per-lane fault masks, rebuilt lazily at schedule events
         self._lane_faults = [lane.faults for lane in self.lanes]
@@ -260,8 +261,13 @@ class BatchedCycleSimulator:
 
     def done_mask(self) -> np.ndarray:
         """(T, B) — which trees of which lanes are complete (landed flits
-        only): the fast engine's :func:`trees_done`, per lane."""
-        return trees_done(self._sent, self._grant, self._m_arr)
+        only): the fast engine's
+        :func:`~repro.simulator.fastcycle.trees_done`, per lane, through
+        the same :class:`CompletionCache` at each lane's capacity.  The
+        array is shared: do not modify it."""
+        return self._done.read(
+            self.cycle, self._sent, self._grant, self._m_arr, self._cap
+        )
 
     # ------------------------------------------------------------- dynamics
 
@@ -330,6 +336,7 @@ class BatchedCycleSimulator:
         self._ptr = np.ascontiguousarray(self._ptr[:, keep])
         self._last_moved = self._last_moved[keep].copy()
         self._alive = self._alive[keep].copy()
+        self._done.until = self.cycle  # the cached mask has the old columns
         self._m_arr = np.ascontiguousarray(self._m_arr[:, keep])
         self._cap = self._cap[keep].copy()
         self._buf = self._buf[keep].copy()
@@ -388,7 +395,7 @@ class BatchedCycleSimulator:
             maxc = np.full(B, nonnegative("max_cycles", max_cycles), dtype=np.int64)
         outcomes: List[Optional[LaneOutcome]] = [None] * B
         completion = np.zeros((T, B), dtype=np.int64)
-        done = self.done_mask()
+        done = self.done_mask().copy()
         for b in np.nonzero(done.all(axis=0))[0]:
             outcomes[b] = self._finish_lane(b, completion[:, b])
             self._freeze(b)

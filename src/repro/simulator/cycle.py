@@ -292,7 +292,10 @@ class EngineRun:
 
     The engine provides ``done_mask()`` (per-tree completion as a bool
     array, landed flits only), ``telemetry``, ``faults`` and the fields
-    :meth:`stats` folds.
+    :meth:`stats` folds.  A mask is never modified once handed out, so
+    when ``done_mask()`` returns the object it returned last (the
+    vectorized engines do until a tree can have finished), no tree
+    completed in between and :meth:`tick` books nothing.
     """
 
     def __init__(self, sim, max_cycles: Optional[float] = None):
@@ -305,7 +308,7 @@ class EngineRun:
         self.sim = sim
         self.max_cycles = max_cycles
         self.cycle = 0
-        self.done = sim.done_mask()
+        self.done = self._last_mask = sim.done_mask()
         self.completion = [0] * len(self.done)
         self.finished = bool(self.done.all())
         self._tel = sim.telemetry
@@ -327,12 +330,14 @@ class EngineRun:
         if self._tel is not None:
             self._tel.on_cycle(sim, cycle, moved)
         now = sim.done_mask()
-        newly = now & ~self.done
-        if newly.any():
-            for i in np.flatnonzero(newly):
-                self.completion[i] = cycle
-            self.done = self.done | now
-            self.finished = bool(self.done.all())
+        if now is not self._last_mask:
+            self._last_mask = now
+            newly = now & ~self.done
+            if newly.any():
+                for i in np.flatnonzero(newly):
+                    self.completion[i] = cycle
+                self.done = self.done | now
+                self.finished = bool(self.done.all())
         if moved or self.finished:
             return False
         if sim.faults is not None and sim.faults.next_revival_after(cycle) is not None:

@@ -33,23 +33,43 @@ each owns ``2(n - 1)`` consecutive flow ids, ``n - 1`` of them broadcasts
 
 The streaming-aggregation groups are the internal ``(tree, node)`` pairs,
 tree-major and node-ascending, each listing its children in ascending
-order (the order of :meth:`SpanningTree.children`); one
-``np.minimum.reduceat`` over ``sent[child_up_fid]`` at ``grp_off``
-computes every aggregation frontier, and the same reduction over
-``sent[child_bcfid]`` every broadcast min.
+order (the order of :meth:`SpanningTree.children`).  A group's
+aggregation frontier is the min of its children's reduce ``sent``
+(:attr:`EngineLayout.child_up`), its broadcast min the same over their
+broadcasts (:attr:`EngineLayout.child_bc`).  A one-child group's min is
+that child's counter: about half the groups of a low-depth plan have one
+child, and nearly every group of an edge-disjoint plan (q=13: 1 260 of
+1 267).  So :meth:`EngineLayout.group_mins` gathers every group's first
+member (``first``) and overwrites only the multi-child groups
+(``multi_grp``) with one ``np.minimum.reduceat`` over their members
+alone (``multi`` at ``multi_off``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import AbstractSet, List, Sequence, Tuple
+from typing import AbstractSet, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from repro.trees.tree import SpanningTree
 
-__all__ = ["EngineLayout"]
+__all__ = ["EngineLayout", "GroupMembers"]
+
+
+class GroupMembers(NamedTuple):
+    """One member map of the aggregation groups (the children's reduce
+    flows, or their broadcast flows), as flow ids."""
+
+    #: every group's members, concatenated in group order (each group's
+    #: run starts at ``EngineLayout.grp_off``)
+    fid: np.ndarray
+    #: each group's first member, shape (G,)
+    first: np.ndarray
+    #: the members of the multi-child groups only, concatenated (each
+    #: group's run starts at ``EngineLayout.multi_off``)
+    multi: np.ndarray
 
 
 @lru_cache(maxsize=4)
@@ -70,6 +90,14 @@ class EngineLayout:
     concatenation with one entry per aggregation group and per tree.  All
     arrays are int64 (bool for masks) and treated as read-only by the
     engines.
+
+    Two groups of maps exist only to make the per-cycle step cheaper,
+    and :meth:`build` derives both with array operations: each group's
+    first member (``GroupMembers.first``) plus the multi-child groups
+    (``multi_grp``, ``multi_off`` and ``GroupMembers.multi``), which let
+    :meth:`group_mins` gather one-child groups instead of reducing them;
+    and ``flow_shared``, which gives the two-flow round robin of
+    :func:`~repro.simulator.fastcycle.round_robin` its pointer update.
     """
 
     n: int
@@ -92,10 +120,15 @@ class EngineLayout:
     bc_into_leaf: np.ndarray
     # ---- streaming-aggregation groups: each one's first child, shape (G,)
     grp_off: np.ndarray
-    # ... and their children's reduce and broadcast flows, concatenated
-    # in group order
-    child_up_fid: np.ndarray
-    child_bcfid: np.ndarray
+    #: children per group, shape (G,)
+    grp_size: np.ndarray
+    # ... and their children's reduce and broadcast flows
+    child_up: GroupMembers
+    child_bc: GroupMembers
+    #: the groups with two or more children, ascending
+    multi_grp: np.ndarray
+    #: each multi-child group's first member in ``GroupMembers.multi``
+    multi_off: np.ndarray
     #: group of each tree's root, shape (T,) (-1 on a one-node graph)
     root_grp: np.ndarray
     # ---- channels, in order of first appearance, shape (C,)
@@ -114,6 +147,8 @@ class EngineLayout:
     #: the flow in the cyclically preceding slot of the same channel
     #: (the flow itself on a one-flow channel)
     flow_prev: np.ndarray
+    #: the flow's channel carries two flows (read when ``rr_hops == 1``)
+    flow_shared: np.ndarray
     #: predecessor hops a pointer scan needs: ``max(ch_k) - 1``
     rr_hops: int
 
@@ -134,19 +169,32 @@ class EngineLayout:
         of a list shared by equal layouts)."""
         return list(_channel_tuples(self.ch_src.tobytes(), self.ch_dst.tobytes()))
 
+    def by_slot(self, per_flow: np.ndarray) -> np.ndarray:
+        """A per-flow array ((F,) or (F, L)) laid out by arbitration slot
+        and channel, (K, C) or (K, C, L): one gather, with empty slots
+        reading an appended zero."""
+        zero = np.zeros((1,) + per_flow.shape[1:], dtype=per_flow.dtype)
+        return np.concatenate((per_flow, zero))[self.slot_fid]
+
     def channel_totals(self, per_flow: np.ndarray) -> np.ndarray:
         """Sum a per-flow array ((F,) or (F, L)) over each channel's
-        flows: (C,) or (C, L) int64, one gather per slot row (empty slots
-        read an appended zero).  Cumulative channel flit counts are
+        flows: (C,) or (C, L) int64, the slot axis of :meth:`by_slot`
+        summed.  Cumulative channel flit counts are
         ``channel_totals(sent)``."""
-        zero = np.zeros((1,) + per_flow.shape[1:], dtype=per_flow.dtype)
-        padded = np.concatenate((per_flow, zero))
-        return padded[self.slot_fid].sum(axis=0, dtype=np.int64)
+        return self.by_slot(per_flow).sum(axis=0, dtype=np.int64)
 
-    def group_mins(self, per_flow: np.ndarray, members: np.ndarray) -> np.ndarray:
+    def group_mins(self, per_flow: np.ndarray, members: GroupMembers) -> np.ndarray:
         """Min of ``per_flow`` over each aggregation group's ``members``
-        (``child_up_fid`` or ``child_bcfid``): (G,) or (G, L)."""
-        return np.minimum.reduceat(per_flow[members], self.grp_off)
+        (``child_up`` or ``child_bc``): (G,) or (G, L), always equal to
+        ``np.minimum.reduceat(per_flow[members.fid], grp_off)``: a
+        gather of every group's first member, with the multi-child
+        groups overwritten by a reduction over their members alone."""
+        out = per_flow[members.first]
+        if len(self.multi_off):
+            out[self.multi_grp] = np.minimum.reduceat(
+                per_flow[members.multi], self.multi_off
+            )
+        return out
 
     def available(
         self, sent: np.ndarray, agg: np.ndarray, m: np.ndarray
@@ -227,6 +275,12 @@ class EngineLayout:
         first[1:] = (s_tree[1:] != s_tree[:-1]) | (s_par[1:] != s_par[:-1])
         grp_off = np.flatnonzero(first)
         G = len(grp_off)
+        sizes = np.diff(np.append(grp_off, E))
+        is_multi = sizes > 1
+        multi_grp = np.flatnonzero(is_multi)
+        multi_off = np.cumsum(sizes[is_multi]) - sizes[is_multi]
+        # sorted-edge positions of the multi-child groups' members
+        multi_pos = np.flatnonzero(np.repeat(is_multi, sizes))
         # per-(tree, node) maps: group id (-1 for leaves), reduce fid
         grp_of = np.full((T, n), -1, dtype=np.int64)
         grp_of[s_tree[first], s_par[first]] = np.arange(G, dtype=np.int64)
@@ -297,8 +351,15 @@ class EngineLayout:
             cons_idx=cons_idx,
             bc_into_leaf=bc_into_leaf,
             grp_off=grp_off,
-            child_up_fid=2 * order,
-            child_bcfid=2 * order + 1,
+            grp_size=sizes,
+            child_up=GroupMembers(
+                2 * order, 2 * order[grp_off], 2 * order[multi_pos]
+            ),
+            child_bc=GroupMembers(
+                2 * order + 1, 2 * order[grp_off] + 1, 2 * order[multi_pos] + 1
+            ),
+            multi_grp=multi_grp,
+            multi_off=multi_off,
             root_grp=grp_of[np.arange(T), roots],
             ch_src=ch_key // n,
             ch_dst=ch_key % n,
@@ -307,5 +368,6 @@ class EngineLayout:
             slot_fid=slot_fid,
             flow_slot=flow_slot,
             flow_prev=flow_prev,
+            flow_shared=ch_k[flow_ch] == 2,
             rr_hops=K - 1,
         )

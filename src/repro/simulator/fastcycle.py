@@ -13,23 +13,37 @@ cycle with array operations and produces bit-identical results:
   the index maps of an
   :class:`~repro.simulator.engine_layout.EngineLayout` (whose docstring
   states the flow-order contract the round robin depends on);
-- streaming aggregation is a single ``np.minimum.reduceat`` over the
-  concatenated children lists; budgets and credits are computed from the
-  start-of-cycle ``sent``, when every flit sent before has landed, so the
-  two-cycle credit loop is reproduced exactly (:func:`flow_budgets`);
+- streaming aggregation gathers each one-child group's only member and
+  runs one ``np.minimum.reduceat`` over the multi-child groups' children
+  lists (:meth:`~repro.simulator.engine_layout.EngineLayout.group_mins`);
+  budgets and credits are computed from the start-of-cycle ``sent``,
+  when every flit sent before has landed, so the two-cycle credit loop is
+  reproduced exactly (:func:`flow_budgets`);
 - round-robin arbitration is replaced by closed forms over per-flow
   pointer bits: :func:`round_robin` at ``link_capacity == 1`` (the
   common case), and for larger capacities :func:`water_fill`, where
   ``T`` complete passes hand flow ``i`` exactly ``min(b_i, T)`` flits
   and the remaining ``R`` go to the first ``R`` flows with ``b_i > T``
-  in cyclic order.  The per-flow grants only advance ``sent``, and
-  channel totals are derived from ``sent``.  All three functions take a
-  trailing lane axis and are shared with the batched lane evaluator.
+  in cyclic order.  PolarFly plans put at most two flows on a channel
+  (the low-depth trees share a link between at most two trees, the
+  edge-disjoint trees never share one), and there the round robin is one
+  gather of the partner flow's eligibility; the predecessor walk
+  (:func:`round_robin_walk`) serves channels of three or more flows.  The
+  per-flow grants only advance ``sent``, and channel totals are derived
+  from ``sent``.  These functions take a trailing lane axis and are
+  shared with the batched lane evaluator;
+- the completion test (:func:`trees_done`) runs only once a tree can have
+  finished: a flow sends at most ``capacity`` flits a cycle, so a tree
+  ``r`` flits short is not done for ``ceil(r / capacity)`` cycles
+  (:func:`done_wait`), and ``done_mask`` hands back its last mask until
+  then (:class:`CompletionCache`, shared with the batched lanes).
 
 Cycle-exactness (same per-channel per-cycle flit counts, same completion
 cycles, same round-robin pointer trajectory, same :class:`CycleStats`) is
-enforced by ``tests/test_fastcycle_equivalence.py``; the speedup is
-recorded by ``benchmarks/test_bench_fastcycle.py``.
+enforced by ``tests/test_fastcycle_equivalence.py``, and each shortcut
+above against its general form by ``tests/test_fast_step_oracles.py``;
+the speedup and the per-phase cost are recorded by
+``benchmarks/test_bench_fastcycle.py``.
 
 Every cycle is the same two phases — :meth:`begin_cycle` (budgets) and
 :meth:`finish_cycle` (arbitrate, send) — whether the engine runs solo,
@@ -49,12 +63,18 @@ from repro.topology.graph import Graph
 from repro.trees.tree import SpanningTree
 
 __all__ = [
+    "CompletionCache",
     "FastCycleSimulator",
+    "done_wait",
     "flow_budgets",
     "round_robin",
+    "round_robin_walk",
     "trees_done",
     "water_fill",
 ]
+
+#: a ``done_wait`` past any run: every tree is done for good
+_NEVER = 1 << 62
 
 
 def round_robin(
@@ -69,32 +89,65 @@ def round_robin(
 
     Each channel grants its first eligible flow at or after the pointer
     and moves the pointer one slot past it; with nothing eligible it
-    grants nothing and the pointer holds.  With ``p = lay.flow_prev``
-    the cyclic predecessor slot, let ``c[f]`` say "a flow in the slots
-    from the pointer up to, not including, ``f`` is eligible".  Walking
-    back from ``f`` and stopping at the pointer gives
+    grants nothing and the pointer holds.  The PolarFly plans carry at
+    most two flows on a channel (``lay.rr_hops <= 1``), and there the
+    rule has a one-gather form.  With ``p = lay.flow_prev`` the other
+    flow of a two-flow channel (``p`` is the identity on a one-flow
+    channel, and ``p∘p`` is the identity on both),
 
-        c = ~ptr & pos[p],  then  c = ~ptr & (pos | c)[p]
+        y = pos[p] & ~ptr
 
-    repeated until the walk spans ``lay.rr_hops = max(ch_k) - 1`` slots:
-    no flow is more than ``ch_k - 1`` slots past its pointer, and the
-    ``~ptr`` factor ends every walk there, so no walk wraps.  Then
-    ``grant = pos & ~c``, and the pointer moves to the slot after the
-    grant (``grant[p]``) or holds at ``f`` when ``f`` and, through its
-    predecessor, every other slot are ineligible:
-    ``ptr' = grant[p] | (ptr & ~(pos | (pos | c)[p]))``.  Gathers
-    distribute over ``&`` and ``|``, so only ``pos[p]`` and each ``c[p]``
-    are gathered: two gathers at ``max(ch_k) == 2`` (low-depth plans),
-    none at 1 (edge-disjoint plans: ``grant = pos``, pointers still).
+    says "the pointer is at ``f``'s partner and the partner is
+    eligible", i.e. the partner goes first.  So ``grant = pos & ~y``.
+    The pointer lands on ``f`` when the partner was granted — exactly
+    ``y`` — or stays on ``f`` when ``f`` held it and was not granted:
+    ``ptr' = (ptr & ~(pos & shared)) | y``, where ``shared``
+    (``lay.flow_shared``) marks two-flow channels (a one-flow channel's
+    pointer never moves, and there ``y`` is always false).  On bool
+    arrays ``a & ~b`` is ``a > b``: one gather and five element-wise
+    operations.  Edge-disjoint plans (``rr_hops == 0``) grant ``pos``
+    and keep their pointers; channels with three or more flows take the
+    general walk, :func:`round_robin_walk`.
     """
     hops = lay.rr_hops
     if hops == 0:
         return pos, ptr
+    if hops > 1:
+        return round_robin_walk(lay, pos, ptr)
+    shared = lay.flow_shared if pos.ndim == 1 else lay.flow_shared[:, None]
+    y = pos[lay.flow_prev] > ptr
+    return pos > y, (ptr > (pos & shared)) | y
+
+
+def round_robin_walk(
+    lay: EngineLayout, pos: np.ndarray, ptr: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`round_robin` at any channel width, by a predecessor walk
+    (the arbitration of channels with three or more flows, and the
+    oracle of the two-flow form).
+
+    With ``p = lay.flow_prev`` the cyclic predecessor slot, let ``c[f]``
+    say "a flow in the slots from the pointer up to, not including,
+    ``f`` is eligible".  Walking back from ``f`` and stopping at the
+    pointer gives
+
+        c = ~ptr & pos[p],  then  c = ~ptr & (pos | c)[p]
+
+    repeated until the walk spans ``lay.rr_hops = max(ch_k) - 1`` slots
+    (one step at the least): no flow is more than ``ch_k - 1`` slots
+    past its pointer, and the ``~ptr`` factor ends every walk there, so
+    no walk wraps.  Then ``grant = pos & ~c``, and the pointer moves to
+    the slot after the grant (``grant[p]``) or holds at ``f`` when
+    ``f`` and, through its predecessor, every other slot are
+    ineligible: ``ptr' = grant[p] | (ptr & ~(pos | (pos | c)[p]))``.
+    Gathers distribute over ``&`` and ``|``, so only ``pos[p]`` and
+    each ``c[p]`` are gathered.
+    """
     prev = lay.flow_prev
     free = ~ptr
     pos_p = pos[prev]
     c = free & pos_p
-    for _ in range(hops - 1):
+    for _ in range(lay.rr_hops - 1):
         c = free & (pos_p | c[prev])
     c_p = c[prev]
     grant = pos & ~c
@@ -122,9 +175,12 @@ def water_fill(
     with ``sum min(b_i, T) < S``: they hand flow ``i`` ``min(b_i, T)``
     flits, and the other ``R`` (at least one, at most the number of flows
     with ``b_i > T``) go to the first ``R`` flows with ``b_i > T`` in
-    cyclic order from the pointer — the cycle's last, partial pass.  The
-    rank ``r`` of a flow among those, counted from the pointer, comes
-    from the predecessor walk of :func:`round_robin`,
+    cyclic order from the pointer — the cycle's last, partial pass.
+    ``sum min(b_i, T) < S`` is monotone in ``T``, so every channel's
+    ``T`` is found bit by bit, in ``ceil(log2(max S))`` passes over the
+    budgets laid out by slot (:meth:`~EngineLayout.by_slot`, gathered
+    once).  The rank ``r`` of a flow among those, counted from the
+    pointer, comes from the predecessor walk of :func:`round_robin_walk`,
 
         r = where(ptr, 0, (r + (b > T))[p])
 
@@ -133,19 +189,19 @@ def water_fill(
     channel that sends nothing (``R == 0``).
     """
     b = np.maximum(budget, 0)
-    S = np.minimum(lay.channel_totals(b), capacity)
-    # T < S: a pass within the largest budget grants at least one flit,
-    # and past it sum min(b, T) = sum b >= S; so the search stops below
-    # max(S), or sooner, once no channel has a flit left over
+    # every channel sum below reduces the slot axis: no further gather
+    bs = lay.by_slot(b)
+    S = np.minimum(bs.sum(axis=0, dtype=np.int64), capacity)
+    # T < S: sum min(b, S) >= min(sum b, S) = S.  The test is monotone
+    # in T, so T is set bit by bit from the top: a bit stays when the
+    # test still holds with it, and max(S) - 1 fits in the bits tried
     T = np.zeros_like(S)
-    for p in range(1, int(S.max(initial=0))):
-        below = lay.channel_totals(np.minimum(b, p)) < S
-        if not below.any():
-            break
-        T += below
+    for k in reversed(range(int(S.max(initial=1) - 1).bit_length())):
+        up = T + (1 << k)
+        T = np.where(np.minimum(bs, up).sum(axis=0) < S, up, T)
+    R = (S - np.minimum(bs, T).sum(axis=0))[lay.flow_ch]
     T = T[lay.flow_ch]
     grant = np.minimum(b, T)
-    R = (S - lay.channel_totals(grant))[lay.flow_ch]
     want = b > T
     prev = lay.flow_prev
     r = np.zeros_like(grant)
@@ -168,11 +224,11 @@ def flow_budgets(
     ``buffer - (sent - consumed)`` unless ``buffer`` (a scalar or one per
     lane) is ``None``.  ``m`` holds each tree's flit count, (T,) or
     (T, L)."""
-    budget = lay.available(sent, lay.group_mins(sent, lay.child_up_fid), m)
+    budget = lay.available(sent, lay.group_mins(sent, lay.child_up), m)
     budget -= sent
     if buffer is not None:
         # the credit, buffer - (sent - consumed), built in place
-        credit = lay.consumed(sent, lay.group_mins(sent, lay.child_bcfid))
+        credit = lay.consumed(sent, lay.group_mins(sent, lay.child_bc))
         credit -= sent
         credit += buffer
         np.minimum(budget, credit, out=budget)
@@ -195,6 +251,58 @@ def trees_done(sent: np.ndarray, grant: np.ndarray, m: np.ndarray) -> np.ndarray
     if np.count_nonzero(done):
         done &= ~np.logical_or.reduce(grant.reshape(rows), axis=1)
     return done
+
+
+def done_wait(
+    sent: np.ndarray,
+    done: np.ndarray,
+    m: np.ndarray,
+    capacity: Union[int, np.ndarray],
+) -> int:
+    """How many cycles must pass before :func:`trees_done` can differ
+    from ``done``, its value for ``sent`` ((T,) or (T, L)): at least
+    one, and ``_NEVER`` once every tree is done.  A done tree stays done
+    — its flows have sent ``m_i`` and can send no more — and a flow
+    sends at most ``capacity`` flits a cycle (a scalar, or one per
+    lane), so a tree whose slowest flow is ``r`` flits short cannot be
+    done until ``ceil(r / capacity)`` more cycles have passed.  That
+    holds for every way an engine advances its cycle: steps, leaps,
+    closed-form jumps and idle waits."""
+    if done.all():
+        return _NEVER
+    rows = (len(m), -1) + sent.shape[1:]
+    short = m - np.minimum.reduce(sent.reshape(rows), axis=1)
+    return max(int((-(-short // capacity))[~done].min()), 1)
+
+
+class CompletionCache:
+    """A vectorized engine's completion mask, tested again only once a
+    tree can have finished (:func:`done_wait`).  :meth:`read` hands back
+    the same array object until then, so a caller can tell that nothing
+    completed by identity; the array is shared and must not be modified.
+    Setting ``until`` to the current cycle forces the next read to test
+    (the batched engine does when it drops lanes)."""
+
+    __slots__ = ("mask", "until")
+
+    def __init__(self, shape: Tuple[int, ...]):
+        self.mask = np.zeros(shape, dtype=bool)
+        #: the cycle at which the mask is tested again
+        self.until = 0
+
+    def read(
+        self,
+        cycle: int,
+        sent: np.ndarray,
+        grant: np.ndarray,
+        m: np.ndarray,
+        capacity: Union[int, np.ndarray],
+    ) -> np.ndarray:
+        """:func:`trees_done` of ``(sent, grant, m)`` at ``cycle``."""
+        if cycle >= self.until:
+            self.mask = trees_done(sent, grant, m)
+            self.until = cycle + done_wait(sent, self.mask, m, capacity)
+        return self.mask
 
 
 class FastCycleSimulator:
@@ -251,6 +359,7 @@ class FastCycleSimulator:
         # event cycles)
         self._dead_now: FrozenSet[Tuple[int, int]] = frozenset()
         self._dead_mask: Optional[np.ndarray] = None
+        self._done = CompletionCache((T,))
 
     # ------------------------------------------------------------- dynamics
 
@@ -348,8 +457,11 @@ class FastCycleSimulator:
 
     def done_mask(self) -> np.ndarray:
         """Per-tree completion, counting only flits that have landed
-        (:func:`trees_done`)."""
-        return trees_done(self.sent, self._grant, self._m_arr)
+        (:func:`trees_done`), read between cycles through a
+        :class:`CompletionCache`: the array is shared, do not modify it."""
+        return self._done.read(
+            self.cycle, self.sent, self._grant, self._m_arr, self.capacity
+        )
 
     def channels(self) -> List[Tuple[int, int]]:
         return self._lay.channels()
@@ -379,7 +491,7 @@ class FastCycleSimulator:
             return self._m_arr.tolist()
         lay = self._lay
         landed = self.sent - self._grant
-        agg = lay.group_mins(landed, lay.child_up_fid)[lay.root_grp]
+        agg = lay.group_mins(landed, lay.child_up)[lay.root_grp]
         return np.minimum(agg, self._m_arr).tolist()
 
     def _queues(
@@ -404,7 +516,7 @@ class FastCycleSimulator:
         one bincount)."""
         if not self._F:
             return [0] * self.n
-        bcm = self._lay.group_mins(self.sent, self._lay.child_bcfid)
+        bcm = self._lay.group_mins(self.sent, self._lay.child_bc)
         return self._queues(self.sent, self._grant, bcm).tolist()
 
     def phase_flit_totals(self) -> Tuple[List[int], List[int]]:

@@ -223,12 +223,6 @@ class LeapCycleSimulator(FastCycleSimulator):
         # takes
         row = 8 * (4 * self._T * self.n + 2 * self._F + self._C + 1)
         self._p_max = min(self.P_MAX, max(2, self._VERIFY_BUDGET // (2 * row)))
-        # member counts of the minimum.reduceat groups (flows map to their
-        # group through the layout's avail_src / cons_idx), for principled
-        # forward-drift extrapolation of the mins
-        self._grp_sizes = np.diff(
-            np.append(self._lay.grp_off, len(self._lay.child_up_fid))
-        ).astype(np.int64)
         self.leap_log: List[Tuple[int, int, int]] = []
         self.stepped_cycles = 0
         self.idle_skipped = 0  # dead-wait cycles fast-forwarded, not stepped
@@ -307,7 +301,7 @@ class LeapCycleSimulator(FastCycleSimulator):
         self, per_flow: np.ndarray, members: np.ndarray, rates: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, int]:
         """The mins of ``per_flow`` over every aggregation group's
-        ``members`` (``child_up_fid`` or ``child_bcfid``), their forward
+        ``members`` (``child_up.fid`` or ``child_bc.fid``), their forward
         per-period rates, and the max k for which those rates are
         licensed.
 
@@ -315,12 +309,12 @@ class LeapCycleSimulator(FastCycleSimulator):
         current argmin members, for as long as every faster-shrinking
         non-argmin member keeps ``gap + k*delta >= 0`` — i.e. while the
         argmin set is stable."""
-        off = self._lay.grp_off
+        off, sizes = self._lay.grp_off, self._lay.grp_size
         vals, rates = per_flow[members], rates[members]
         mins = np.minimum.reduceat(vals, off)
-        gaps = vals - np.repeat(mins, self._grp_sizes)
+        gaps = vals - np.repeat(mins, sizes)
         rstar = np.minimum.reduceat(np.where(gaps == 0, rates, _BIG), off)
-        delta = rates - np.repeat(rstar, self._grp_sizes)
+        delta = rates - np.repeat(rstar, sizes)
         neg = delta < 0
         if not neg.any():
             return mins, rstar, _INF_K
@@ -373,13 +367,15 @@ class LeapCycleSimulator(FastCycleSimulator):
         for pre, post in phases:
             if k <= 0:
                 break
-            agg, rstar_agg, gb = self._min_group_terms(pre, lay.child_up_fid, r_sent)
+            agg, rstar_agg, gb = self._min_group_terms(pre, lay.child_up.fid, r_sent)
             k = min(k, gb)
             avail = lay.available(pre, agg, self._m_arr) - pre
             d_avail = lay.available(r_sent, rstar_agg, no_drift) - r_sent
             k = min(k, self._regime_bound(avail, d_avail))
             if buffered:
-                bcm, rstar_bcm, bb = self._min_group_terms(pre, lay.child_bcfid, r_sent)
+                bcm, rstar_bcm, bb = self._min_group_terms(
+                    pre, lay.child_bc.fid, r_sent
+                )
                 k = min(k, bb)
                 credit = self.buffer_size + lay.consumed(pre, bcm) - pre
                 r_cons = lay.consumed(r_sent, rstar_bcm)
@@ -391,7 +387,7 @@ class LeapCycleSimulator(FastCycleSimulator):
                 # drift is derived from those rates — never from boundary
                 # deltas, which argmin churn could corrupt
                 bcm_t, rstar_bcm_t, bb_t = self._min_group_terms(
-                    post, lay.child_bcfid, r_sent
+                    post, lay.child_bc.fid, r_sent
                 )
                 k = min(k, bb_t)
                 r_cons_t = lay.consumed(r_sent, rstar_bcm_t)

@@ -24,7 +24,11 @@ inline across ``tests/test_differential.py``,
 - :func:`observables` — every frontier a single-run engine exposes, for
   suites that compare two engines' states;
 - :func:`batch_specs` / :func:`materialize_lanes` — random heterogeneous
-  lane batches for the batched engine's differential suite.
+  lane batches for the batched engine's differential suite;
+- :func:`engine_layouts` / :func:`pointer_bits` — the vectorized engines'
+  index layouts over plans and random embeddings, and random round-robin
+  pointer bits with a trailing lane axis, for the arbitration closed
+  forms' oracle suites.
 
 Everything is deterministic: strategies only emit seeds or seeded
 generators, never global-randomness draws, so failing examples shrink and
@@ -75,6 +79,8 @@ __all__ = [
     "placement_modes",
     "tenant_mixes",
     "materialize_jobs",
+    "engine_layouts",
+    "pointer_bits",
 ]
 
 #: every registered cycle-engine name, reference first (kept in sync with
@@ -398,3 +404,43 @@ def materialize_jobs(mix, num_trees: int, mode: str = "shared"):
             TenantJob(tenant=len(jobs), arrival=arrival, m=m, tree_count=tc)
         )
     return tuple(jobs)
+
+
+# ------------------------------------------------------- engine layouts
+
+@lru_cache(maxsize=None)
+def _layout(source, key):
+    from repro.simulator.engine_layout import EngineLayout
+
+    if source == "plan":
+        plan = get_plan(*key)
+        return EngineLayout.build(plan.topology.n, plan.trees)
+    g, trees = random_embedding(*key)
+    return EngineLayout.build(g.n, trees)
+
+
+def engine_layouts(min_trees: int = 1, max_trees: int = 6, schemes=None):
+    """Strategy over :class:`~repro.simulator.engine_layout.EngineLayout`
+    instances: every small plan (of ``schemes``, default all; at most two
+    flows per channel) and random embeddings of ``min_trees`` to
+    ``max_trees`` spanning trees of PolarFly q = 3, 5 (a directed channel
+    carries at most one flow per tree).  Layouts are cached per key and
+    must not be modified."""
+    keys = tuple(k for k in PLAN_KEYS if schemes is None or k[1] in schemes)
+    plans = st.sampled_from(keys).map(lambda key: _layout("plan", key))
+    embedded = st.tuples(
+        topology_names(["pf3", "pf5"]),
+        st.integers(min_value=min_trees, max_value=max_trees),
+        seeds(200),
+    ).map(lambda key: _layout("embedding", key))
+    return st.one_of(plans, embedded)
+
+
+def pointer_bits(lay, rng, lanes=None):
+    """Random round-robin pointer bits over ``lay``: one set bit per
+    channel (and per lane), (F,) or (F, lanes)."""
+    if lanes is None:
+        slot = (rng.random(lay.num_channels) * lay.ch_k).astype(np.int64)
+        return lay.flow_slot == slot[lay.flow_ch]
+    draw = rng.random((lay.num_channels, lanes)) * lay.ch_k[:, None]
+    return lay.flow_slot[:, None] == draw.astype(np.int64)[lay.flow_ch]

@@ -163,9 +163,9 @@ def test_aggregation_groups_list_sorted_children_per_internal_node():
                 if v == t.root:
                     expect_roots.append(len(expect_groups))
                 expect_groups.append([up_fid[ti, c] for c in t.children(v)])
-    groups = np.split(lay.child_up_fid, lay.grp_off[1:])
+    groups = np.split(lay.child_up.fid, lay.grp_off[1:])
     assert [g.tolist() for g in groups] == expect_groups
-    assert np.array_equal(lay.child_bcfid, lay.child_up_fid + 1)
+    assert np.array_equal(lay.child_bc.fid, lay.child_up.fid + 1)
     assert lay.root_grp.tolist() == expect_roots
 
 
