@@ -7,7 +7,10 @@ Pass criteria: the engines agree exactly on the resulting
 
 A second case times the cold construction of the vectorized engines at
 paper-scale radix (q=23, 25, 29, low-depth), where building the index
-layout used to cost more than short runs themselves.  The fused step's
+layout used to cost more than short runs themselves, with the layout
+memo cleared before each timed build, beside a warm build of the same
+trees (a memo hit at q=13; the larger layouts exceed the memo's byte
+budget and are rebuilt).  The fused step's
 own costs follow: bit-identity of fast and leap against the reference
 on a clean/credited/faulted smoke grid, the per-cycle step on
 perfbench's six ``solo-stream`` cells, clean and faulted, with the clean
@@ -39,11 +42,12 @@ from repro.simulator import (
     simulate_allreduce,
 )
 from repro.simulator.cycle import EngineRun
+from repro.simulator.engine_layout import shared_layouts
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_fastcycle.json"
 SPEEDUP_TARGET = 10.0
 
-BUILD_QS = (23, 25, 29)
+BUILD_QS = (13, 23, 25, 29)
 BUILD_ENGINES = ("fast", "leap", "batched")
 BUILD_REPEATS = 5
 LEAP_BUILD_GATE_MS = 100.0
@@ -145,30 +149,39 @@ def test_fastcycle_scaling_headroom(benchmark):
     persist(BENCH_JSON, f"scaling-headroom-q7-m{m}", payload)
 
 
-def _cold_build_ms(q, engine):
+def _build_ms(q, engine):
     """Median ms of ``make_engine`` (a one-lane ``BatchedCycleSimulator``
-    for ``"batched"``) over fresh plans (cold tree caches)."""
-    times = []
+    for ``"batched"``) over fresh plans (cold tree caches): cold, with the
+    layout memo cleared first, then warm, a second build of the same
+    trees.  Also whether the memo held the layout (the warm build a hit)."""
+    cold, warm = [], []
     for _ in range(BUILD_REPEATS):
         plan = build_plan(q, "low-depth")
         parts = plan.partition(28000)
-        t0 = time.perf_counter()
-        if engine == "batched":
-            BatchedCycleSimulator(plan.topology, plan.trees, lanes=[LaneSpec(parts)])
-        else:
-            make_engine(engine, plan.topology, plan.trees, parts)
-        times.append((time.perf_counter() - t0) * 1e3)
-    return round(statistics.median(times), 2)
+        shared_layouts.cache_clear()
+        for times in (cold, warm):
+            t0 = time.perf_counter()
+            if engine == "batched":
+                BatchedCycleSimulator(
+                    plan.topology, plan.trees, lanes=[LaneSpec(parts)]
+                )
+            else:
+                make_engine(engine, plan.topology, plan.trees, parts)
+            times.append((time.perf_counter() - t0) * 1e3)
+    held = shared_layouts.cache_info().currsize > 0
+    return (
+        round(statistics.median(cold), 2), round(statistics.median(warm), 2), held
+    )
 
 
 def test_engine_build_cold(benchmark):
     """Cold engine construction at paper-scale radix: the index layout is
     built with array operations, so the leap engine at q=29 (N=871, 29
-    trees, 50,460 flows) must build in at most 100 ms."""
+    trees, 50,460 flows) must build in at most 100 ms with the layout
+    memo cleared.  ``<engine>_warm_ms`` builds the same trees again: a
+    memo hit where the layout fits the memo (``memo_held``)."""
     cells = benchmark.pedantic(
-        lambda: {
-            q: {e: _cold_build_ms(q, e) for e in BUILD_ENGINES} for q in BUILD_QS
-        },
+        lambda: {q: {e: _build_ms(q, e) for e in BUILD_ENGINES} for q in BUILD_QS},
         rounds=1,
         iterations=1,
     )
@@ -179,13 +192,17 @@ def test_engine_build_cold(benchmark):
     }
     for q, row in cells.items():
         payload[f"q{q}"] = {
-            **{f"{e}_ms": ms for e, ms in row.items()},
-            "parent_ms": PARENT_BUILD_MS[q],
+            **{f"{e}_ms": cold for e, (cold, _, _) in row.items()},
+            **{f"{e}_warm_ms": warm for e, (_, warm, _) in row.items()},
+            "memo_held": all(held for _, _, held in row.values()),
         }
+        if q in PARENT_BUILD_MS:
+            payload[f"q{q}"]["parent_ms"] = PARENT_BUILD_MS[q]
     record(benchmark, **payload)
     persist(BENCH_JSON, "engine-build-low-depth", payload)
-    assert cells[29]["leap"] <= LEAP_BUILD_GATE_MS, (
-        f"cold leap build at q=29 took {cells[29]['leap']} ms "
+    leap_q29 = cells[29]["leap"][0]
+    assert leap_q29 <= LEAP_BUILD_GATE_MS, (
+        f"cold leap build at q=29 took {leap_q29} ms "
         f"(gate {LEAP_BUILD_GATE_MS} ms)"
     )
 
@@ -437,6 +454,7 @@ def test_cold_vs_warm(benchmark):
     def run():
         return make_engine("fast", plan.topology, plan.trees, parts).run()
 
+    shared_layouts.cache_clear()
     _, cold_s = _time(run)               # includes per-engine prep
     _, warm_s = timed_pedantic(benchmark, run, rounds=5, iterations=1, warmup_rounds=1)
     payload = {

@@ -2,8 +2,8 @@
 """Benchmark trend gate: compare BENCH_*.json against committed baselines.
 
 The repo root carries one ``BENCH_<suite>.json`` per benchmark suite —
-nested dicts of per-case metrics, re-written in place whenever the suite
-runs. This script turns that trajectory into a CI gate:
+nested dicts (and lists of rows) of per-case metrics, re-written in place
+whenever the suite runs. This script turns that trajectory into a CI gate:
 
     bench_trend.py snapshot -o baseline/
         copy the committed BENCH files aside (run *before* re-running
@@ -63,11 +63,13 @@ def classify(key):
 
 
 def flatten(tree, prefix=""):
-    """Nested dicts -> {dotted.path: number} (bools and strings dropped)."""
+    """Nested dicts and lists -> {dotted.path: number}: a list row is keyed
+    by its index (``grid.0.cycles``); bools and strings are dropped."""
     out = {}
-    for key, val in tree.items():
+    items = enumerate(tree) if isinstance(tree, list) else tree.items()
+    for key, val in items:
         path = f"{prefix}{key}"
-        if isinstance(val, dict):
+        if isinstance(val, (dict, list)):
             out.update(flatten(val, path + "."))
         elif isinstance(val, (int, float)) and not isinstance(val, bool):
             out[path] = float(val)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.utils.profiling import StageTimer
@@ -51,6 +51,9 @@ from repro.utils.errors import whole
 __all__ = ["AllreducePlan", "build_plan", "SCHEMES"]
 
 SCHEMES = ("low-depth", "low-depth-even", "edge-disjoint", "single")
+
+#: instance-dict key of :meth:`AllreducePlan.subset_bandwidths`' memo
+_SUBSET_MEMO = "_subset_bandwidths"
 
 
 @dataclass(frozen=True)
@@ -126,6 +129,28 @@ class AllreducePlan:
         """Equation 2: optimal sub-vector sizes for an ``m``-element input
         (``m`` an integer, else a named ``TypeError``)."""
         return optimal_partition(m, self.bandwidths)
+
+    def subset_bandwidths(self, ids: Sequence[int]) -> Tuple[Fraction, ...]:
+        """Algorithm 1 bandwidths of the trees ``ids`` (indices into
+        ``trees``) embedded alone, as a tenant placed on them runs
+        (:func:`repro.tenancy.place_jobs`).
+
+        The fill depends only on the plan and the subset, so it is
+        computed once per subset and memoized on the plan; the memo is
+        left out of the plan's pickle."""
+        key = tuple(ids)
+        memo = self.__dict__.setdefault(_SUBSET_MEMO, {})
+        bws = memo.get(key)
+        if bws is None:
+            trees = [self.trees[i] for i in key]
+            bws = memo[key] = tuple(
+                tree_bandwidths(self.topology, trees, self.link_bandwidth)
+            )
+        return bws
+
+    def __getstate__(self) -> Dict[str, object]:
+        """The plan's fields, without the subset-bandwidth memo."""
+        return {k: v for k, v in self.__dict__.items() if k != _SUBSET_MEMO}
 
     def estimated_time(self, m: int, hop_latency: Number = 0) -> Fraction:
         """Pipelined execution-time estimate for an ``m``-element Allreduce:

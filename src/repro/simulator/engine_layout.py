@@ -7,9 +7,18 @@ is ``concat(sent, agg, m)[avail_src]`` with ``agg`` the streaming
 aggregation mins, and its receiver's consumed counter is
 ``concat(sent, bcm)[cons_idx]`` with ``bcm`` the broadcast mins.
 :class:`EngineLayout` holds every one of those index maps for one
-``(graph, trees)`` embedding; :meth:`EngineLayout.build` derives them from
-the trees' parent arrays with sorts, scatters and gathers — no per-flow
-Python loop.
+``(graph, trees)`` embedding; :meth:`EngineLayout.derive` derives them
+from the trees' parent arrays with one argsort, scatters and gathers — no
+per-flow Python loop and no sort over channels.
+
+**Shared and read-only.**  The layout depends only on ``n`` and each
+tree's root and insertion-order ``(child, parent)`` pairs, so
+:meth:`EngineLayout.build` returns one layout per such content from
+:data:`shared_layouts`, a byte-bounded LRU memo that holds no tree or
+graph: the fast, leap and batched engines and every fabric tenant over
+equal trees read the same object.  Its arrays are not writeable, and a
+:class:`~repro.trees.tree.SpanningTree` must not be mutated after
+construction.
 
 **Flow-order contract.**  Flows are numbered tree-major, and within a
 tree in the insertion order of its ``parent`` dict: the ``e``-th
@@ -47,15 +56,17 @@ alone (``multi`` at ``multi_off``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import AbstractSet, List, NamedTuple, Sequence, Tuple
+from typing import AbstractSet, Hashable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
+from repro.topology.graph import Graph
 from repro.trees.tree import SpanningTree
 
-__all__ = ["EngineLayout", "GroupMembers"]
+__all__ = ["EngineLayout", "GroupMembers", "LayoutMemoInfo", "shared_layouts"]
 
 
 class GroupMembers(NamedTuple):
@@ -88,11 +99,11 @@ class EngineLayout:
 
     Indices address flow-space vectors: ``sent`` ((F,) or (F, L)) and its
     concatenation with one entry per aggregation group and per tree.  All
-    arrays are int64 (bool for masks) and treated as read-only by the
-    engines.
+    arrays are int64 (bool for masks); in a layout from :meth:`build`
+    they are shared and not writeable.
 
     Two groups of maps exist only to make the per-cycle step cheaper,
-    and :meth:`build` derives both with array operations: each group's
+    and :meth:`derive` derives both with array operations: each group's
     first member (``GroupMembers.first``) plus the multi-child groups
     (``multi_grp``, ``multi_off`` and ``GroupMembers.multi``), which let
     :meth:`group_mins` gather one-child groups instead of reducing them;
@@ -238,8 +249,22 @@ class EngineLayout:
         return mask
 
     @classmethod
-    def build(cls, n: int, trees: Sequence[SpanningTree]) -> "EngineLayout":
-        """Derive the layout of ``trees`` embedded in an ``n``-node graph."""
+    def build(cls, g: Graph, trees: Sequence[SpanningTree]) -> "EngineLayout":
+        """The shared, read-only layout of ``trees`` embedded in ``g``.
+
+        Memoized by content in :data:`shared_layouts`: equal trees give
+        the same layout object, whatever the graph or tree objects, so
+        do not modify its arrays (they are not writeable)."""
+        return shared_layouts(g, trees)
+
+    @classmethod
+    def derive(cls, g: Graph, trees: Sequence[SpanningTree]) -> "EngineLayout":
+        """Derive the layout of ``trees`` embedded in ``g`` (uncached, with
+        writeable arrays).  Each tree must be a spanning tree of ``g``
+        (:meth:`SpanningTree.validate`, memoized per graph)."""
+        for t in trees:
+            t.validate(g)
+        n = g.n
         T = len(trees)
         roots = np.asarray([t.root for t in trees], dtype=np.int64)
         counts = [len(t.parent) for t in trees]
@@ -263,16 +288,17 @@ class EngineLayout:
         flow_src[1::2] = flow_dst[0::2] = par
         flow_is_reduce = np.zeros(F, dtype=bool)
         flow_is_reduce[0::2] = True
-        flow_edge_key = np.minimum(flow_src, flow_dst) * n + np.maximum(
-            flow_src, flow_dst
-        )
+        edge_key = np.minimum(child, par) * n + np.maximum(child, par)
+        flow_edge_key = np.repeat(edge_key, 2)
 
-        # ---- aggregation groups: edges sorted by (tree, parent, child);
-        # each run of one (tree, parent) is a group
-        order = np.lexsort((child, par, etree))
-        s_tree, s_par = etree[order], par[order]
+        # ---- aggregation groups: edges sorted by the unique key
+        # (tree, parent, child); each run of one (tree, parent) is a group
+        at_child = etree * n + child  # (tree, node) cells, flat over (T, n)
+        at_par = etree * n + par
+        order = np.argsort(at_par * n + child)
+        s_node = at_par[order]
         first = np.ones(E, dtype=bool)
-        first[1:] = (s_tree[1:] != s_tree[:-1]) | (s_par[1:] != s_par[:-1])
+        first[1:] = s_node[1:] != s_node[:-1]
         grp_off = np.flatnonzero(first)
         G = len(grp_off)
         sizes = np.diff(np.append(grp_off, E))
@@ -282,10 +308,14 @@ class EngineLayout:
         # sorted-edge positions of the multi-child groups' members
         multi_pos = np.flatnonzero(np.repeat(is_multi, sizes))
         # per-(tree, node) maps: group id (-1 for leaves), reduce fid
-        grp_of = np.full((T, n), -1, dtype=np.int64)
-        grp_of[s_tree[first], s_par[first]] = np.arange(G, dtype=np.int64)
-        up_fid = np.zeros((T, n), dtype=np.int64)
-        up_fid[etree, child] = np.arange(0, F, 2, dtype=np.int64)
+        grp_of = np.full(T * n, -1, dtype=np.int64)
+        grp_of[s_node[grp_off]] = np.arange(G, dtype=np.int64)
+        up_fid = np.zeros(T * n, dtype=np.int64)
+        up_fid[at_child] = np.arange(0, F, 2, dtype=np.int64)
+        grp_c = grp_of[at_child]  # the child's group: -1 at a leaf
+        grp_p = grp_of[at_par]  # the parent's group (it has this child)
+        par_fid = up_fid[at_par]  # the parent's own reduce flow
+        par_is_root = par == roots[etree]
 
         # ---- availability of a flow's next flit at its source, in
         # concat(sent, agg, m):
@@ -293,13 +323,9 @@ class EngineLayout:
         #   reduce out of interior  -> aggregation min at src
         #   broadcast out of root   -> aggregation min at the root
         #   broadcast out of inner  -> 'sent' of the broadcast into src
-        src_grp = grp_of[flow_tree, flow_src]
-        src_is_agg = flow_is_reduce | (flow_src == roots[flow_tree])
-        avail_src = np.where(
-            src_is_agg,
-            np.where(src_grp >= 0, F + src_grp, F + G + flow_tree),
-            up_fid[flow_tree, flow_src] + 1,
-        )
+        avail_src = np.empty(F, dtype=np.int64)
+        avail_src[0::2] = np.where(grp_c >= 0, F + grp_c, F + G + etree)
+        avail_src[1::2] = np.where(par_is_root, F + grp_p, par_fid + 1)
 
         # ---- consumption counter per flow (credit bookkeeping), in
         # concat(sent, bcm):
@@ -307,37 +333,42 @@ class EngineLayout:
         #   reduce into an interior -> that node's own up-flow 'sent'
         #   broadcast into a leaf   -> its own 'sent' (landed on arrival)
         #   broadcast into interior -> min over its broadcast 'sent'
-        dst_grp = grp_of[flow_tree, flow_dst]
-        cons_from_sent = flow_is_reduce & (flow_dst != roots[flow_tree])
-        cons_idx = np.where(
-            cons_from_sent,
-            up_fid[flow_tree, flow_dst],
-            np.where(dst_grp >= 0, F + dst_grp, np.arange(F, dtype=np.int64)),
+        cons_idx = np.empty(F, dtype=np.int64)
+        cons_idx[0::2] = np.where(par_is_root, F + grp_p, par_fid)
+        cons_idx[1::2] = np.where(
+            grp_c >= 0, F + grp_c, np.arange(1, F, 2, dtype=np.int64)
         )
-        bc_into_leaf = np.flatnonzero(~flow_is_reduce & (dst_grp < 0))
+        bc_into_leaf = 2 * np.flatnonzero(grp_c < 0) + 1
 
-        # ---- channels ranked by first appearance along the fids; slots
-        # by a stable sort, so each channel lists its flows in fid order
-        ch_key = flow_src * n + flow_dst
-        uniq, first_fid, inverse = np.unique(
-            ch_key, return_index=True, return_inverse=True
-        )
-        rank = np.argsort(first_fid)
-        C = len(uniq)
-        ch_of_uniq = np.empty(C, dtype=np.int64)
-        ch_of_uniq[rank] = np.arange(C, dtype=np.int64)
-        flow_ch = ch_of_uniq[inverse.reshape(-1)]
-        ch_key = uniq[rank]
-        ch_k = np.bincount(flow_ch, minlength=C).astype(np.int64)
-        gr_fid = np.argsort(flow_ch, kind="stable").astype(np.int64)
-        gr_ch = flow_ch[gr_fid]
-        gr_slot = np.arange(F, dtype=np.int64) - (np.cumsum(ch_k) - ch_k)[gr_ch]
+        # ---- channels: a dense id per directed link of g (its edge's
+        # rank, doubled, plus the direction).  A tree uses a directed
+        # channel at most once, so counting per tree hands each flow its
+        # slot in fid order, and the slot-0 flows are the channels' first
+        # appearances: no sort.
+        gk = g.edge_keys()
+        rank = np.searchsorted(gk, edge_key)
+        dense = np.empty(F, dtype=np.int64)
+        dense[0::2] = 2 * rank + (child > par)
+        dense[1::2] = 2 * rank + (par > child)
+        taken = np.zeros(2 * len(gk), dtype=np.int64)
+        flow_slot = np.empty(F, dtype=np.int64)
+        at = 0
+        for k in counts:
+            ids = dense[at : at + 2 * k]
+            flow_slot[at : at + 2 * k] = taken[ids]
+            taken[ids] += 1
+            at += 2 * k
+        heads = np.flatnonzero(flow_slot == 0)
+        C = len(heads)
+        ch_of = taken  # reused: dense id -> channel (every flow's id is a head's)
+        ch_k = taken[dense[heads]]
+        ch_of[dense[heads]] = np.arange(C, dtype=np.int64)
+        flow_ch = ch_of[dense]
         K = int(ch_k.max()) if C else 1
         slot_fid = np.full((K, C), F, dtype=np.int64)
-        slot_fid[gr_slot, gr_ch] = gr_fid
-        flow_slot = np.empty(F, dtype=np.int64)
-        flow_slot[gr_fid] = gr_slot
-        flow_prev = slot_fid[(flow_slot - 1) % ch_k[flow_ch], flow_ch]
+        slot_fid[flow_slot, flow_ch] = np.arange(F, dtype=np.int64)
+        prev_slot = np.where(flow_slot > 0, flow_slot, ch_k[flow_ch]) - 1
+        flow_prev = slot_fid.reshape(-1)[prev_slot * C + flow_ch]
 
         return cls(
             n=n,
@@ -360,9 +391,9 @@ class EngineLayout:
             ),
             multi_grp=multi_grp,
             multi_off=multi_off,
-            root_grp=grp_of[np.arange(T), roots],
-            ch_src=ch_key // n,
-            ch_dst=ch_key % n,
+            root_grp=grp_of[np.arange(T, dtype=np.int64) * n + roots],
+            ch_src=flow_src[heads],
+            ch_dst=flow_dst[heads],
             ch_k=ch_k,
             flow_ch=flow_ch,
             slot_fid=slot_fid,
@@ -371,3 +402,101 @@ class EngineLayout:
             flow_shared=ch_k[flow_ch] == 2,
             rr_hops=K - 1,
         )
+
+    def arrays(self) -> List[np.ndarray]:
+        """Every array of the layout, in field order (the two
+        :class:`GroupMembers` maps flattened)."""
+        out: List[np.ndarray] = []
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, np.ndarray):
+                out.append(v)
+            elif isinstance(v, GroupMembers):
+                out.extend(v)
+        return out
+
+
+class LayoutMemoInfo(NamedTuple):
+    """Counters of :data:`shared_layouts`."""
+
+    hits: int
+    misses: int
+    #: layouts held
+    currsize: int
+    #: bytes held: layout arrays plus their keys
+    nbytes: int
+    max_bytes: int
+
+
+class _LayoutMemo:
+    """Content-keyed LRU memo of read-only :class:`EngineLayout` objects,
+    bounded in bytes.
+
+    The key is ``n`` plus each tree's root and its canonical edge arrays in
+    ``parent``-dict order (:meth:`SpanningTree.edge_endpoints`).  A tree is
+    fixed by its root and its edges, so these fix every ``(child,
+    parent)`` pair and their order: equal tree sets share one layout
+    whatever the tree, plan or graph objects.  The memo holds no tree or
+    graph.  Layouts stay until the
+    bytes held (arrays plus keys) pass ``max_bytes``, least recently used
+    first; one larger than ``max_bytes`` is returned but never held.
+
+    ``cache_info()`` and ``cache_clear()`` take no arguments, as on a
+    ``functools.lru_cache`` function; they are bound per instance, so a
+    cache reset that calls them on every module attribute having both
+    finds the memo and not this class.
+    """
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self._held: OrderedDict[Hashable, Tuple[EngineLayout, int]] = OrderedDict()
+        self._hits = self._misses = self._nbytes = 0
+        self.cache_info = self._info
+        self.cache_clear = self._clear
+
+    def __call__(self, g: Graph, trees: Sequence[SpanningTree]) -> EngineLayout:
+        key: Tuple[object, ...] = (g.n,)
+        key_bytes = 0
+        for t in trees:
+            lo, hi = t.edge_endpoints()
+            key += (t.root, lo.tobytes(), hi.tobytes())
+            key_bytes += lo.nbytes + hi.nbytes
+        held = self._held.get(key)
+        if held is not None:
+            self._hits += 1
+            self._held.move_to_end(key)
+            return held[0]
+        self._misses += 1
+        lay = EngineLayout.derive(g, trees)
+        size = key_bytes
+        for a in lay.arrays():
+            a.flags.writeable = False
+            size += a.nbytes
+        if size <= self.max_bytes:
+            self._held[key] = (lay, size)
+            self._nbytes += size
+            while self._nbytes > self.max_bytes:
+                _, (_, dropped) = self._held.popitem(last=False)
+                self._nbytes -= dropped
+        return lay
+
+    def _info(self) -> LayoutMemoInfo:
+        return LayoutMemoInfo(
+            self._hits, self._misses, len(self._held), self._nbytes, self.max_bytes
+        )
+
+    def _clear(self) -> None:
+        self._held.clear()
+        self._hits = self._misses = self._nbytes = 0
+
+
+#: the process-wide layout memo behind :meth:`EngineLayout.build`, shared
+#: by the fast, leap and batched engines and every fabric tenant.  768 KiB
+#: holds every tree subset a q = 7 and q = 11 tenant mix places (the 21
+#: distinct sets of perfbench's ``tenant-mix`` seed 1 take 742 KiB with
+#: their keys) and several small plans (a whole low-depth q = 11 plan is
+#: 330 KiB); a low-depth q = 19 layout alone is 1.6 MiB, so it is rebuilt
+#: on each use and never held.  Each held byte stays resident: at 1 MiB the
+#: six ``solo-stream`` plans, which do not fit together, kept 1.7 MB more
+#: peak RSS than no memo, at 768 KiB 1.1 MB.
+shared_layouts = _LayoutMemo(max_bytes=768 << 10)

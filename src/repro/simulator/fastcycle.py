@@ -340,7 +340,7 @@ class FastCycleSimulator:
 
         n = g.n
         self.n = n
-        lay = EngineLayout.build(n, self.trees)
+        lay = EngineLayout.build(g, self.trees)
         self._lay = lay
         T = self._T = lay.num_trees
         F = self._F = lay.num_flows

@@ -1,9 +1,10 @@
 """Admission and placement: pack per-tenant tree embeddings onto one
 shared PolarFly.
 
-Placement reuses the PR 8 plan cache (:func:`repro.core.plancache.get_plan`)
+Placement reuses the plan cache (:func:`repro.core.plancache.get_plan`)
 for the base embedding, then assigns each admitted job a subset of the
-base plan's trees:
+base plan's trees, whose Algorithm 1 fill is computed once per base plan
+(:meth:`~repro.core.plan.AllreducePlan.subset_bandwidths`):
 
 ``mode="shared"``
     every tenant gets the *first* ``tree_count`` trees — maximum link
@@ -29,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.bandwidth import optimal_partition, tree_bandwidths
+from repro.core.bandwidth import optimal_partition
 from repro.core.plancache import get_plan, plan_key
 from repro.tenancy.jobs import TenantJob
 from repro.topology.graph import Edge, Graph, canonical_edge
@@ -56,9 +57,9 @@ class Placement:
 
     ``tree_ids`` index the base plan's tree list; ``flits`` is the
     Equation 2 partition of ``job.m`` over those trees' Algorithm 1
-    bandwidths (computed on the subset, so a full-plan placement matches
-    ``AllreducePlan.partition`` exactly — the K=1 differential relies on
-    this).
+    bandwidths (computed on the subset and memoized on the base plan, so
+    a full-plan placement matches ``AllreducePlan.partition`` exactly —
+    the K=1 differential relies on this).
     """
 
     job: TenantJob
@@ -141,12 +142,10 @@ def place_jobs(
                 )
             ids = tuple(range(cursor, cursor + job.tree_count))
             cursor += job.tree_count
-        subset = [base.trees[i] for i in ids]
         if ids == tuple(range(base.num_trees)):
             flits = base.partition(job.m)
         else:
-            bws = tree_bandwidths(base.topology, subset, base.link_bandwidth)
-            flits = optimal_partition(job.m, bws)
+            flits = optimal_partition(job.m, base.subset_bandwidths(ids))
         placements.append(Placement(job=job, tree_ids=ids, flits=tuple(flits)))
 
     link_load: Dict[Edge, int] = {}

@@ -17,7 +17,12 @@ edge endpoints) and every derived structure — children lists, the depth
 map, the canonical edge set — is built from those arrays rather than by
 per-node dict walks. The arrays are also the fast-path inputs Algorithm 1
 consumes (:meth:`SpanningTree.edge_endpoints`), so the whole planner reads
-tree structure without re-deriving it.
+tree structure without re-deriving it, and the cycle engines' shared
+index layouts are keyed by them.
+
+A tree is immutable once constructed: every derived array, the engines'
+layout memo and a plan's bandwidth memo assume that ``root`` and
+``parent`` never change, so build a new tree instead of editing one.
 """
 
 from __future__ import annotations
@@ -51,6 +56,9 @@ class SpanningTree:
         Mapping ``vertex -> parent vertex`` for every non-root vertex.
     tree_id:
         Optional identifier (e.g. cluster index for Algorithm 3 trees).
+
+    Do not mutate ``root`` or ``parent`` after construction: the derived
+    arrays are computed once, and engine layouts are shared by content.
     """
 
     __slots__ = (
@@ -67,7 +75,9 @@ class SpanningTree:
         "_validated",   # the Graph this tree last validated cleanly against
     )
 
-    def __init__(self, root: int, parent: Mapping[int, int], tree_id: Optional[int] = None):
+    def __init__(
+        self, root: int, parent: Mapping[int, int], tree_id: Optional[int] = None
+    ):
         if root in parent:
             raise ConstructionError(f"root {root} must not have a parent")
         self.root = root
@@ -161,10 +171,13 @@ class SpanningTree:
         return self._edges
 
     def edge_endpoints(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Canonical edge endpoints as aligned ``(lo, hi)`` int64 arrays.
+        """Canonical edge endpoints as aligned ``(lo, hi)`` int64 arrays, in
+        the ``parent`` dict's insertion order.
 
         The zero-copy structural view Algorithm 1's scaled-integer core
-        indexes; treat as read-only.
+        indexes; treat as read-only.  With the root they fix the tree's
+        ``(child, parent)`` pairs and their order, so the engines' shared
+        index layouts are keyed by them.
         """
         return self._edge_lo, self._edge_hi
 
@@ -302,7 +315,10 @@ class SpanningTree:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         tid = f", id={self.tree_id}" if self.tree_id is not None else ""
-        return f"SpanningTree(root={self.root}, n={self.num_vertices}, depth={self.depth}{tid})"
+        return (
+            f"SpanningTree(root={self.root}, n={self.num_vertices}, "
+            f"depth={self.depth}{tid})"
+        )
 
 
 def edge_congestion(trees: Iterable[SpanningTree]) -> Dict[Edge, int]:

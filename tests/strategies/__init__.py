@@ -414,9 +414,9 @@ def _layout(source, key):
 
     if source == "plan":
         plan = get_plan(*key)
-        return EngineLayout.build(plan.topology.n, plan.trees)
+        return EngineLayout.build(plan.topology, plan.trees)
     g, trees = random_embedding(*key)
-    return EngineLayout.build(g.n, trees)
+    return EngineLayout.build(g, trees)
 
 
 def engine_layouts(min_trees: int = 1, max_trees: int = 6, schemes=None):

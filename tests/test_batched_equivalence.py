@@ -16,6 +16,7 @@ import pickle
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.simulator import (
@@ -27,6 +28,7 @@ from repro.simulator import (
     simulate_allreduce,
     trace_allreduce,
 )
+from repro.simulator.batched import lanes_moved
 
 from tests.strategies import (
     batch_specs,
@@ -295,3 +297,23 @@ class TestSingleLaneProtocol:
             BatchedCycleSimulator(
                 plan.topology, plan.trees, lanes=[LaneSpec((-1,) * T)]
             )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 200), st.integers(1, 70)),
+    density=st.sampled_from((0.0, 0.002, 0.05, 0.5)),
+    capacity=st.sampled_from((1, 3)),
+    seed=st.integers(0, 10**6),
+)
+def test_lanes_moved_is_any_over_flows(shape, density, capacity, seed):
+    """The folded reduction the step books lane progress with equals
+    ``grant.any(axis=0)`` for bool (capacity 1) and int32 grants, at
+    flow counts on both sides of a whole number of fold rows."""
+    rng = np.random.default_rng(seed)
+    grant = rng.random(shape) < density
+    if capacity > 1:
+        grant = grant * rng.integers(1, capacity + 1, shape, dtype=np.int32)
+    got = lanes_moved(grant)
+    assert got.dtype == bool
+    assert np.array_equal(got, grant.any(axis=0))

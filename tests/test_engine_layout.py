@@ -2,8 +2,8 @@
 
 The vectorized engines never see the reference engine's per-channel flow
 lists: they read channel order and arbitration slots from the layout,
-which builds them with sorts instead of dict walks.  The round robin
-visits a channel's flows in slot order, so the layout must reproduce the
+which builds them with array operations instead of dict walks.  The round
+robin visits a channel's flows in slot order, so the layout must reproduce the
 reference ``CycleSimulator.channel_flows`` exactly — same channel order,
 same flows per channel, same slot order — for any parent-dict insertion
 order and for plans that repeat a tree (several flows on one channel).
@@ -98,7 +98,7 @@ def _reference_channel_flows(ref: CycleSimulator):
 def test_channel_order_and_slots_match_the_reference(emb):
     g, trees, m = emb
     ref = CycleSimulator(g, trees, m)
-    lay = EngineLayout.build(g.n, trees)
+    lay = EngineLayout.build(g, trees)
     assert _layout_channel_flows(lay) == _reference_channel_flows(ref)
     # the per-flow slots agree with the padded matrix and the flow -> channel
     # map; a channel's flows fill its first ch_k slots, the rest hold F
@@ -135,7 +135,7 @@ def test_vector_engines_are_pickle_equal_to_the_reference(emb, buf, cap):
 @given(emb=embeddings(), data=st.data())
 def test_fault_mask_is_edge_membership(emb, data):
     g, trees, _ = emb
-    lay = EngineLayout.build(g.n, trees)
+    lay = EngineLayout.build(g, trees)
     used = sorted({e for t in trees for e in t.edges})
     dead = frozenset(
         data.draw(st.lists(st.sampled_from(used), unique=True)) if used else ()
@@ -149,7 +149,7 @@ def test_fault_mask_is_edge_membership(emb, data):
 
 def test_aggregation_groups_list_sorted_children_per_internal_node():
     plan = get_plan(5, "low-depth")
-    lay = EngineLayout.build(plan.topology.n, plan.trees)
+    lay = EngineLayout.build(plan.topology, plan.trees)
     ref = CycleSimulator(plan.topology, plan.trees, plan.partition(10))
     up_fid = {
         (fl.tree, fl.src): fid
@@ -184,7 +184,7 @@ def test_no_trees_and_zero_flit_trees(engine):
 
 def test_single_node_graph_has_no_flows():
     g = Graph.from_edges(1, [])
-    lay = EngineLayout.build(1, [SpanningTree(0, {})])
+    lay = EngineLayout.build(g, [SpanningTree(0, {})])
     assert lay.num_flows == 0 and lay.num_channels == 0
     assert lay.channels() == []
     for engine in ("reference",) + VECTOR_ENGINES:

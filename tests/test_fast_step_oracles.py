@@ -58,7 +58,7 @@ def _shape(lay, lanes):
 
 def _plan_layout(q, scheme):
     plan = get_plan(q, scheme)
-    return EngineLayout.build(plan.topology.n, plan.trees)
+    return EngineLayout.build(plan.topology, plan.trees)
 
 
 # --------------------------------------------------------- round robin
@@ -172,7 +172,7 @@ def _oracle_layouts():
         out.append(_plan_layout(*key))
     for name, k, seed in (("pf3", 3, 1), ("pf3", 6, 2), ("pf5", 2, 3), ("pf5", 8, 4)):
         g, trees = random_embedding(name, k, seed)
-        out.append(EngineLayout.build(g.n, trees))
+        out.append(EngineLayout.build(g, trees))
     return out
 
 

@@ -120,6 +120,23 @@ class TestPlanPlanning:
     def test_repr_smoke(self):
         assert "low-depth" in repr(build_plan(3, "low-depth"))
 
+    def test_subset_bandwidths_are_memoized_and_not_pickled(self):
+        import pickle
+
+        from repro.core import tree_bandwidths
+
+        plan = build_plan(7, "low-depth")
+        before = pickle.dumps(plan)
+        for ids in ((0,), (1, 2), (6, 0, 3), tuple(range(7))):
+            bws = plan.subset_bandwidths(ids)
+            expect = tree_bandwidths(plan.topology, [plan.trees[i] for i in ids])
+            assert bws == tuple(expect)
+            assert plan.subset_bandwidths(ids) is bws
+        assert plan.subset_bandwidths(tuple(range(7))) == plan.bandwidths
+        assert pickle.dumps(plan) == before
+        back = pickle.loads(pickle.dumps(plan))
+        assert back.subset_bandwidths((1, 2)) == plan.subset_bandwidths((1, 2))
+
 
 class TestMaxTrees:
     def test_cap_applied(self):
